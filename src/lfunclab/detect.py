@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .coeffs import CoefficientSeries, KahanAccumulator
 from .errors import (
@@ -457,6 +456,8 @@ def _hd_tail_bound(
     eta: float, k: int, trunc: int, degree_factor: float, theta: float
 ) -> tuple[float, list[str]]:
     """Bound eta * sum_{m > trunc} Lambda(m) m^(theta - 1) j_k(eta log m)."""
+    from scipy.special import gammaincc  # deferred: only detection bounds need it
+
     flags: list[str] = []
     u0 = eta * math.log(max(trunc, 2))
     c = 1.0 - theta / eta

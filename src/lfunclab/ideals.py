@@ -333,9 +333,8 @@ def enumerate_ideals(
         for i in range(start, len(prime_list)):
             pid, pn = prime_list[i]
             if norm * pn > bound:
-                # prime_list is norm-sorted, but later primes of equal norm
-                # may still fit, so only skip this one
-                continue
+                # prime_list is norm-sorted: no later prime fits either
+                break
             acc_norm, e = norm, 0
             while acc_norm * pn <= bound:
                 acc_norm *= pn

@@ -19,14 +19,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .coeffs import KahanAccumulator, expand_global, ideal_list, pair_series
 from .errors import UsageError
 from .ideals import (
     IdealIndex,
     divisors,
-    gcd_lcm,
     ideal_mul,
     is_squarefree_ideal,
     min_prime_norm,
@@ -59,6 +57,7 @@ def bump_phi(y):
 
 def phi_hat(s: complex, target: float = 1e-12) -> complex:
     """Laplace-type transform of the bump: integral of phi(y) e^{s y} dy."""
+    from scipy.integrate import quad  # deferred: most CLI commands never integrate
 
     def real_part(y):
         return float(bump_phi(y)) * math.exp(s.real * y) * math.cos(s.imag * y)
@@ -282,6 +281,9 @@ def g_factor(rep: Representation, d: IdealIndex) -> tuple[float, list[str]]:
     return val, flags
 
 
+_BRUTE_FORCE_BLOCK = 256  # support rows per block of the brute-force diagonal
+
+
 @dataclass
 class SieveWeights:
     rep: Representation
@@ -300,17 +302,34 @@ class SieveWeights:
         return sum(self.rho_value(d) for d in divisors(ideal))
 
     def brute_force_diagonal(self) -> float:
-        acc = KahanAccumulator()
-        for da in self.support:
-            ra = self.rho[da]
-            for db in self.support:
-                _, lcm = gcd_lcm(da, db)
-                gval = self.g.get(lcm)
-                if gval is None:
-                    gval, _ = g_factor(self.rep, lcm)
-                    self.g[lcm] = gval
-                acc.add(complex(ra * self.rho[db] * gval))
-        return acc.value().real
+        """sum over all pairs a, b of the support of rho(a) rho(b) g(lcm(a, b)).
+
+        Independent of the closed form 1/G.  The support is squarefree, so
+        with l = log g(p) and B the 0/1 support-by-prime matrix,
+        g(lcm(a, b)) = exp(l_a + l_b - (B diag(l) B^T)_ab).  Rows go in
+        fixed blocks, each multiplied only against the prime columns its
+        rows touch, so memory stays O(block * |support|).
+        """
+        col = {p.factors[0][0]: j for j, p in enumerate(self.prime_product)}
+        ell = np.log([self.g[p] for p in self.prime_product])
+        n = len(self.support)
+        pairs = [(i, col[pid]) for i, d in enumerate(self.support) for pid, _ in d.factors]
+        row_idx, col_idx = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        log_g = np.bincount(row_idx, weights=ell[col_idx], minlength=n)
+        rho = np.array([self.rho[d] for d in self.support])
+        parts = []
+        for start in range(0, n, _BRUTE_FORCE_BLOCK):
+            stop = min(start + _BRUTE_FORCE_BLOCK, n)
+            cols = np.unique(col_idx[(row_idx >= start) & (row_idx < stop)])
+            local = np.full(len(ell), -1)
+            local[cols] = np.arange(len(cols))
+            hit = local[col_idx] >= 0
+            b = np.zeros((n, len(cols)))  # B on the block's columns, every row
+            b[row_idx[hit], local[col_idx[hit]]] = 1.0
+            shared = (b[start:stop] * ell[cols]) @ b.T
+            g_lcm = np.exp(log_g[start:stop, None] + log_g[None, :] - shared)
+            parts.append(float(rho[start:stop] @ (g_lcm @ rho)))
+        return math.fsum(parts)
 
     def verify(self, tol: float = 1e-10) -> dict:
         unit = unit_ideal(self.rep.field)
@@ -365,7 +384,7 @@ def selberg_weights(rep: Representation, z: float) -> SieveWeights:
         for j in range(i, len(primes)):
             p = primes[j]
             if ideal.norm * p.norm > z:
-                continue
+                break  # primes is norm-sorted
             gv = gp[p]
             extend(j + 1, ideal_mul(ideal, p), h * gv / (1.0 - gv))
 
@@ -387,7 +406,7 @@ def selberg_weights(rep: Representation, z: float) -> SieveWeights:
                 if p.factors[0][0] in d_pids:
                     continue
                 if norm * p.norm > z:
-                    continue
+                    break
                 gv = gp[p]
                 extend_rest(j + 1, norm * p.norm, acc_h * gv / (1.0 - gv))
 

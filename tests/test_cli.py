@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -29,6 +32,51 @@ class TestEmitReport:
         emit_report([{"v": value}], "csv", str(path))
         cell = path.read_text().splitlines()[-1]
         assert float(cell) == value and "30000000000000004" in cell
+
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+SCIPY_MODULES = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]"
+
+
+def fresh_python(code: str):
+    """Run code in a new interpreter with src/ importable; parse its JSON stdout."""
+    path = os.pathsep.join(p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(done.stdout)
+
+
+class TestStartup:
+    @pytest.mark.parametrize("module", ["lfunclab.cli", "lfunclab"])
+    def test_import_loads_no_scipy(self, module):
+        loaded = fresh_python(f"import json, sys, {module}; print(json.dumps({SCIPY_MODULES}))")
+        assert loaded == []
+
+    def test_deferred_scipy_values(self):
+        code = (
+            "import json, sys\n"
+            "from lfunclab.sieve import phi_hat\n"
+            "from lfunclab.detect import _hd_tail_bound\n"
+            f"before = {SCIPY_MODULES}\n"
+            "a, b = phi_hat(1.0), phi_hat(complex(0.5, 2.0))\n"
+            "t1, f1 = _hd_tail_bound(0.1, 3, 10000, 1.0, 0.0)\n"
+            "t2, f2 = _hd_tail_bound(0.5, 5, 100000, 2.0, 0.3)\n"
+            "print(json.dumps({'before': before, 'after': 'scipy' in sys.modules,\n"
+            "    'phi': [a.real, a.imag, b.real, b.imag], 'tail': [t1, t2], 'flags': f1 + f2}))\n"
+        )
+        out = fresh_python(code)
+        assert out["before"] == [] and out["after"]
+        want_phi = [4.560161743051781, 0.0, 0.493062890324944, 0.8037278326081274]
+        assert out["phi"] == pytest.approx(want_phi, rel=1e-12, abs=0.0)
+        assert out["tail"] == pytest.approx([1.0291280915292738, 497.4376283979193], rel=1e-12)
+        assert out["flags"] == []
 
 
 def run(tmp_path, *argv):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,11 +63,14 @@ class TestEnumeration:
         counts = dedekind_zeta_ideal_counts(field, bound)
         ideals = enumerate_ideals(field, bound)
         assert len(ideals) == int(counts.sum())
-        from collections import Counter
-
-        per_norm = Counter(norms(ideals))
-        for m in (1, 2, 3, 4, 5, 25, 49, 100, bound):
-            assert per_norm.get(m, 0) == counts[m]
+        # every norm, including inert p^2 (quadratic(5): 4, 9, 49, ...) that sit
+        # among split and ramified primes in the norm-sorted prime list
+        per_norm = np.bincount(norms(ideals), minlength=bound + 1)
+        assert per_norm.tolist() == counts.tolist()
+        # the ceiling trips at the same count: the last ideal fits, one fewer does not
+        assert len(enumerate_ideals(field, bound, max_count=len(ideals))) == len(ideals)
+        with pytest.raises(ResourceLimitError, match=str(len(ideals) - 1)):
+            enumerate_ideals(field, bound, max_count=len(ideals) - 1)
 
     def test_every_ideal_validates(self):
         for field in (Q, GAUSS, NumberFieldSpec.quadratic(7)):

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lfunclab.coeffs import expand_global
+from lfunclab.coeffs import KahanAccumulator, expand_global
 from lfunclab.errors import UsageError
-from lfunclab.ideals import NumberFieldSpec, enumerate_ideals, ideal_from_int, prime_ideal, unit_ideal
+from lfunclab.ideals import (
+    NumberFieldSpec,
+    enumerate_ideals,
+    gcd_lcm,
+    ideal_from_int,
+    prime_ideal,
+    unit_ideal,
+)
 from lfunclab.localdata import (
     character_representation,
     dirichlet_family_by_modulus,
@@ -120,6 +127,17 @@ class TestGFactor:
             g_factor(trivial_rep, ideal_from_int(Q, 4))
 
 
+def pair_loop_diagonal(w) -> float:
+    """sum of rho(a) rho(b) g(lcm(a, b)) as an explicit loop over pairs of the support."""
+    acc = KahanAccumulator()
+    for da in w.support:
+        for db in w.support:
+            _, lcm = gcd_lcm(da, db)
+            gval, _ = g_factor(w.rep, lcm)
+            acc.add(complex(w.rho[da] * w.rho[db] * gval))
+    return acc.value().real
+
+
 class TestSelbergWeights:
     def test_z_one_trivial_support(self, trivial_rep):
         w = selberg_weights(trivial_rep, 1.0)
@@ -145,6 +163,21 @@ class TestSelbergWeights:
             checks = w.verify(tol=1e-10)
             assert checks["diagonal_matches_brute_force"]
             assert checks["rho_bounded_by_one"]
+
+    @pytest.mark.parametrize(
+        "make_rep",
+        [
+            trivial_representation,
+            lambda: character_representation(primitive_characters(5)[1]),
+            # split primes share a norm and need their own prime columns
+            lambda: trivial_representation(NumberFieldSpec.quadratic(-1)),
+        ],
+        ids=["trivial-Q", "chi-5", "trivial-quadratic(-1)"],
+    )
+    def test_brute_force_matches_pair_loop(self, make_rep):
+        w = selberg_weights(make_rep(), 60.0)
+        want = pair_loop_diagonal(w)
+        assert w.brute_force_diagonal() == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_ramified_primes_excluded_from_support(self):
         rep = character_representation(primitive_characters(3)[0])
