@@ -21,28 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-
-
-def _factorize(q: int) -> list[tuple[int, int]]:
-    out = []
-    m, d = q, 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if m > 1:
-        out.append((m, 1))
-    return out
+from .ideals import factor_int
 
 
 def _primitive_root(pe: int, p: int) -> int:
     """Smallest primitive root mod p^e for odd p."""
     phi = pe - pe // p
-    factors = [f for f, _ in _factorize(phi)]
+    factors = [f for f, _ in factor_int(phi)]
     for g in range(2, pe):
         if math.gcd(g, pe) != 1:
             continue
@@ -76,7 +61,7 @@ def unit_group(q: int) -> UnitGroup:
     if q < 1:
         raise UsageError("modulus must be positive")
     comps: list[tuple[int, int]] = []  # (generator mod q, order)
-    for p, e in _factorize(q):
+    for p, e in factor_int(q):
         pe = p**e
         if p == 2:
             if e == 2:
@@ -125,10 +110,6 @@ class DirichletCharacter:
     @property
     def is_primitive(self) -> bool:
         return self.conductor == self.modulus
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.conductor == 1
 
     @property
     def parity(self) -> int:

@@ -149,18 +149,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolved(args, keys=None) -> dict:
+def _resolved(args) -> dict:
     """Every resolved flag, defaults included, minus the selftest toggle."""
-    out = {k: v for k, v in sorted(vars(args).items()) if k != "selftest"}
-    return out
+    return {k: v for k, v in sorted(vars(args).items()) if k != "selftest"}
 
 
-def _load_family(path: str | None, fallback: str = "trivial") -> localdata.Family:
+def _trivial_family() -> localdata.Family:
+    return localdata.make_family([localdata.trivial_representation()], label="trivial")
+
+
+def _load_family(path: str | None, default=_trivial_family) -> localdata.Family:
+    """The family in the spec file at path, or default() when no path is given."""
     if path is not None:
         return localdata.parse_family_spec(path)
-    if fallback == "trivial":
-        return localdata.make_family([localdata.trivial_representation()], label="trivial")
-    raise UsageError("a family spec file is required")
+    return default()
 
 
 def _default_out(args, suffix: str) -> str:
@@ -221,10 +223,7 @@ def cmd_large_sieve(args) -> int:
 
 
 def cmd_psd(args) -> int:
-    if args.family:
-        family = localdata.parse_family_spec(args.family)
-    else:
-        family = localdata.dirichlet_character_family(20)
+    family = _load_family(args.family, lambda: localdata.dirichlet_character_family(20))
     field = family.field
     table = covers.PairCoefficientTable(family, "lambda")
     records = []
@@ -263,7 +262,7 @@ def cmd_psd(args) -> int:
 
 
 def cmd_covers(args) -> int:
-    family = _load_family(args.family) if args.family else localdata.dirichlet_character_family(20)
+    family = _load_family(args.family, lambda: localdata.dirichlet_character_family(20))
     field = family.field
     records = []
     worst = math.inf
@@ -423,10 +422,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_density(args) -> int:
-    if args.family:
-        family = localdata.parse_family_spec(args.family)
-    else:
-        family = localdata.synthetic_family(2, 4, seed=args.seed, model=("planted", args.p, args.theta))
+    family = _load_family(args.family, lambda: localdata.synthetic_family(
+        2, 4, seed=args.seed, model=("planted", args.p, args.theta)))
     n = max(m.degree for m in family.members)
     prime = ideals.prime_ideal(family.field, (args.p, 0))
     scale = args.scale if args.scale is not None else float(prime.norm) ** (n + 2)

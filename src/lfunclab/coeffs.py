@@ -42,7 +42,7 @@ from .ideals import (
     prime_ideals_up_to,
     unit_ideal,
 )
-from .localdata import LocalParameters, Representation, contragredient
+from .localdata import Family, LocalParameters, Representation, contragredient
 
 SERIES_KINDS = ("lambda", "mu", "biglambda", "logl")
 PARTITION_SIZE_CAP = 64
@@ -223,6 +223,26 @@ def product_primitive_character(chi_a, chi_b):
 
 
 # ---------------------------------------------------------------------------
+# ramified model choice
+
+
+def _has_character(rep: Representation) -> bool:
+    return rep.degree == 1 and rep.character is not None
+
+
+def default_model(family: Family) -> str:
+    """gl1_exact when every member is a degree-1 character member, else product."""
+    return "gl1_exact" if all(_has_character(m) for m in family.members) else "product"
+
+
+def pair_model(a: Representation, b: Representation, model: str) -> str:
+    """The model for one pair: gl1_exact survives only between two character members."""
+    if model == "gl1_exact" and _has_character(a) and _has_character(b):
+        return "gl1_exact"
+    return "product"
+
+
+# ---------------------------------------------------------------------------
 # local coefficient table for one member or pair
 
 
@@ -238,7 +258,7 @@ class _LocalEngine:
         if model == "gl1_exact":
             if b is None:
                 raise UsageError("gl1_exact applies to pairs of degree-1 members")
-            if a.degree != 1 or b.degree != 1 or a.character is None or b.character is None:
+            if not (_has_character(a) and _has_character(b)):
                 raise UsageError("gl1_exact requires two degree-1 members with character data")
             self.psi = product_primitive_character(a.character, b.character)
         elif model != "product":
@@ -252,6 +272,20 @@ class _LocalEngine:
         reps = [self.a] if self.b is None else [self.a, self.b]
         # the product model is exact whenever no ramified prime can occur
         return all(r.conductor.is_unit for r in reps)
+
+    def at(self, ideal: IdealIndex) -> complex:
+        """Value at an ideal: the product of the local values over its factors.
+
+        biglambda and logl vanish off prime powers.
+        """
+        if self.kind in ("biglambda", "logl") and len(ideal.factors) != 1:
+            return 0j
+        acc = 1 + 0j
+        for pid, e in ideal.factors:
+            acc *= self.value(self.a.field, pid, e)
+            if acc == 0:
+                return 0j
+        return acc
 
     def value(self, field, pid, e: int) -> complex:
         key = (pid, e)
@@ -334,13 +368,9 @@ def expand_global(
                 e += 1
     else:
         for ideal in ideal_list(field, bound, max_count):
-            acc = 1 + 0j
-            for pid, e in ideal.factors:
-                acc *= engine.value(field, pid, e)
-                if acc == 0:
-                    break
-            if acc != 0 or ideal.is_unit:
-                values[ideal] = acc
+            val = engine.at(ideal)
+            if val != 0 or ideal.is_unit:
+                values[ideal] = val
     return CoefficientSeries(field, kind, bound, values, exact=engine.exact)
 
 
@@ -417,9 +447,7 @@ def mertens_sum(rep: Representation, x: int, ramified_model: str | None = None) 
     """
     if x < 3:
         raise UsageError("mertens_sum requires x >= 3")
-    model = ramified_model
-    if model is None:
-        model = "gl1_exact" if (rep.degree == 1 and rep.character is not None) else "product"
+    model = pair_model(rep, rep, "gl1_exact") if ramified_model is None else ramified_model
     series = expand_global(rep, rep, x, "lambda", model)
     acc = KahanAccumulator()
     for ideal, val in series.items_sorted():

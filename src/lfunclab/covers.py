@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import _LocalEngine
+from .coeffs import _LocalEngine, default_model, pair_model
 from .errors import DataIntegrityError, UnsupportedCaseError, UsageError
 from .ideals import (
     IdealIndex,
@@ -25,7 +25,7 @@ from .ideals import (
     prime_ideals_up_to,
     unit_ideal,
 )
-from .localdata import Family, Representation, trivial_representation
+from .localdata import Family, Representation, contragredient, trivial_representation
 
 MATRIX_KINDS = ("lambda", "mu", "biglambda", "logl", "lambda_centered")
 HERMITIAN_HARD_TOL = 1e-6
@@ -41,19 +41,13 @@ class CoefficientMatrix:
     labels: tuple[str, ...]
 
 
-def _default_model(family: Family) -> str:
-    if all(m.degree == 1 and m.character is not None for m in family.members):
-        return "gl1_exact"
-    return "product"
-
-
 class PairCoefficientTable:
     """Cached local engines for all ordered pairs (a, conj-dual b) of a family."""
 
     def __init__(self, family: Family, kind: str, model: str | None = None):
         self.family = family
         self.kind = kind
-        self.model = model or _default_model(family)
+        self.model = model or default_model(family)
         self._engines: dict[tuple[int, int], _LocalEngine] = {}
 
     def engine(self, i: int, j: int) -> _LocalEngine:
@@ -65,14 +59,7 @@ class PairCoefficientTable:
         return self._engines[key]
 
     def entry(self, i: int, j: int, ideal: IdealIndex) -> complex:
-        if self.kind in ("biglambda", "logl") and len(ideal.factors) != 1:
-            return 0j
-        acc = 1 + 0j
-        for pid, e in ideal.factors:
-            acc *= self.engine(i, j).value(self.family.field, pid, e)
-            if acc == 0:
-                return 0j
-        return acc
+        return self.engine(i, j).at(ideal)
 
 
 def coefficient_matrix(
@@ -126,23 +113,8 @@ def _pair_value(
     diagonal: bool = False,
 ) -> complex:
     """Coefficient of the pairing of a with pi0 itself at one ideal."""
-    from .localdata import contragredient
-
-    use_model = model
-    if model == "gl1_exact" and (
-        a.degree != 1 or a.character is None or pi0.character is None
-    ):
-        use_model = "product"
     b = pi0 if diagonal else contragredient(pi0)
-    engine = _LocalEngine(a, b, kind, use_model)
-    if kind in ("biglambda", "logl") and len(ideal.factors) != 1:
-        return 0j
-    acc = 1 + 0j
-    for pid, e in ideal.factors:
-        acc *= engine.value(a.field, pid, e)
-        if acc == 0:
-            return 0j
-    return acc
+    return _LocalEngine(a, b, kind, pair_model(a, pi0, model)).at(ideal)
 
 
 def psd_check_full(m: CoefficientMatrix, tol: float = 1e-9) -> tuple[float, float, bool]:
@@ -213,7 +185,7 @@ def bilinear_inequality_check(
     if trials < 1:
         raise UsageError("trials must be >= 1")
     pi0 = pi0 or trivial_representation(family.field)
-    model = ramified_model or _default_model(family)
+    model = ramified_model or default_model(family)
     cover = coefficient_matrix(family, ideal, "lambda", ramified_model=model).entries
     vec = np.array(
         [_pair_value(m, pi0, ideal, model, kind=kind) for m in family.members]

@@ -265,11 +265,6 @@ def build_detection_config(
     )
 
 
-def config_consistency_residuals(config: DetectionConfig) -> dict:
-    cs = config.constants
-    return dict(cs.residuals)
-
-
 # ---------------------------------------------------------------------------
 # power sums
 
@@ -531,11 +526,6 @@ def parse_zeros_file(path: str) -> ZeroList:
             raise DataIntegrityError(f"zero {rho} outside the critical strip")
     zeros.sort(key=lambda z: (abs(z.imag), z.imag, z.real))
     return ZeroList(tuple(zeros), path, paired=not two_column)
-
-
-def zero_list_from_ordinates(gammas, source: str = "inline") -> ZeroList:
-    zs = tuple(sorted((complex(0.5, g) for g in gammas), key=lambda z: abs(z.imag)))
-    return ZeroList(zs, source, paired=True)
 
 
 def hadamard_zero_sum(zeros: ZeroList, s: complex, k: int = 0) -> tuple[complex, int]:

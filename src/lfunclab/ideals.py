@@ -29,16 +29,37 @@ DEFAULT_IDEAL_CEILING = 10_000_000
 PrimeId = tuple[int, int]  # (rational prime, slot)
 
 
-def _is_squarefree(n: int) -> bool:
-    n = abs(n)
-    d = 2
+def is_prime(n: int) -> bool:
+    """Trial-division primality test for a rational integer."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
     while d * d <= n:
-        if n % (d * d) == 0:
+        if n % d == 0:
             return False
-        while n % d == 0:
-            n //= d
-        d += 1
+        d += 2
     return True
+
+
+def factor_int(n: int) -> list[tuple[int, int]]:
+    """[(p, e), ...] with p ascending: the factorization of n >= 1 by trial division."""
+    out = []
+    m, d = n, 2
+    while d * d <= m:
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    if m > 1:
+        out.append((m, 1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -59,7 +80,7 @@ class NumberFieldSpec:
     def quadratic(d: int) -> "NumberFieldSpec":
         if d in (0, 1):
             raise UsageError(f"quadratic field parameter must not be {d}")
-        if not _is_squarefree(d):
+        if any(e > 1 for _, e in factor_int(abs(d))):
             raise UsageError(f"quadratic field parameter {d} is not squarefree")
         disc = d if d % 4 == 1 else 4 * d
         if d > 0:
@@ -102,7 +123,7 @@ def split_prime(field: NumberFieldSpec, p: int) -> Splitting:
 
     Ramified iff p | D_F, split iff (D_F|p) = 1, inert otherwise.
     """
-    if p < 2 or not _is_prime_int(p):
+    if not is_prime(p):
         raise UsageError(f"{p} is not a rational prime")
     if field.is_rationals:
         return Splitting("rational", (((p, 0), p),))
@@ -113,21 +134,6 @@ def split_prime(field: NumberFieldSpec, p: int) -> Splitting:
     if k == 1:
         return Splitting("split", (((p, 0), p), ((p, 1), p)))
     return Splitting("inert", (((p, 0), p * p),))
-
-
-def _is_prime_int(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def canonical_split_roots(field: NumberFieldSpec, p: int) -> tuple[int, int]:
@@ -201,13 +207,6 @@ def ideal_mul(a: IdealIndex, b: IdealIndex) -> IdealIndex:
     return IdealIndex(a.field, factors, a.norm * b.norm)
 
 
-def ideal_pow(a: IdealIndex, k: int) -> IdealIndex:
-    if k < 0:
-        raise UsageError("ideal powers must be nonnegative")
-    factors = tuple((pid, e * k) for pid, e in a.factors) if k else ()
-    return IdealIndex(a.field, factors, a.norm**k)
-
-
 def ideal_from_int(field: NumberFieldSpec, n: int) -> IdealIndex:
     """The ideal (n) generated by a positive rational integer.
 
@@ -216,24 +215,11 @@ def ideal_from_int(field: NumberFieldSpec, n: int) -> IdealIndex:
     if n < 1:
         raise UsageError("ideal_from_int expects a positive integer")
     factors = []
-
-    def add_prime(p: int, e: int):
+    for p, e in factor_int(n):
         spl = split_prime(field, p)
         mult = 2 if spl.kind == "ramified" else 1
         for pid, _ in spl.primes:
             factors.append((pid, e * mult))
-
-    m, d = n, 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            add_prime(d, e)
-        d += 1
-    if m > 1:
-        add_prime(m, 1)
     return ideal_from_factors(field, factors)
 
 

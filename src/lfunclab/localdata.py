@@ -15,7 +15,6 @@ thread timing, or platform.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .ideals import (
     IdealIndex,
     NumberFieldSpec,
     ideal_from_int,
-    prime_ideals_up_to,
+    is_prime,
     unit_ideal,
 )
 
@@ -62,9 +61,8 @@ class Representation:
     """A family member: local parameter multisets plus conductor data.
 
     kind is one of "trivial", "dirichlet_character", "hecke_gl2",
-    "synthetic".  Local parameters are materialized lazily and cached;
-    the rule is deterministic, so concurrent readers either see a cached
-    entry or recompute the identical value.
+    "synthetic".  Local parameters are materialized lazily, validated
+    once, and cached per prime.
     """
 
     def __init__(
@@ -89,7 +87,6 @@ class Representation:
         self.theta_hint = theta_hint
         self._local_rule = local_rule
         self._locals: dict[tuple[int, int], LocalParameters] = {}
-        self._lock = threading.Lock()
 
     def __repr__(self):
         return f"Representation({self.label}, n={self.degree})"
@@ -108,9 +105,8 @@ class Representation:
             )
         params = LocalParameters(prime, alphas)
         validate_local_parameters(self, params)
-        with self._lock:
-            self._locals.setdefault(pid, params)
-        return self._locals[pid]
+        self._locals[pid] = params
+        return params
 
     def is_ramified_at(self, prime: IdealIndex) -> bool:
         pid = prime.factors[0][0]
@@ -361,7 +357,7 @@ def ingest_hecke_eigenvalues(path: str, weight: int, level: int) -> Representati
             if len(parts) != 2 or not _looks_int(parts[0]) or not _looks_int(parts[1]):
                 raise SpecParseError("expected a row of the form 'p,a_p'", lineno, path)
             p, ap = int(parts[0]), int(parts[1])
-            if not _is_prime(p):
+            if not is_prime(p):
                 raise SpecParseError(f"{p} is not prime", lineno, path)
             if p <= last_p:
                 raise SpecParseError("primes must be strictly ascending", lineno, path)
@@ -406,17 +402,6 @@ def ingest_hecke_eigenvalues(path: str, weight: int, level: int) -> Representati
 
 def _looks_int(s: str) -> bool:
     return bool(s) and (s.lstrip("+-").isdigit())
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -518,16 +503,6 @@ def parse_family_spec(path: str) -> Family:
         full = rel if os.path.isabs(rel) else os.path.join(os.path.dirname(path), rel)
         return make_family([ingest_hecke_eigenvalues(full, weight, level)], label="hecke")
     raise SpecParseError(f"unknown family kind {kind!r}", kind_line, path)
-
-
-def materialize(family: Family, bound: int) -> None:
-    """Eagerly fill local parameters at every prime of norm <= bound."""
-    for pid, _ in prime_ideals_up_to(family.field, bound):
-        from .ideals import prime_ideal
-
-        prime = prime_ideal(family.field, pid)
-        for rep in family.members:
-            rep.local_at(prime)
 
 
 def selftest() -> list[tuple[str, bool, str]]:

@@ -20,10 +20,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import KahanAccumulator, expand_global, ideal_list, pair_series
+from .coeffs import (
+    KahanAccumulator,
+    default_model,
+    expand_global,
+    ideal_list,
+    pair_model,
+    pair_series,
+)
 from .errors import UsageError
 from .ideals import (
     IdealIndex,
+    divides,
     divisors,
     ideal_mul,
     is_squarefree_ideal,
@@ -79,21 +87,9 @@ def phi_hat(s: complex, target: float = 1e-12) -> complex:
 
 @dataclass
 class WeightVector:
-    """Complex weights on ideals with plain and diagonal-weighted norms."""
+    """Complex weights on ideals."""
 
     values: dict[IdealIndex, complex]
-
-    def norm2(self) -> float:
-        return math.sqrt(sum(abs(v) ** 2 for v in self.values.values()))
-
-    def norm2_weighted(self, pi0: Representation, bound: int, model: str = "product") -> float:
-        diag = expand_global(pi0, pi0, bound, "lambda", model)
-        acc = 0.0
-        for ideal, v in self.values.items():
-            acc += diag.value(ideal).real * abs(v) ** 2
-        if acc < -1e-12:
-            raise UsageError("weighted norm came out negative; diagonal data is corrupt")
-        return math.sqrt(max(acc, 0.0))
 
 
 @dataclass
@@ -102,12 +98,6 @@ class SieveConstantResult:
     all_zero: bool
     rows: int
     cols: int
-
-
-def _default_model(family: Family) -> str:
-    if all(m.degree == 1 and m.character is not None for m in family.members):
-        return "gl1_exact"
-    return "product"
 
 
 def family_coefficient_rows(
@@ -123,38 +113,20 @@ def family_coefficient_rows(
     lambda_{pi0 x dual pi0}(n) used for the weighted norm.
     """
     ideals = ideal_list(family.field, n_bound)
-    model = ramified_model or _default_model(family)
+    model = ramified_model or default_model(family)
     rows = []
     for member in family.members:
         if pi0 is None:
-            series = expand_global(member, None, n_bound, kind, _member_model(member, model))
+            series = expand_global(member, None, n_bound, kind)
         else:
-            series = pair_series(member, pi0, n_bound, kind, _pair_model(member, pi0, model))
+            series = pair_series(member, pi0, n_bound, kind, pair_model(member, pi0, model))
         rows.append(np.array([series.value(i) for i in ideals], dtype=np.complex128))
     a = np.vstack(rows)
     weights = None
     if pi0 is not None:
-        diag = expand_global(pi0, pi0, n_bound, "lambda", _pair_model(pi0, pi0, model))
+        diag = expand_global(pi0, pi0, n_bound, "lambda", pair_model(pi0, pi0, model))
         weights = np.array([diag.value(i).real for i in ideals])
     return a, ideals, weights
-
-
-def _member_model(member: Representation, model: str) -> str:
-    if model == "gl1_exact" and member.degree == 1 and member.character is not None:
-        return "product"  # single-member standard series: product form is exact for GL1
-    return "product"
-
-
-def _pair_model(a: Representation, b: Representation, model: str) -> str:
-    if (
-        model == "gl1_exact"
-        and a.degree == 1
-        and b.degree == 1
-        and a.character is not None
-        and b.character is not None
-    ):
-        return "gl1_exact"
-    return "product"
 
 
 def sieve_constant(
@@ -488,9 +460,7 @@ def smooth_sum_residue(
     for ideal, val in series.items_sorted():
         if ideal.norm <= lo:
             continue
-        if d.factors and not all(
-            dict(ideal.factors).get(pid, 0) >= e for pid, e in d.factors
-        ):
+        if not divides(d, ideal):
             continue
         w = bump_phi(t_sharp * math.log(ideal.norm / x))
         acc.add(val * w)
@@ -531,8 +501,7 @@ def diagonal_lower_bound_check(
     flags: list[str] = []
     if z < 1:
         raise UsageError("z must be >= 1")
-    model = "gl1_exact" if rep.character is not None and rep.degree == 1 else "product"
-    series = expand_global(rep, rep, max(int(z), 1), "lambda", model)
+    series = expand_global(rep, rep, max(int(z), 1), "lambda", pair_model(rep, rep, "gl1_exact"))
     acc = KahanAccumulator()
     for ideal, val in series.items_sorted():
         acc.add(val / ideal.norm)
@@ -593,12 +562,12 @@ def sifted_sum_check(
         for i in ideal_list(fld, max(hi, 1))
         if i.norm > x and ((mp := min_prime_norm(i)) is None or mp > z) and not i.is_unit
     ]
-    model = _default_model(family)
-    diag0 = expand_global(pi0, pi0, max(hi, 1), "lambda", _pair_model(pi0, pi0, model))
+    model = default_model(family)
+    diag0 = expand_global(pi0, pi0, max(hi, 1), "lambda", pair_model(pi0, pi0, model))
     wvals = weights.values if weights is not None else {i: 1 + 0j for i in window}
     lhs = 0.0
     for member in family.members:
-        series = pair_series(member, pi0, max(hi, 1), kind, _pair_model(member, pi0, model))
+        series = pair_series(member, pi0, max(hi, 1), kind, pair_model(member, pi0, model))
         acc = KahanAccumulator()
         for ideal in window:
             wv = wvals.get(ideal, 0j)
@@ -677,8 +646,7 @@ def mvt_mu(
     flags: list[str] = []
     if x_bound < math.e:
         raise UsageError("X must be at least e")
-    model = _default_model(family)
-    pi0_actual = pi0 or trivial_representation(family.field)
+    model = default_model(family)
     if variant == "low":
         lo, hi = 1, int(x_bound)
         sigma = 0.5
@@ -699,9 +667,9 @@ def mvt_mu(
     total = 0.0
     for member in family.members:
         if pi0 is None:
-            series = expand_global(member, None, hi, "mu", _member_model(member, model))
+            series = expand_global(member, None, hi, "mu")
         else:
-            series = pair_series(member, pi0_actual, hi, "mu", _pair_model(member, pi0_actual, model))
+            series = pair_series(member, pi0, hi, "mu", pair_model(member, pi0, model))
         items = [(i.norm, v) for i, v in series.items_sorted() if lo <= i.norm <= hi]
         if not items:
             continue

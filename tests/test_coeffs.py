@@ -5,14 +5,22 @@ import pytest
 
 from lfunclab.characters import primitive_characters
 from lfunclab.coeffs import (
+    default_model,
     dirichlet_convolve,
     expand_global,
     gl1_series_array,
     local_lambda,
     mertens_sum,
+    pair_model,
     pair_series,
     rankin_selberg_local,
     unit_indicator_series,
+)
+from lfunclab.covers import (
+    PairCoefficientTable,
+    bilinear_inequality_check,
+    coefficient_matrix,
+    weight_battery,
 )
 from lfunclab.errors import UsageError
 from lfunclab.ideals import (
@@ -25,9 +33,11 @@ from lfunclab.ideals import (
 from lfunclab.localdata import (
     LocalParameters,
     character_representation,
+    make_family,
     synthetic_family,
     trivial_representation,
 )
+from lfunclab.sieve import family_coefficient_rows
 
 Q = NumberFieldSpec.rationals()
 P2 = prime_ideal(Q, (2, 0))
@@ -273,3 +283,57 @@ class TestMertens:
             low = min(v.real for v in series.values.values())
             assert low > -1e-12
             assert max(abs(v.imag) for v in series.values.values()) < 1e-10
+
+
+class TestRamifiedModel:
+    """gl1_exact is kept only where every pair involved is two character members."""
+
+    @staticmethod
+    def members():
+        return {
+            "chi5": character_representation(primitive_characters(5)[1]),
+            "trivial_q": trivial_representation(),
+            "trivial_gauss": trivial_representation(NumberFieldSpec.quadratic(-1)),
+            "gl2": synthetic_family(2, 1, seed=17).members[0],
+        }
+
+    def test_pair_model_truth_table(self):
+        reps = self.members()
+        characters = {"chi5", "trivial_q"}  # degree 1 with character data
+        for a in reps:
+            for b in reps:
+                assert pair_model(reps[a], reps[b], "product") == "product"
+                want = "gl1_exact" if {a, b} <= characters else "product"
+                assert pair_model(reps[a], reps[b], "gl1_exact") == want, (a, b)
+
+    def test_mixed_family_uses_product(self, small_char_family, gl2_family):
+        chars_only = small_char_family
+        mixed = make_family(list(chars_only.members) + [gl2_family.members[0]], label="mixed")
+        assert default_model(chars_only) == "gl1_exact"
+        assert default_model(mixed) == "product"
+        table = PairCoefficientTable(mixed, "lambda")
+        assert table.model == "product"
+        # the product model also holds for the character pairs of a mixed family
+        series = expand_global(mixed.members[1], mixed.members[2], 30, "lambda", "product")
+        for ideal in enumerate_ideals(Q, 30):
+            assert table.entry(1, 2, ideal) == series.value(ideal)
+
+    @pytest.mark.parametrize("kind", ["lambda", "mu", "logl"])
+    def test_gl2_pi0_column_uses_product(self, small_char_family, gl2_family, kind):
+        fam, pi0 = small_char_family, gl2_family.members[0]
+        bound, trials, seed = 40, 30, 5
+        rows, ideals, weights = family_coefficient_rows(fam, bound, pi0, kind)
+        diag = expand_global(pi0, pi0, bound, "lambda", "product")
+        columns = [pair_series(m, pi0, bound, kind, "product") for m in fam.members]
+        assert np.array_equal(weights, [diag.value(i).real for i in ideals])
+        for row, series in zip(rows, columns):
+            assert np.array_equal(row, [series.value(i) for i in ideals])
+        ws = weight_battery(len(fam.members), trials, seed)
+        for n in (2, 3, 6, 12, 25):
+            ideal = ideal_from_int(Q, n)
+            res = bilinear_inequality_check(kind, fam, pi0, ideal, trials=trials, seed=seed)
+            cover = coefficient_matrix(fam, ideal, "lambda").entries
+            vec = np.array([series.value(ideal) for series in columns])
+            quad = np.einsum("ti,ij,tj->t", ws, cover, ws.conj()).real
+            margins = diag.value(ideal).real * quad - np.abs(ws @ vec) ** 2
+            assert res.worst_margin == pytest.approx(margins.min(), rel=1e-12, abs=1e-12)

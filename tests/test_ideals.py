@@ -11,12 +11,15 @@ from lfunclab.ideals import (
     dedekind_zeta_ideal_counts,
     divisors,
     enumerate_ideals,
+    factor_int,
     gcd_lcm,
     ideal_from_factors,
     ideal_from_int,
     ideal_mul,
+    is_prime,
     kronecker_symbol,
     prime_ideal,
+    primes_up_to,
     split_prime,
     unit_ideal,
     validate_ideal,
@@ -115,6 +118,20 @@ class TestSplitting:
     def test_nonprime_rejected(self):
         with pytest.raises(UsageError):
             split_prime(Q, 12)
+
+
+class TestIntegers:
+    def test_is_prime_matches_sieve(self):
+        sieved = set(primes_up_to(3000).tolist())
+        assert [n for n in range(-5, 3001) if is_prime(n)] == sorted(sieved)
+
+    def test_factor_int_rebuilds_n_from_ascending_primes(self):
+        assert factor_int(1) == []
+        for n in range(2, 3001):
+            factors = factor_int(n)
+            ps = [p for p, _ in factors]
+            assert ps == sorted(set(ps)) and all(is_prime(p) for p in ps)
+            assert int(np.prod([p**e for p, e in factors])) == n
 
 
 class TestGcdLcm:
