@@ -288,17 +288,13 @@ class TestMertens:
 class TestRamifiedModel:
     """gl1_exact is kept only where every pair involved is two character members."""
 
-    @staticmethod
-    def members():
-        return {
+    def test_pair_model_truth_table(self):
+        reps = {
             "chi5": character_representation(primitive_characters(5)[1]),
             "trivial_q": trivial_representation(),
             "trivial_gauss": trivial_representation(NumberFieldSpec.quadratic(-1)),
             "gl2": synthetic_family(2, 1, seed=17).members[0],
         }
-
-    def test_pair_model_truth_table(self):
-        reps = self.members()
         characters = {"chi5", "trivial_q"}  # degree 1 with character data
         for a in reps:
             for b in reps:
@@ -307,9 +303,9 @@ class TestRamifiedModel:
                 assert pair_model(reps[a], reps[b], "gl1_exact") == want, (a, b)
 
     def test_mixed_family_uses_product(self, small_char_family, gl2_family):
-        chars_only = small_char_family
-        mixed = make_family(list(chars_only.members) + [gl2_family.members[0]], label="mixed")
-        assert default_model(chars_only) == "gl1_exact"
+        members = list(small_char_family.members) + [gl2_family.members[0]]
+        mixed = make_family(members, label="mixed")
+        assert default_model(small_char_family) == "gl1_exact"
         assert default_model(mixed) == "product"
         table = PairCoefficientTable(mixed, "lambda")
         assert table.model == "product"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,17 +123,18 @@ class TestSplitting:
 
 
 class TestIntegers:
+    PRIMES = primes_up_to(3000).tolist()
+
     def test_is_prime_matches_sieve(self):
-        sieved = set(primes_up_to(3000).tolist())
-        assert [n for n in range(-5, 3001) if is_prime(n)] == sorted(sieved)
+        assert [n for n in range(-5, 3001) if is_prime(n)] == self.PRIMES
 
     def test_factor_int_rebuilds_n_from_ascending_primes(self):
         assert factor_int(1) == []
         for n in range(2, 3001):
             factors = factor_int(n)
             ps = [p for p, _ in factors]
-            assert ps == sorted(set(ps)) and all(is_prime(p) for p in ps)
-            assert int(np.prod([p**e for p, e in factors])) == n
+            assert ps == sorted(set(ps)) and set(ps) <= set(self.PRIMES)
+            assert math.prod(p**e for p, e in factors) == n
 
 
 class TestGcdLcm:
