@@ -41,9 +41,13 @@ RUNS = {
                                       "--n", "40,80"]),
     "psd-lambda": ("jsonl", ["psd", "--family", "quadratic.spec", "--nmax", "40"]),
     "psd-lambda_centered": ("jsonl", ["psd", "--nmax", "40", "--kind", "lambda_centered"]),
+    "psd-lambda_centered-quadratic": ("jsonl", ["psd", "--family", "quadratic.spec", "--nmax", "40",
+                                                "--kind", "lambda_centered"]),
     "covers": ("jsonl", ["covers", "--nmax", "12", "--trials", "20", "--seed", "3"]),
     "covers-quadratic": ("jsonl", ["covers", "--family", "quadratic.spec", "--nmax", "20",
                                    "--trials", "20", "--kind", "logl"]),
+    "covers-mu": ("jsonl", ["covers", "--family", "chars.spec", "--nmax", "12", "--trials", "20",
+                            "--seed", "3", "--kind", "mu"]),
     "sieve-weights": ("csv", ["sieve-weights", "--family", "chars.spec", "--member", "2",
                               "--z", "40"]),
     "sifted": ("csv", ["sifted", "--x", "200", "--z", "5"]),
