@@ -120,12 +120,15 @@ class DirichletCharacter:
         return 0 if a == 0 else 1
 
     def canonical_key(self):
-        g = self.order_denom
-        for a in self.angles:
-            if a > 0:
-                g = math.gcd(g, int(a))
-        red = tuple(int(a) // g if a >= 0 else -1 for a in self.angles)
-        return (self.modulus, self.order_denom // g, red)
+        """(modulus, reduced order, reduced angles): equal exactly for equal characters.
+
+        Computed on first use and kept, since the angle table never changes.
+        """
+        key = self.__dict__.get("_canonical_key")
+        if key is None:
+            key = _canonical_key(self)
+            object.__setattr__(self, "_canonical_key", key)
+        return key
 
     def value(self, n: int) -> complex:
         q = self.modulus
@@ -152,6 +155,16 @@ class DirichletCharacter:
 
     def __repr__(self):
         return f"chi(mod {self.modulus}, #{self.index}, cond {self.conductor})"
+
+
+def _canonical_key(chi: DirichletCharacter):
+    """The O(q) reduction behind DirichletCharacter.canonical_key."""
+    g = chi.order_denom
+    for a in chi.angles:
+        if a > 0:
+            g = math.gcd(g, int(a))
+    red = tuple(int(a) // g if a >= 0 else -1 for a in chi.angles)
+    return (chi.modulus, chi.order_denom // g, red)
 
 
 def _conductor_of(q: int, angles: np.ndarray) -> int:

@@ -231,7 +231,7 @@ def cmd_psd(args) -> int:
     for ideal in ideals.enumerate_ideals(field, args.nmax):
         if ideal.is_unit:
             continue
-        matrix = covers.coefficient_matrix(family, ideal, args.kind, table=table if args.kind == "lambda" else None)
+        matrix = covers.coefficient_matrix(family, ideal, args.kind, table=table)
         min_eig, spectral, verdict = covers.psd_check_full(matrix, args.tol)
         margin = min_eig + args.tol * max(spectral, 1e-300)
         records.append(
@@ -264,13 +264,14 @@ def cmd_psd(args) -> int:
 def cmd_covers(args) -> int:
     family = _load_family(args.family, lambda: localdata.dirichlet_character_family(20))
     field = family.field
+    table = covers.PairCoefficientTable(family, "lambda")
     records = []
     worst = math.inf
     for ideal in ideals.enumerate_ideals(field, args.nmax):
         if ideal.is_unit:
             continue
         res = covers.bilinear_inequality_check(
-            args.kind, family, None, ideal, trials=args.trials, seed=args.seed
+            args.kind, family, None, ideal, trials=args.trials, seed=args.seed, table=table
         )
         records.append(
             {

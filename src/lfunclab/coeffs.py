@@ -201,25 +201,57 @@ def rankin_selberg_local(
         raise UsageError(f"unknown ramified model {ramified_model!r}")
     if k == 0:
         return 1 + 0j
-    ha = hom_sym_values(a.alphas, k)
-    hb = hom_sym_values(b.alphas, k)
     max_parts = min(len(a.alphas), len(b.alphas))
     acc = 0j
-    for lam in partitions_of(k, max_parts):
-        acc += schur_from_h(ha, lam) * np.conj(schur_from_h(hb, lam))
+    for x, y in zip(_schur_values(a, k, max_parts), _schur_values(b, k, max_parts)):
+        acc += x * np.conj(y)
     return complex(acc)
 
 
-@functools.lru_cache(maxsize=None)
-def _product_primitive_cached(key_a, key_b, chi_a, chi_b):
-    return chars.primitive_part(chars.multiply(chi_a, chars.conjugate(chi_b)))
+def _schur_values(params: LocalParameters, k: int, max_parts: int):
+    """s_lam(alphas) for lam in partitions_of(k, max_parts), in that order.
+
+    Each side of a pair coefficient depends on one member only, so the
+    values over every partition of k into at most degree parts are kept on
+    the parameters, which Representation.local_at caches per prime: every
+    pair sharing the member reuses them.  A smaller max_parts (a partner of
+    lower degree) selects the partitions with at most max_parts parts,
+    which partitions_of lists in the same relative order.  One entry per k,
+    and partitions_of rejects k > PARTITION_SIZE_CAP before anything is kept.
+    """
+    degree = len(params.alphas)
+    values = params.kernels.get(k)
+    if values is None:
+        partitions = partitions_of(k, degree)
+        h = hom_sym_values(params.alphas, k)
+        values = params.kernels[k] = tuple(schur_from_h(h, lam) for lam in partitions)
+    if max_parts == degree:
+        return values
+    return [v for lam, v in zip(partitions_of(k, degree), values) if len(lam) <= max_parts]
+
+
+# Above the pair count of the 285-member stress family: a caller that builds
+# a fresh table per ideal cycles through every pair, and a cache smaller than
+# that cycle would miss on every lookup.
+PRODUCT_CACHE_MAX = 65536
+_product_primitive_cache: dict[tuple, chars.DirichletCharacter] = {}
 
 
 def product_primitive_character(chi_a, chi_b):
-    """Primitive character inducing chi_a * conj(chi_b), cached."""
-    return _product_primitive_cached(
-        chi_a.canonical_key(), chi_b.canonical_key(), chi_a, chi_b
-    )
+    """Primitive character inducing chi_a * conj(chi_b).
+
+    Cached by value, on the two canonical keys, so separately built copies
+    of one character (such as contragredients) share an entry; the cache
+    drops its oldest entry beyond PRODUCT_CACHE_MAX.
+    """
+    key = (chi_a.canonical_key(), chi_b.canonical_key())
+    psi = _product_primitive_cache.get(key)
+    if psi is None:
+        if len(_product_primitive_cache) >= PRODUCT_CACHE_MAX:
+            del _product_primitive_cache[next(iter(_product_primitive_cache))]
+        psi = chars.primitive_part(chars.multiply(chi_a, chars.conjugate(chi_b)))
+        _product_primitive_cache[key] = psi
+    return psi
 
 
 # ---------------------------------------------------------------------------

@@ -42,13 +42,19 @@ class CoefficientMatrix:
 
 
 class PairCoefficientTable:
-    """Cached local engines for all ordered pairs (a, conj-dual b) of a family."""
+    """Cached local engines for a family: every ordered pair (a, conj-dual b),
+    and the pi0 column (each member against pi0 itself, plus pi0 x dual pi0).
+
+    Build one per run and pass it to every ideal, so that each engine and
+    its per-prime-power values are computed once.
+    """
 
     def __init__(self, family: Family, kind: str, model: str | None = None):
         self.family = family
         self.kind = kind
         self.model = model or default_model(family)
         self._engines: dict[tuple[int, int], _LocalEngine] = {}
+        self._pi0_engines: dict[tuple, tuple[list[_LocalEngine], _LocalEngine]] = {}
 
     def engine(self, i: int, j: int) -> _LocalEngine:
         key = (i, j)
@@ -60,6 +66,27 @@ class PairCoefficientTable:
 
     def entry(self, i: int, j: int, ideal: IdealIndex) -> complex:
         return self.engine(i, j).at(ideal)
+
+    def pi0_column(
+        self, pi0: Representation | None, kind: str, ideal: IdealIndex
+    ) -> tuple[np.ndarray, complex]:
+        """(lambda^kind_{i x pi0}(n) for every member i, lambda_{pi0 x dual pi0}(n)).
+
+        pi0 = None stands for the trivial member of the family's field.  The
+        engines are built once per (pi0 object, kind).
+        """
+        key = (pi0, kind)
+        if key not in self._pi0_engines:
+            base = pi0 or trivial_representation(self.family.field)
+            dual = contragredient(base)
+            column = [
+                _LocalEngine(m, dual, kind, pair_model(m, base, self.model))
+                for m in self.family.members
+            ]
+            diagonal = _LocalEngine(base, base, "lambda", pair_model(base, base, self.model))
+            self._pi0_engines[key] = (column, diagonal)
+        column, diagonal = self._pi0_engines[key]
+        return np.array([e.at(ideal) for e in column]), diagonal.at(ideal)
 
 
 def coefficient_matrix(
@@ -77,7 +104,8 @@ def coefficient_matrix(
     subtracts the rank-one part: with the default trivial pi0 the entry is
     lambda_{i x dual j}(n) - lambda_i(n) conj(lambda_j(n)); a general pi0
     gives lambda_{pi0 x dual pi0}(n) lambda_{i x dual j}(n) -
-    lambda_{i x pi0}(n) conj(lambda_{j x pi0}(n)).
+    lambda_{i x pi0}(n) conj(lambda_{j x pi0}(n)).  A table passed in must
+    have been built for this family, the base kind and the model.
     """
     if kind not in MATRIX_KINDS:
         raise UsageError(f"unknown matrix kind {kind!r}")
@@ -86,7 +114,14 @@ def coefficient_matrix(
     labels = tuple(m.label for m in family.members)
     size = len(family.members)
     base_kind = "lambda" if kind == "lambda_centered" else kind
-    table = table or PairCoefficientTable(family, base_kind, ramified_model)
+    model = ramified_model or default_model(family)
+    if table is None:
+        table = PairCoefficientTable(family, base_kind, model)
+    elif (table.family, table.kind, table.model) != (family, base_kind, model):
+        raise UsageError(
+            f"pair table built for ({table.family.label}, {table.kind}, {table.model}) "
+            f"cannot serve ({family.label}, {base_kind}, {model})"
+        )
     m = np.zeros((size, size), dtype=np.complex128)
     for i in range(size):
         for j in range(i, size):
@@ -95,26 +130,9 @@ def coefficient_matrix(
             if j != i:
                 m[j, i] = np.conj(v)
     if kind == "lambda_centered":
-        base = pi0 or trivial_representation(family.field)
-        vec = np.array(
-            [_pair_value(member, base, ideal, table.model) for member in family.members]
-        )
-        w00 = _pair_value(base, base, ideal, table.model, diagonal=True)
+        vec, w00 = table.pi0_column(pi0, "lambda", ideal)
         m = w00 * m - np.outer(vec, np.conj(vec))
     return CoefficientMatrix(ideal, kind, m, labels)
-
-
-def _pair_value(
-    a: Representation,
-    pi0: Representation,
-    ideal: IdealIndex,
-    model: str,
-    kind: str = "lambda",
-    diagonal: bool = False,
-) -> complex:
-    """Coefficient of the pairing of a with pi0 itself at one ideal."""
-    b = pi0 if diagonal else contragredient(pi0)
-    return _LocalEngine(a, b, kind, pair_model(a, pi0, model)).at(ideal)
 
 
 def psd_check_full(m: CoefficientMatrix, tol: float = 1e-9) -> tuple[float, float, bool]:
@@ -172,6 +190,7 @@ def bilinear_inequality_check(
     trials: int = 1000,
     seed: int = 0,
     ramified_model: str | None = None,
+    table: PairCoefficientTable | None = None,
 ) -> BilinearCheckResult:
     """Worst margin of the covered Cauchy-Schwarz bound over random weights.
 
@@ -179,18 +198,16 @@ def bilinear_inequality_check(
     lambda_{i x dual j}(n) - |sum_i w_i lambda^o_{i x pi0}(n)|^2, where
     lambda^o is the kind-selected coefficient (lambda, mu, or logl), all
     covered by lambda.  Nonnegative up to rounding for every weight vector.
+    A table passed in must be a lambda table of this family and model.
     """
     if kind not in ("lambda", "mu", "logl"):
         raise UsageError("coverable kinds are lambda, mu, logl")
     if trials < 1:
         raise UsageError("trials must be >= 1")
-    pi0 = pi0 or trivial_representation(family.field)
     model = ramified_model or default_model(family)
-    cover = coefficient_matrix(family, ideal, "lambda", ramified_model=model).entries
-    vec = np.array(
-        [_pair_value(m, pi0, ideal, model, kind=kind) for m in family.members]
-    )
-    w00 = _pair_value(pi0, pi0, ideal, model, diagonal=True)
+    table = table or PairCoefficientTable(family, "lambda", model)
+    cover = coefficient_matrix(family, ideal, "lambda", ramified_model=model, table=table).entries
+    vec, w00 = table.pi0_column(pi0, kind, ideal)
     ws = weight_battery(len(family.members), trials, seed)
     quad = np.einsum("ti,ij,tj->t", ws, cover, ws.conj()).real
     lin = np.abs(ws @ vec) ** 2

@@ -15,7 +15,7 @@ thread timing, or platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +41,9 @@ def theta_bound(n: int) -> float:
 class LocalParameters:
     prime: IdealIndex
     alphas: tuple[complex, ...]
+    # kernel values that coeffs derives from the alphas alone (Schur values
+    # by k), kept here so that every pair sharing this member reuses them
+    kernels: dict = field(default_factory=dict, init=False, repr=False)
 
     def max_abs(self) -> float:
         return max(abs(a) for a in self.alphas)

@@ -5,8 +5,11 @@ import sys
 
 import pytest
 
+from lfunclab import characters, coeffs, covers
 from lfunclab.cli import main
 from lfunclab.errors import UsageError
+from lfunclab.ideals import enumerate_ideals
+from lfunclab.localdata import parse_family_spec
 from lfunclab.report import emit_report
 
 
@@ -224,3 +227,53 @@ class TestReports:
         strip = lambda p: [l for l in p.read_text().splitlines() if not l.startswith("#")]
         assert strip(a) == strip(b)
         assert '"threads": 8' in b.read_text().splitlines()[0]
+
+
+class TestKernelBuildCounts:
+    """A family run builds its pair kernels once: counted, not timed."""
+
+    SPECS = {
+        "chars": "[family]\nkind = dirichlet_modulus\nqmax = 6\n",
+        "quadratic": "[family]\nfield = quadratic(-1)\nkind = synthetic\nn = 3\ncount = 5\nseed = 5\n",
+    }
+    NMAX = 20
+    COMMANDS = {
+        "covers": ["covers", "--trials", "5"],
+        "psd-lambda_centered": ["psd", "--kind", "lambda_centered"],
+    }
+
+    @pytest.mark.parametrize("family", sorted(SPECS))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_one_table_and_per_member_kernels(self, family, command, tmp_path, monkeypatch):
+        spec = tmp_path / "family.spec"
+        spec.write_text(self.SPECS[family])
+        tables, h_calls, keyed = [], [], []
+
+        def counted(record, real):
+            def wrapper(*args, **kwargs):
+                record.append(args[0])
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            covers.PairCoefficientTable, "__init__",
+            counted(tables, covers.PairCoefficientTable.__init__),
+        )
+        monkeypatch.setattr(coeffs, "hom_sym_values", counted(h_calls, coeffs.hom_sym_values))
+        monkeypatch.setattr(characters, "_canonical_key", counted(keyed, characters._canonical_key))
+        out = tmp_path / "report.jsonl"
+        argv = self.COMMANDS[command] + [
+            "--family", str(spec), "--nmax", str(self.NMAX), "--out", str(out), "--format", "jsonl",
+        ]
+        assert main(argv) == 0
+
+        fam = parse_family_spec(str(spec))
+        size = len(fam.members)
+        prime_powers = sum(1 for q in enumerate_ideals(fam.field, self.NMAX) if len(q.factors) == 1)
+        assert len(tables) == 1
+        # one h-vector per parameter set and prime power: the members, pi0
+        # and its contragredient; a per-pair kernel needs two per pair
+        assert len(h_calls) <= (size + 2) * prime_powers < size * (size + 1) * prime_powers
+        # the O(q) reduction runs at most once per character object; the list
+        # keeps every object alive, so no id is reused
+        assert len({id(chi) for chi in keyed}) == len(keyed)

@@ -3,17 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from lfunclab.characters import primitive_characters
+from lfunclab import coeffs
+from lfunclab.characters import conjugate, primitive_characters
 from lfunclab.coeffs import (
     default_model,
     dirichlet_convolve,
     expand_global,
     gl1_series_array,
+    hom_sym_values,
     local_lambda,
     mertens_sum,
     pair_model,
     pair_series,
+    partitions_of,
+    product_primitive_character,
     rankin_selberg_local,
+    schur_from_h,
     unit_indicator_series,
 )
 from lfunclab.covers import (
@@ -122,6 +127,59 @@ class TestRankinSelbergLocal:
             for k in range(13):
                 got = rankin_selberg_local(a, b, k)
                 assert got == pytest.approx(complex(ref[k]), rel=1e-10, abs=1e-10)
+
+
+def per_pair_jacobi_trudi(a, b, k):
+    """The per-pair loop: h-values of both sides, one determinant per partition and side."""
+    if k == 0:
+        return 1 + 0j
+    ha = hom_sym_values(a.alphas, k)
+    hb = hom_sym_values(b.alphas, k)
+    acc = 0j
+    for lam in partitions_of(k, min(len(a.alphas), len(b.alphas))):
+        acc += schur_from_h(ha, lam) * np.conj(schur_from_h(hb, lam))
+    return complex(acc)
+
+
+class TestSchurMemo:
+    def test_memoised_matches_per_pair_loop(self):
+        # one parameter set per degree, each paired with every degree: the
+        # memo filled for one partner must give the exact sum for the next,
+        # including GL2 x GL3 at k >= 6, where the partitions with at most two
+        # parts are not a prefix of those with at most three
+        rng = np.random.default_rng(29)
+        draws = {n: tuple(map(complex, rng.normal(size=n) + 1j * rng.normal(size=n))) for n in (1, 2, 3)}
+        memoised = {n: LocalParameters(P2, al) for n, al in draws.items()}
+        for k in range(11):
+            for na in (3, 1, 2):
+                for nb in (1, 3, 2):
+                    fresh = LocalParameters(P2, draws[na]), LocalParameters(P2, draws[nb])
+                    want = per_pair_jacobi_trudi(*fresh, k)
+                    assert rankin_selberg_local(memoised[na], memoised[nb], k) == want, (na, nb, k)
+
+    def test_memo_keeps_one_entry_per_k(self):
+        params = LocalParameters(P2, (0.5 + 0.5j, -0.3j, 0.8))
+        partner = LocalParameters(P2, (0.1 - 0.2j,))
+        for k in range(1, 7):
+            rankin_selberg_local(params, params, k)
+            rankin_selberg_local(params, partner, k)
+        assert sorted(params.kernels) == list(range(1, 7))
+        assert all(len(v) == len(partitions_of(k, 3)) for k, v in params.kernels.items())
+
+
+class TestProductCharacterCache:
+    def test_keyed_by_value_and_bounded(self, monkeypatch):
+        monkeypatch.setattr(coeffs, "_product_primitive_cache", {})
+        monkeypatch.setattr(coeffs, "PRODUCT_CACHE_MAX", 4)
+        chi = primitive_characters(5)[1]
+        psi = product_primitive_character(chi, conjugate(chi))
+        # separately built copies, as every contragredient makes, share the entry
+        assert product_primitive_character(conjugate(conjugate(chi)), conjugate(chi)) is psi
+        assert len(coeffs._product_primitive_cache) == 1
+        for q in (3, 4, 7, 8):
+            for other in primitive_characters(q):
+                product_primitive_character(other, chi)
+        assert len(coeffs._product_primitive_cache) == 4
 
 
 class TestExpandGlobal:

@@ -18,6 +18,7 @@ from lfunclab.errors import DataIntegrityError, UnsupportedCaseError, UsageError
 from lfunclab.ideals import NumberFieldSpec, enumerate_ideals, ideal_from_int, unit_ideal
 from lfunclab.localdata import (
     character_representation,
+    dirichlet_family_by_modulus,
     make_family,
     synthetic_family,
     trivial_representation,
@@ -25,6 +26,12 @@ from lfunclab.localdata import (
 from lfunclab.characters import primitive_characters
 
 Q = NumberFieldSpec.rationals()
+
+# one family per ramified model: characters (gl1_exact) and GL3 over Q(i) (product)
+MODEL_FAMILIES = {
+    "gl1_exact": lambda: dirichlet_family_by_modulus(8),
+    "product": lambda: synthetic_family(3, 5, seed=5, field=NumberFieldSpec.quadratic(-1)),
+}
 
 
 class TestCoefficientMatrix:
@@ -128,6 +135,64 @@ class TestBilinearInequality:
         for n in (2, 3, 6, 12):
             res = bilinear_inequality_check("mu", small_char_family, pi0, ideal_from_int(Q, n), trials=64, seed=8)
             assert res.worst_margin >= -1e-9
+
+
+class TestSharedTable:
+    """One table across all ideals gives exactly what a fresh table per ideal gives."""
+
+    @pytest.mark.parametrize("model", sorted(MODEL_FAMILIES))
+    @pytest.mark.parametrize("kind", ["lambda", "mu", "logl"])
+    def test_bilinear_shared_equals_fresh(self, model, kind):
+        fam = MODEL_FAMILIES[model]()
+        table = PairCoefficientTable(fam, "lambda")
+        assert table.model == model
+        for pi0 in (None, fam.members[1]):
+            for ideal in enumerate_ideals(fam.field, 30):
+                fresh = bilinear_inequality_check(kind, fam, pi0, ideal, trials=20, seed=4)
+                shared = bilinear_inequality_check(
+                    kind, fam, pi0, ideal, trials=20, seed=4, table=table
+                )
+                assert shared.worst_margin == fresh.worst_margin
+                assert np.array_equal(shared.argmin_weights, fresh.argmin_weights)
+
+    @pytest.mark.parametrize("model", sorted(MODEL_FAMILIES))
+    def test_centered_matrix_shared_equals_fresh(self, model):
+        fam = MODEL_FAMILIES[model]()
+        table = PairCoefficientTable(fam, "lambda")
+        for pi0 in (None, fam.members[2]):
+            for ideal in enumerate_ideals(fam.field, 40):
+                got = coefficient_matrix(fam, ideal, "lambda_centered", pi0=pi0, table=table)
+                want = coefficient_matrix(fam, ideal, "lambda_centered", pi0=pi0)
+                assert np.array_equal(got.entries, want.entries)
+
+
+class TestTableMismatch:
+    def test_other_kind_rejected(self, small_char_family):
+        table = PairCoefficientTable(small_char_family, "lambda")
+        with pytest.raises(UsageError, match="pair table"):
+            coefficient_matrix(small_char_family, ideal_from_int(Q, 6), "mu", table=table)
+        mu_table = PairCoefficientTable(small_char_family, "mu")
+        with pytest.raises(UsageError, match="pair table"):
+            coefficient_matrix(small_char_family, ideal_from_int(Q, 6), "lambda_centered", table=mu_table)
+        with pytest.raises(UsageError, match="pair table"):
+            bilinear_inequality_check(
+                "mu", small_char_family, None, ideal_from_int(Q, 6), trials=5, table=mu_table
+            )
+
+    def test_other_family_rejected(self, small_char_family):
+        same_members = make_family(small_char_family.members, label="copy")
+        table = PairCoefficientTable(same_members, "lambda")
+        with pytest.raises(UsageError, match="pair table"):
+            coefficient_matrix(small_char_family, ideal_from_int(Q, 6), "lambda", table=table)
+
+    def test_other_model_rejected(self, small_char_family):
+        table = PairCoefficientTable(small_char_family, "lambda", "product")
+        ideal = ideal_from_int(Q, 6)
+        with pytest.raises(UsageError, match="pair table"):
+            coefficient_matrix(small_char_family, ideal, "lambda", table=table)
+        got = coefficient_matrix(small_char_family, ideal, "lambda", ramified_model="product", table=table)
+        want = coefficient_matrix(small_char_family, ideal, "lambda", ramified_model="product")
+        assert np.array_equal(got.entries, want.entries)
 
 
 class TestVanishingPropagation:
