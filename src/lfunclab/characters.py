@@ -56,7 +56,7 @@ class UnitGroup:
     dlogs: np.ndarray  # shape (len(orders), q); -1 where gcd(n, q) > 1
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=65536)
 def unit_group(q: int) -> UnitGroup:
     if q < 1:
         raise UsageError("modulus must be positive")
@@ -167,23 +167,43 @@ def _canonical_key(chi: DirichletCharacter):
     return (chi.modulus, chi.order_denom // g, red)
 
 
+@functools.lru_cache(maxsize=4096)
+def _conductor_tests(q: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """For each p^e || q, the residues mod q that decide the p-part of a conductor.
+
+    Level k (0 <= k < e) holds generators of 1 + p^k Z mod p^e, CRT-lifted
+    to 1 mod q/p^e: a primitive root for k = 0 and 1 + p^k above it for odd
+    p; -1 and 5 for k <= 1 and 1 + 2^k above it for p = 2.
+    """
+    out = []
+    for p, e in factor_int(q):
+        pe = p**e
+        if p == 2:
+            levels = [(pe - 1, 5)] * min(e, 2) + [(1 + 2**k,) for k in range(2, e)]
+        else:
+            levels = [(_primitive_root(pe, p),)] + [(1 + p**k,) for k in range(1, e)]
+        lifted = tuple(tuple(_crt_lift(g, pe, q) for g in gens) for gens in levels)
+        out.append((p, lifted))
+    return tuple(out)
+
+
 def _conductor_of(q: int, angles: np.ndarray) -> int:
-    if q == 1:
-        return 1
-    units = np.nonzero(angles >= 0)[0]
-    vals = angles[units]
-    for f in sorted(d for d in range(1, q + 1) if q % d == 0):
-        sel = units % f == 1 % f
-        if not np.any(vals[sel] != 0):
-            return f
-    return q
+    """Product over p^e || q of p^k, k the least level the character is trivial on."""
+    f = 1
+    for p, levels in _conductor_tests(q):
+        k = next(
+            (k for k, gens in enumerate(levels) if all(angles[g] == 0 for g in gens)),
+            len(levels),
+        )
+        f *= p**k
+    return f
 
 
 def trivial_character() -> DirichletCharacter:
     return DirichletCharacter(1, 1, np.array([0], dtype=np.int64), 1, 0)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=65536)
 def character_group(q: int) -> tuple[DirichletCharacter, ...]:
     """All Dirichlet characters mod q in deterministic enumeration order."""
     if q == 1:
@@ -229,7 +249,7 @@ def multiply(a: DirichletCharacter, b: DirichletCharacter) -> DirichletCharacter
     ns = np.arange(L, dtype=np.int64)
     aa = a.angles[ns % a.modulus] if a.modulus > 1 else np.zeros(L, dtype=np.int64)
     bb = b.angles[ns % b.modulus] if b.modulus > 1 else np.zeros(L, dtype=np.int64)
-    unit = np.gcd(ns, L) == 1
+    unit = (aa >= 0) & (bb >= 0)
     angles = -np.ones(L, dtype=np.int64)
     angles[unit] = (aa[unit] * (M // a.order_denom) + bb[unit] * (M // b.order_denom)) % M
     cond = _conductor_of(L, angles)
@@ -251,15 +271,13 @@ def primitive_part(a: DirichletCharacter) -> DirichletCharacter:
     if f == 1:
         return trivial_character()
     q = a.modulus
-    angles = -np.ones(f, dtype=np.int64)
-    for m in range(1, f):
-        if math.gcd(m, f) != 1:
-            continue
-        n = m
-        while math.gcd(n, q) != 1:
-            n += f
-        angles[m] = a.angles[n]
-    return DirichletCharacter(f, a.order_denom, angles, f)
+    # lift m mod f to n = m mod head, n = 1 mod q/head, where head is the part
+    # of q on the primes of f: n is a unit mod q exactly when m is one mod f
+    head = math.prod(p**e for p, e in factor_int(q) if f % p == 0)
+    rest = q // head
+    m = np.arange(f, dtype=np.int64)
+    n = (1 + rest * ((m - 1) * pow(rest, -1, head) % head)) % q
+    return DirichletCharacter(f, a.order_denom, a.angles[n], f)
 
 
 def primitive_characters_up_to_modulus(q_max: int) -> list[DirichletCharacter]:

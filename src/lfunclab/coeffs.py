@@ -134,7 +134,7 @@ def power_sum(alphas, k: int) -> complex:
     return complex(sum(a**k for a in alphas)) if k else complex(len(alphas))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=65536)
 def partitions_of(k: int, max_parts: int) -> tuple[tuple[int, ...], ...]:
     """Partitions of k into at most max_parts parts, lexicographic order."""
     if k > PARTITION_SIZE_CAP:

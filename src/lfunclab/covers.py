@@ -12,6 +12,7 @@ stored target series after each algebra operation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,22 +40,80 @@ class CoefficientMatrix:
     kind: str
     entries: np.ndarray  # (|S|, |S|) complex
     labels: tuple[str, ...]
+    # magnitude of the terms before any cancellation; None: the largest entry
+    scale: float | None = None
+
+
+class _PrimePowerArrays:
+    """Local values of a fixed list of engines of one kind, one array per prime power.
+
+    Each array is filled once from the engines' _compute.  The values at an
+    ideal are the product of its factors' arrays, taken with the explicit
+    real/imaginary formula of Python's complex product (numpy's complex
+    multiply can differ from it in the last bit), so every entry equals
+    _LocalEngine.at bit for bit: biglambda and logl vanish off prime powers,
+    and zeros come out as 0j.  The last ideal's values are kept, so that
+    reading them entry by entry costs one product.
+    """
+
+    def __init__(self, engines: list[_LocalEngine], field, kind: str):
+        self.engines = engines
+        self.field = field
+        self.kind = kind
+        self._local: dict[tuple[tuple[int, int], int], np.ndarray] = {}
+        self._last: tuple[IdealIndex, np.ndarray] | None = None
+
+    def local(self, pid, e: int) -> np.ndarray:
+        arr = self._local.get((pid, e))
+        if arr is None:
+            arr = np.array(
+                [eng._compute(self.field, pid, e) for eng in self.engines], dtype=np.complex128
+            )
+            self._local[(pid, e)] = arr
+        return arr
+
+    def at(self, ideal: IdealIndex) -> np.ndarray:
+        if self._last is not None and self._last[0] == ideal:
+            return self._last[1]
+        size = len(self.engines)
+        out = np.zeros(size, dtype=np.complex128)
+        if self.kind not in ("biglambda", "logl") or len(ideal.factors) == 1:
+            re, im = np.ones(size), np.zeros(size)
+            for pid, e in ideal.factors:
+                loc = self.local(pid, e)
+                re, im = re * loc.real - im * loc.imag, re * loc.imag + im * loc.real
+            out.real, out.imag = re, im
+            out[out == 0] = 0
+        out.flags.writeable = False  # kept for the next call, so shared
+        self._last = (ideal, out)
+        return out
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(size), built once per size (tables are often built per ideal)."""
+    rows, cols = np.triu_indices(size)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 class PairCoefficientTable:
-    """Cached local engines for a family: every ordered pair (a, conj-dual b),
-    and the pi0 column (each member against pi0 itself, plus pi0 x dual pi0).
+    """Local values for a family: every pair (a, conj-dual b) with a <= b, and
+    the pi0 column (each member against pi0 itself, plus pi0 x dual pi0).
 
-    Build one per run and pass it to every ideal, so that each engine and
-    its per-prime-power values are computed once.
+    Each prime power's values over the upper-triangle pairs (np.triu_indices
+    order) form one array, computed once; build one table per run and pass
+    it to every ideal.
     """
 
     def __init__(self, family: Family, kind: str, model: str | None = None):
         self.family = family
         self.kind = kind
         self.model = model or default_model(family)
+        self._upper = _upper_pairs(len(family.members))
         self._engines: dict[tuple[int, int], _LocalEngine] = {}
-        self._pi0_engines: dict[tuple, tuple[list[_LocalEngine], _LocalEngine]] = {}
+        self._pairs: _PrimePowerArrays | None = None
+        self._pi0_arrays: dict[tuple, tuple[_PrimePowerArrays, _PrimePowerArrays]] = {}
 
     def engine(self, i: int, j: int) -> _LocalEngine:
         key = (i, j)
@@ -64,8 +123,28 @@ class PairCoefficientTable:
             )
         return self._engines[key]
 
+    def _pair_values(self, ideal: IdealIndex) -> np.ndarray:
+        if self._pairs is None:
+            engines = [self.engine(int(i), int(j)) for i, j in zip(*self._upper)]
+            self._pairs = _PrimePowerArrays(engines, self.family.field, self.kind)
+        return self._pairs.at(ideal)
+
     def entry(self, i: int, j: int, ideal: IdealIndex) -> complex:
-        return self.engine(i, j).at(ideal)
+        """Entry (i, j) of matrix(ideal); below the diagonal, the conjugate of (j, i)."""
+        if i > j:
+            return self.entry(j, i, ideal).conjugate()
+        size = len(self.family.members)
+        return complex(self._pair_values(ideal)[i * size - i * (i - 1) // 2 + j - i])
+
+    def matrix(self, ideal: IdealIndex) -> np.ndarray:
+        """The Hermitian (|S|, |S|) matrix of pair values at the ideal."""
+        size = len(self.family.members)
+        vals = self._pair_values(ideal)
+        rows, cols = self._upper
+        m = np.empty((size, size), dtype=np.complex128)
+        m[cols, rows] = np.conj(vals)
+        m[rows, cols] = vals
+        return m
 
     def pi0_column(
         self, pi0: Representation | None, kind: str, ideal: IdealIndex
@@ -76,17 +155,21 @@ class PairCoefficientTable:
         engines are built once per (pi0 object, kind).
         """
         key = (pi0, kind)
-        if key not in self._pi0_engines:
-            base = pi0 or trivial_representation(self.family.field)
+        if key not in self._pi0_arrays:
+            field = self.family.field
+            base = pi0 or trivial_representation(field)
             dual = contragredient(base)
             column = [
                 _LocalEngine(m, dual, kind, pair_model(m, base, self.model))
                 for m in self.family.members
             ]
             diagonal = _LocalEngine(base, base, "lambda", pair_model(base, base, self.model))
-            self._pi0_engines[key] = (column, diagonal)
-        column, diagonal = self._pi0_engines[key]
-        return np.array([e.at(ideal) for e in column]), diagonal.at(ideal)
+            self._pi0_arrays[key] = (
+                _PrimePowerArrays(column, field, kind),
+                _PrimePowerArrays([diagonal], field, "lambda"),
+            )
+        column, diagonal = self._pi0_arrays[key]
+        return column.at(ideal), complex(diagonal.at(ideal)[0])
 
 
 def coefficient_matrix(
@@ -112,7 +195,6 @@ def coefficient_matrix(
     if pi0 is not None and kind != "lambda_centered":
         raise UsageError("pi0 weighting only enters the lambda_centered matrix kind")
     labels = tuple(m.label for m in family.members)
-    size = len(family.members)
     base_kind = "lambda" if kind == "lambda_centered" else kind
     model = ramified_model or default_model(family)
     if table is None:
@@ -122,27 +204,26 @@ def coefficient_matrix(
             f"pair table built for ({table.family.label}, {table.kind}, {table.model}) "
             f"cannot serve ({family.label}, {base_kind}, {model})"
         )
-    m = np.zeros((size, size), dtype=np.complex128)
-    for i in range(size):
-        for j in range(i, size):
-            v = table.entry(i, j, ideal)
-            m[i, j] = v
-            if j != i:
-                m[j, i] = np.conj(v)
-    if kind == "lambda_centered":
-        vec, w00 = table.pi0_column(pi0, "lambda", ideal)
-        m = w00 * m - np.outer(vec, np.conj(vec))
-    return CoefficientMatrix(ideal, kind, m, labels)
+    m = table.matrix(ideal)
+    if kind != "lambda_centered":
+        return CoefficientMatrix(ideal, kind, m, labels)
+    vec, w00 = table.pi0_column(pi0, "lambda", ideal)
+    # the two terms cancel (exactly, at squarefree ideals for characters):
+    # rounding is measured against their own size, not the difference's
+    scale = abs(w00) * float(np.abs(m).max()) + float(np.abs(vec).max()) ** 2
+    m = w00 * m - np.outer(vec, np.conj(vec))
+    return CoefficientMatrix(ideal, kind, m, labels, scale)
 
 
 def psd_check_full(m: CoefficientMatrix, tol: float = 1e-9) -> tuple[float, float, bool]:
     """(min eigenvalue, spectral norm, verdict min_eig >= -tol * spectral).
 
     The matrix must be Hermitian up to rounding; a deviation beyond 1e-6
-    of its scale signals a coefficient bug and raises.
+    of its scale (the size of its terms before cancellation, when the
+    matrix carries one) signals a coefficient bug and raises.
     """
     a = m.entries
-    scale = max(1e-300, float(np.abs(a).max()))
+    scale = max(1e-300, float(np.abs(a).max()) if m.scale is None else m.scale)
     herm_dev = float(np.abs(a - a.conj().T).max())
     if herm_dev > HERMITIAN_HARD_TOL * scale:
         raise DataIntegrityError(

@@ -117,7 +117,7 @@ class Splitting:
     primes: tuple[tuple[PrimeId, int], ...]  # ((p, slot), norm) per prime above p
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=65536)
 def split_prime(field: NumberFieldSpec, p: int) -> Splitting:
     """Decompose the rational prime p in the field.
 

@@ -15,6 +15,7 @@ with the closed-form minimum value checked against brute force.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -144,6 +145,11 @@ def sieve_constant(
     if len(family.members) == 0:
         raise UsageError("sieve_constant needs a nonempty family")
     a, _ideals, weights = family_coefficient_rows(family, n_bound, pi0, kind, ramified_model)
+    return _gram_constant(a, weights)
+
+
+def _gram_constant(a: np.ndarray, weights: np.ndarray | None) -> SieveConstantResult:
+    """sieve_constant's eigen solve on given rows and column weights."""
     if weights is not None:
         keep = weights > 1e-14
         a = a[:, keep] / np.sqrt(weights[keep])[None, :]
@@ -200,9 +206,18 @@ def bound_table(
     q = family.max_conductor
     s = len(family.members)
     th = family_grc_exponent(family) if theta is None else theta
+    if not n_list:
+        return []
+    # one coefficient matrix at the largest N; each N takes its column prefix
+    a, ideals, weights = family_coefficient_rows(family, max(n_list), pi0, kind)
+    norms = [i.norm for i in ideals]
     rows = []
     for n_bound in n_list:
-        measured = sieve_constant(family, n_bound, pi0, kind)
+        cols = bisect.bisect_right(norms, n_bound)
+        assert tuple(ideals[:cols]) == tuple(ideal_list(family.field, n_bound))
+        measured = _gram_constant(
+            np.ascontiguousarray(a[:, :cols]), None if weights is None else weights[:cols]
+        )
         rows.append(
             {
                 "N": n_bound,

@@ -261,6 +261,15 @@ class TestKernelBuildCounts:
         )
         monkeypatch.setattr(coeffs, "hom_sym_values", counted(h_calls, coeffs.hom_sym_values))
         monkeypatch.setattr(characters, "_canonical_key", counted(keyed, characters._canonical_key))
+        computed, read = [], []
+        real_compute = coeffs._LocalEngine._compute
+
+        def compute(engine, field, pid, e):
+            computed.append((engine, pid, e))
+            return real_compute(engine, field, pid, e)
+
+        monkeypatch.setattr(coeffs._LocalEngine, "_compute", compute)
+        monkeypatch.setattr(coeffs._LocalEngine, "at", counted(read, coeffs._LocalEngine.at))
         out = tmp_path / "report.jsonl"
         argv = self.COMMANDS[command] + [
             "--family", str(spec), "--nmax", str(self.NMAX), "--out", str(out), "--format", "jsonl",
@@ -277,3 +286,8 @@ class TestKernelBuildCounts:
         # the O(q) reduction runs at most once per character object; the list
         # keeps every object alive, so no id is reused
         assert len({id(chi) for chi in keyed}) == len(keyed)
+        # each engine (a pair, a pi0-column member or the pi0 diagonal) computes
+        # each prime power once, and matrices are read from the arrays, not at()
+        assert len({(id(engine), pid, e) for engine, pid, e in computed}) == len(computed)
+        assert len({id(engine) for engine, _, _ in computed}) <= size * (size + 1) // 2 + size + 1
+        assert not read

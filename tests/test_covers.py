@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lfunclab.coeffs import expand_global, pair_series
+from lfunclab.coeffs import _LocalEngine, default_model, expand_global, pair_model, pair_series
 from lfunclab.covers import (
+    MATRIX_KINDS,
     CoefficientMatrix,
     CoverDecomposition,
     PairCoefficientTable,
@@ -13,11 +14,13 @@ from lfunclab.covers import (
     cover_ops,
     gl1_log_decomposition,
     psd_check,
+    psd_check_full,
 )
 from lfunclab.errors import DataIntegrityError, UnsupportedCaseError, UsageError
 from lfunclab.ideals import NumberFieldSpec, enumerate_ideals, ideal_from_int, unit_ideal
 from lfunclab.localdata import (
     character_representation,
+    contragredient,
     dirichlet_family_by_modulus,
     make_family,
     synthetic_family,
@@ -91,6 +94,27 @@ class TestPsdCheck:
             m = coefficient_matrix(gl2_family, ideal_from_int(Q, n), "lambda_centered")
             _, verdict = psd_check(m)
             assert verdict
+
+    def test_vanishing_centered_matrices_pass(self, tmp_path):
+        # at squarefree ideals the centered character matrix cancels to
+        # rounding noise, which must not read as a Hermitian defect
+        from lfunclab.cli import main
+
+        spec = tmp_path / "family.spec"
+        spec.write_text("[family]\nkind = dirichlet_modulus\nqmax = 24\n")
+        out = tmp_path / "psd.jsonl"
+        argv = ["psd", "--family", str(spec), "--nmax", "30", "--kind", "lambda_centered",
+                "--out", str(out), "--format", "jsonl"]
+        assert main(argv) == 0
+
+    def test_perturbed_centered_matrix_raises(self):
+        fam = dirichlet_family_by_modulus(24)
+        m = coefficient_matrix(fam, ideal_from_int(Q, 29), "lambda_centered")
+        assert float(np.abs(m.entries).max()) < 1e-13 < m.scale
+        psd_check_full(m)
+        m.entries[0, 1] += 1e-3
+        with pytest.raises(DataIntegrityError, match="Hermitian"):
+            psd_check_full(m)
 
     def test_non_hermitian_raises(self):
         bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
@@ -193,6 +217,84 @@ class TestTableMismatch:
         got = coefficient_matrix(small_char_family, ideal, "lambda", ramified_model="product", table=table)
         want = coefficient_matrix(small_char_family, ideal, "lambda", ramified_model="product")
         assert np.array_equal(got.entries, want.entries)
+
+
+class PerEntryAssembly:
+    """The assembly the per-prime-power arrays replaced: one _LocalEngine per
+    pair, each entry read through _LocalEngine.at."""
+
+    def __init__(self, family, kind, model):
+        self.family, self.model = family, model
+        members = family.members
+        self.pairs = {
+            (i, j): _LocalEngine(members[i], members[j], kind, model)
+            for i in range(len(members))
+            for j in range(i, len(members))
+        }
+
+    def matrix(self, ideal, kind, pi0):
+        size = len(self.family.members)
+        m = np.zeros((size, size), dtype=np.complex128)
+        for (i, j), engine in self.pairs.items():
+            v = engine.at(ideal)
+            m[i, j] = v
+            if j != i:
+                m[j, i] = np.conj(v)
+        if kind == "lambda_centered":
+            base = pi0 or trivial_representation(self.family.field)
+            dual = contragredient(base)
+            vec = np.array([
+                _LocalEngine(member, dual, "lambda", pair_model(member, base, self.model)).at(ideal)
+                for member in self.family.members
+            ])
+            w00 = _LocalEngine(base, base, "lambda", pair_model(base, base, self.model)).at(ideal)
+            m = w00 * m - np.outer(vec, np.conj(vec))
+        return m
+
+
+class TestPerEntryDifferential:
+    """coefficient_matrix equals the per-entry assembly bit for bit."""
+
+    # (family, ramified model, norm bound); characters exist over Q only
+    CASES = {
+        "gl1_exact-Q": (lambda: dirichlet_family_by_modulus(8), None, 60),
+        "product-Q": (lambda: dirichlet_family_by_modulus(8), "product", 60),
+        "product-quadratic(-1)": (MODEL_FAMILIES["product"], None, 130),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    def test_bitwise_equal(self, case, kind):
+        make, model, bound = self.CASES[case]
+        fam = make()
+        model = model or default_model(fam)
+        base = "lambda" if kind == "lambda_centered" else kind
+        table = PairCoefficientTable(fam, base, model)
+        reference = PerEntryAssembly(fam, base, model)
+        factor_counts, zeros = set(), 0
+        for ideal in enumerate_ideals(fam.field, bound):
+            for pi0 in (None, fam.members[1]) if kind == "lambda_centered" else (None,):
+                got = coefficient_matrix(
+                    fam, ideal, kind, pi0=pi0, ramified_model=model, table=table
+                ).entries
+                want = reference.matrix(ideal, kind, pi0)
+                assert np.array_equal(got.view(np.float64), want.view(np.float64)), ideal
+                zeros += int(np.count_nonzero(got == 0))
+            factor_counts.add(len(ideal.factors))
+        assert {1, 2, 3} <= factor_counts
+        # biglambda and logl vanish off prime powers, characters at ramified primes
+        if kind in ("biglambda", "logl") or case.endswith("-Q"):
+            assert zeros > 0
+
+    def test_entry_reads_the_matrix(self):
+        fam = dirichlet_family_by_modulus(8)
+        table = PairCoefficientTable(fam, "lambda")
+        size = len(fam.members)
+        for n in (1, 6, 8, 30):
+            ideal = ideal_from_int(Q, n)
+            m = table.matrix(ideal)
+            got = [[table.entry(i, j, ideal) for j in range(size)] for i in range(size)]
+            assert np.array_equal(np.array(got).view(np.float64), m.view(np.float64))
 
 
 class TestVanishingPropagation:

@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lfunclab.characters import (
-    character_group,
-    conjugate,
-    multiply,
-    primitive_characters,
-    primitive_characters_up_to_modulus,
-)
+from lfunclab.characters import character_group, primitive_characters
 from lfunclab.errors import DataIntegrityError, SpecParseError, UsageError
 from lfunclab.ideals import NumberFieldSpec, prime_ideal
 from lfunclab.localdata import (
@@ -54,13 +48,6 @@ class TestCharacterFamily:
             tables = np.stack([c.values(ns) for c in chars])
             gram = tables @ tables.conj().T
             assert np.abs(gram - phi * np.eye(len(chars))).max() < 1e-9
-
-    def test_product_conductor_divides_lcm_up_to_fifty(self):
-        prim = primitive_characters_up_to_modulus(50)
-        for i, a in enumerate(prim):
-            for b in prim[i:]:
-                prod = multiply(a, conjugate(b))
-                assert math.lcm(a.modulus, b.modulus) % prod.conductor == 0
 
 
 class TestAnalyticConductor:

@@ -98,6 +98,21 @@ class TestBoundTable:
         # measured C is nondecreasing in N for nested column sets
         assert rows[0]["measured_C"] <= rows[1]["measured_C"] <= rows[2]["measured_C"]
 
+    @pytest.mark.parametrize("case", ["chars", "chars-pi0", "gl3-quadratic(-1)", "logl"])
+    def test_prefix_columns_equal_per_n_matrices(self, case, small_char_family):
+        # one matrix at max(N), cut per N, gives each N's own matrix bit for bit
+        fam, pi0, kind = small_char_family, None, "lambda"
+        if case == "chars-pi0":
+            pi0 = character_representation(primitive_characters(5)[1])
+        elif case == "gl3-quadratic(-1)":
+            fam = synthetic_family(3, 4, seed=2, field=NumberFieldSpec.quadratic(-1))
+        elif case == "logl":
+            kind = "logl"
+        n_list = [120, 30, 75, 120]
+        rows = bound_table(fam, n_list, pi0=pi0, kind=kind)
+        for n, row in zip(n_list, rows):
+            assert row["measured_C"] == sieve_constant(fam, n, pi0, kind).value
+
     def test_gl1_dual_shape_minimal_at_large_n(self, small_char_family):
         # at degree 1 and theta = 0 the dual shape wins once N >= Q^2
         rows = bound_table(small_char_family, [2000])
