@@ -1,9 +1,14 @@
 """Command-line surface for every verification pipeline.
 
 Exit codes: 0 success, 2 validation/usage error, 3 invariant failure,
-4 report I/O error.  All flags are long-form; every report embeds its
-fully resolved configuration so any row is reproducible from the file
-alone.  No environment variables are consulted.
+4 I/O error: the report cannot be written, or a --family, --zeros or
+--hecke file cannot be read.  All flags are long-form; every report
+embeds its fully resolved configuration so any row is reproducible from
+the file alone.  No environment variables are consulted.
+
+Each handler only computes and returns an `Outcome`; `_finish` writes the
+report, prints the summary line and raises a recorded invariant failure.
+`COMMANDS` maps each subcommand to its handler and its selftest modules.
 """
 
 from __future__ import annotations
@@ -11,30 +16,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import dataclass, field
 
 from . import characters, coeffs, covers, detect, ideals, localdata, sieve
-from .errors import (
-    InvariantError,
-    LfuncLabError,
-    ReportIOError,
-    UsageError,
-)
+from .errors import InvariantError, LfuncLabError, ReportIOError, UsageError
 from .report import emit_report
-
-SELFTEST_MODULES = {
-    "constants": [detect],
-    "large-sieve": [sieve, ideals],
-    "psd": [covers, coeffs],
-    "covers": [covers, coeffs],
-    "sieve-weights": [sieve],
-    "sifted": [sieve],
-    "residue": [sieve],
-    "mvt": [sieve],
-    "detect": [detect],
-    "density": [detect, localdata],
-    "count": [detect, localdata],
-    "ingest": [localdata, characters],
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,9 +135,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolved(args) -> dict:
-    """Every resolved flag, defaults included, minus the selftest toggle."""
-    return {k: v for k, v in sorted(vars(args).items()) if k != "selftest"}
+@dataclass
+class Outcome:
+    """What one subcommand computed; `_finish` turns it into a report and a summary line."""
+
+    records: list
+    summary: str | None  # printed as "<summary> -> <report path>"; None prints nothing
+    columns: list | None = None  # report column order; None takes the first record's keys
+    config: dict = field(default_factory=dict)  # echoed next to the resolved flags
+    failure: str | None = None  # raised as InvariantError once the report is written
+
+
+def _finish(args, outcome: Outcome) -> int:
+    config = {k: v for k, v in sorted(vars(args).items()) if k != "selftest"}
+    config.update(outcome.config)
+    path = args.out or f"lfunclab_{args.command}.{args.format}"
+    emit_report(outcome.records, args.format, path, columns=outcome.columns, config=config)
+    if outcome.summary is not None:
+        print(f"{outcome.summary} -> {path}")
+    if outcome.failure is not None:
+        raise InvariantError(outcome.failure)
+    return 0
+
+
+def _fields(result, names: str, **given) -> dict:
+    """A report record of the named result fields, in order; flags joined by '; '."""
+    record = {}
+    for name in names.split():
+        value = given[name] if name in given else getattr(result, name)
+        record[name] = "; ".join(value) if name == "flags" else value
+    return record
 
 
 def _trivial_family() -> localdata.Family:
@@ -165,13 +178,16 @@ def _load_family(path: str | None, default=_trivial_family) -> localdata.Family:
     return default()
 
 
-def _default_out(args, suffix: str) -> str:
-    return args.out or f"lfunclab_{args.command}.{suffix}"
+def _member(family: localdata.Family, index: int, flag: str) -> localdata.Representation:
+    size = len(family.members)
+    if not 0 <= index < size:
+        raise UsageError(f"{flag} {index} is not a member index of {family.label} (0..{size - 1})")
+    return family.members[index]
 
 
-def _run_selftest(command: str) -> int:
+def _run_selftest(modules) -> int:
     failures = 0
-    for module in SELFTEST_MODULES[command]:
+    for module in modules:
         for name, ok, detail in module.selftest():
             print(f"{'PASS' if ok else 'FAIL'} {module.__name__.split('.')[-1]}: {name}"
                   + (f" ({detail})" if detail else ""))
@@ -183,213 +199,137 @@ def _run_selftest(command: str) -> int:
     return 0
 
 
-def cmd_constants(args) -> int:
+def cmd_constants(args) -> Outcome:
     cs = detect.solve_constants()
-    config = _resolved(args)
-    records = []
-    for name, value in cs.as_dict().items():
-        records.append({"name": name, "value": value})
-    for name, value in sorted(cs.residuals.items()):
-        records.append({"name": f"residual_{name}", "value": value})
-    path = _default_out(args, args.format)
-    emit_report(records, args.format, path, columns=["name", "value"], config=config)
+    records = [{"name": name, "value": value} for name, value in cs.as_dict().items()]
+    records += [{"name": f"residual_{name}", "value": value}
+                for name, value in sorted(cs.residuals.items())]
     worst = max(cs.residuals.values())
-    print(
-        f"constants: alpha={cs.alpha:.9f} A={cs.a_weight:.9f} V={cs.v_decay:.9f} "
-        f"A0={cs.a0:.9f} A1={cs.a1:.10f} worst residual {worst:.2e} -> {path}"
-    )
-    return 0
+    summary = (f"constants: alpha={cs.alpha:.9f} A={cs.a_weight:.9f} V={cs.v_decay:.9f} "
+               f"A0={cs.a0:.9f} A1={cs.a1:.10f} worst residual {worst:.2e}")
+    return Outcome(records, summary, columns=["name", "value"])
 
 
-def cmd_large_sieve(args) -> int:
+def cmd_large_sieve(args) -> Outcome:
+    try:
+        n_list = [int(s) for s in str(args.n).split(",") if s]
+    except ValueError:
+        n_list = []
+    if not n_list:
+        raise UsageError(f"--n takes comma-separated integers, not {args.n!r}")
     if args.gl1:
         family = localdata.dirichlet_family_by_modulus(args.qmax)
     else:
         family = _load_family(args.family)
-    n_list = [int(s) for s in str(args.n).split(",") if s]
     kind = "logl" if args.kind == "log" else args.kind
     rows = sieve.bound_table(family, n_list, kind=kind)
-    config = _resolved(args)
-    config["family_label"] = family.label
-    config["family_size"] = len(family.members)
-    path = _default_out(args, args.format)
-    emit_report(rows, args.format, path, config=config)
+    size = len(family.members)
     worst = max(r["measured_C"] for r in rows)
-    print(
-        f"large-sieve: {family.label} |S|={len(family.members)} "
-        f"max measured C = {worst:.6f} over N in {n_list} -> {path}"
-    )
-    return 0
+    summary = f"large-sieve: {family.label} |S|={size} max measured C = {worst:.6f} over N in {n_list}"
+    return Outcome(rows, summary, config={"family_label": family.label, "family_size": size})
 
 
-def cmd_psd(args) -> int:
+def cmd_psd(args) -> Outcome:
+    if not args.tol >= 0:
+        raise UsageError(f"--tol must be >= 0, not {args.tol}")
     family = _load_family(args.family, lambda: localdata.dirichlet_character_family(20))
-    field = family.field
     table = covers.PairCoefficientTable(family, "lambda")
     records = []
     worst = math.inf
-    for ideal in ideals.enumerate_ideals(field, args.nmax):
+    failure = None
+    for ideal in ideals.enumerate_ideals(family.field, args.nmax):
         if ideal.is_unit:
             continue
         matrix = covers.coefficient_matrix(family, ideal, args.kind, table=table)
         min_eig, spectral, verdict = covers.psd_check_full(matrix, args.tol)
         margin = min_eig + args.tol * max(spectral, 1e-300)
-        records.append(
-            {
-                "ideal_norm": ideal.norm,
-                "kind": args.kind,
-                "min_eig": min_eig,
-                "margin": margin,
-                "seed": 0,
-                "verdict": verdict,
-            }
-        )
+        records.append({"ideal_norm": ideal.norm, "kind": args.kind, "min_eig": min_eig,
+                         "margin": margin, "seed": 0, "verdict": verdict})
         worst = min(worst, min_eig)
         if not verdict:
-            emit_report(records, "jsonl", _default_out(args, "jsonl"), config=_resolved(args))
-            raise InvariantError(f"matrix at norm {ideal.norm} has min eigenvalue {min_eig}")
-    config = _resolved(args)
-    config["family_label"] = family.label
-    path = _default_out(args, args.format)
-    emit_report(
-        records, args.format, path,
-        columns=["ideal_norm", "kind", "min_eig", "margin", "seed", "verdict"],
-        config=config,
-    )
-    print(f"psd: {family.label} all matrices PSD up to norm {args.nmax}; "
-          f"worst min eigenvalue {worst:.3e} -> {path}")
-    return 0
+            failure = f"matrix at norm {ideal.norm} has min eigenvalue {min_eig}"
+            break
+    # a failed sweep reports the rows up to the failing norm and prints no summary
+    summary = None if failure else (f"psd: {family.label} all matrices PSD up to norm "
+                                    f"{args.nmax}; worst min eigenvalue {worst:.3e}")
+    columns = ["ideal_norm", "kind", "min_eig", "margin", "seed", "verdict"]
+    return Outcome(records, summary, columns, {"family_label": family.label}, failure)
 
 
-def cmd_covers(args) -> int:
+def cmd_covers(args) -> Outcome:
     family = _load_family(args.family, lambda: localdata.dirichlet_character_family(20))
-    field = family.field
     table = covers.PairCoefficientTable(family, "lambda")
     records = []
     worst = math.inf
-    for ideal in ideals.enumerate_ideals(field, args.nmax):
+    for ideal in ideals.enumerate_ideals(family.field, args.nmax):
         if ideal.is_unit:
             continue
         res = covers.bilinear_inequality_check(
             args.kind, family, None, ideal, trials=args.trials, seed=args.seed, table=table
         )
-        records.append(
-            {
-                "ideal_norm": ideal.norm,
-                "kind": args.kind,
-                "margin": res.worst_margin,
-                "seed": args.seed,
-            }
-        )
+        records.append({"ideal_norm": ideal.norm, "kind": args.kind,
+                        "margin": res.worst_margin, "seed": args.seed})
         worst = min(worst, res.worst_margin)
-    config = _resolved(args)
-    config["family_label"] = family.label
-    path = _default_out(args, args.format)
-    emit_report(
-        records, args.format, path,
-        columns=["ideal_norm", "kind", "margin", "seed"], config=config,
-    )
-    print(f"covers: worst margin {worst:.3e} over norms <= {args.nmax} "
-          f"({args.trials} weight draws) -> {path}")
-    if worst < -1e-9:
-        raise InvariantError(f"cover inequality violated: margin {worst}")
-    return 0
+    summary = (f"covers: worst margin {worst:.3e} over norms <= {args.nmax} "
+               f"({args.trials} weight draws)")
+    failure = f"cover inequality violated: margin {worst}" if worst < -1e-9 else None
+    return Outcome(records, summary, ["ideal_norm", "kind", "margin", "seed"],
+                   {"family_label": family.label}, failure)
 
 
-def cmd_sieve_weights(args) -> int:
+def cmd_sieve_weights(args) -> Outcome:
     family = _load_family(args.family)
-    rep = family.members[args.member]
+    rep = _member(family, args.member, "--member")
     weights = sieve.selberg_weights(rep, args.z)
     checks = weights.verify()
-    records = [
-        {"ideal_norm": d.norm, "ideal": repr(d), "rho": weights.rho[d]}
-        for d in weights.support
-    ]
-    config = _resolved(args)
-    config["family_label"] = family.label
-    config["diagonal_value"] = weights.diagonal_value
-    config["brute_force_value"] = checks["brute_force_value"]
-    path = _default_out(args, args.format)
-    emit_report(records, args.format, path, config=config)
+    brute = checks["brute_force_value"]
+    records = [{"ideal_norm": d.norm, "ideal": repr(d), "rho": weights.rho[d]}
+               for d in weights.support]
+    summary = (f"sieve-weights: {rep.label} z={args.z:g} support {len(weights.support)} "
+               f"diagonal {weights.diagonal_value:.12g} (brute force {brute:.12g})")
     ok = all(v for k, v in checks.items() if k != "brute_force_value")
-    print(
-        f"sieve-weights: {rep.label} z={args.z:g} support {len(weights.support)} "
-        f"diagonal {weights.diagonal_value:.12g} (brute force {checks['brute_force_value']:.12g}) -> {path}"
-    )
-    if not ok:
-        raise InvariantError(f"sieve weight clauses failed: {checks}")
-    return 0
+    config = {"family_label": family.label, "diagonal_value": weights.diagonal_value,
+              "brute_force_value": brute}
+    return Outcome(records, summary, config=config,
+                   failure=None if ok else f"sieve weight clauses failed: {checks}")
 
 
-def cmd_sifted(args) -> int:
+def cmd_sifted(args) -> Outcome:
     family = _load_family(args.family)
     res = sieve.sifted_sum_check(family, None, args.x, args.t, args.z, kind=args.kind)
-    config = _resolved(args)
-    config["family_label"] = family.label
-    record = {
-        "lhs": res.lhs,
-        "rhs_shape": res.rhs_shape,
-        "weighted_norm_sq": res.weighted_norm_sq,
-        "sifted_count": res.sifted_count,
-        "single_rep_sum": res.single_rep_sum,
-        "single_rep_shape": res.single_rep_shape,
-        "shape_only": res.shape_only,
-        "flags": "; ".join(res.flags),
-    }
-    path = _default_out(args, args.format)
-    emit_report([record], args.format, path, config=config)
-    print(f"sifted: lhs={res.lhs:.6g} over {res.sifted_count} sifted ideals, "
-          f"shape {res.rhs_shape if res.rhs_shape is not None else 'n/a'} (shape only) -> {path}")
-    return 0
+    record = _fields(res, "lhs rhs_shape weighted_norm_sq sifted_count single_rep_sum "
+                          "single_rep_shape shape_only flags")
+    shape = res.rhs_shape if res.rhs_shape is not None else "n/a"
+    summary = f"sifted: lhs={res.lhs:.6g} over {res.sifted_count} sifted ideals, shape {shape} (shape only)"
+    return Outcome([record], summary, config={"family_label": family.label})
 
 
-def cmd_residue(args) -> int:
+def cmd_residue(args) -> Outcome:
     family = _load_family(args.family)
-    rep_a = family.members[args.a]
-    rep_b = family.members[args.b] if args.b is not None else rep_a
+    rep_a = _member(family, args.a, "--a")
+    rep_b = _member(family, args.b, "--b") if args.b is not None else rep_a
     d_ideal = ideals.ideal_from_int(family.field, args.d)
     res = sieve.smooth_sum_residue(rep_a, rep_b, args.x, args.t, d_ideal)
-    config = _resolved(args)
-    config["family_label"] = family.label
-    record = {
-        "lhs": res.lhs,
-        "main": res.main,
-        "diff": res.diff,
-        "residue": res.residue,
-        "shape_only": res.shape_only,
-        "flags": "; ".join(res.flags),
-    }
-    path = _default_out(args, args.format)
-    emit_report([record], args.format, path, config=config)
-    main = "n/a" if res.main is None else f"{res.main:.6g}"
-    print(f"residue: lhs={res.lhs:.6g} main={main} "
-          f"diff={res.diff if res.diff is not None else 'n/a'} -> {path}")
-    return 0
+    main_term = "n/a" if res.main is None else f"{res.main:.6g}"
+    diff = res.diff if res.diff is not None else "n/a"
+    summary = f"residue: lhs={res.lhs:.6g} main={main_term} diff={diff}"
+    return Outcome([_fields(res, "lhs main diff residue shape_only flags")], summary,
+                   config={"family_label": family.label})
 
 
-def cmd_mvt(args) -> int:
+def cmd_mvt(args) -> Outcome:
     family = _load_family(args.family)
     res = sieve.mvt_mu(
         family, None, args.x, args.t, y_scale=args.y, variant=args.variant,
         truncation=args.truncation,
     )
-    config = _resolved(args)
-    config["family_label"] = family.label
-    record = {
-        "value": res.value,
-        "shape": res.shape,
-        "shape_only": True,
-        "points": res.points,
-        "flags": "; ".join(res.flags),
-    }
-    path = _default_out(args, args.format)
-    emit_report([record], args.format, path, config=config)
-    print(f"mvt: value={res.value:.9g} vs shape {res.shape:.6g} (shape only, "
-          f"{res.points} quadrature points) -> {path}")
-    return 0
+    summary = (f"mvt: value={res.value:.9g} vs shape {res.shape:.6g} (shape only, "
+               f"{res.points} quadrature points)")
+    return Outcome([_fields(res, "value shape shape_only points flags", shape_only=True)],
+                   summary, config={"family_label": family.label})
 
 
-def cmd_detect(args) -> int:
+def cmd_detect(args) -> Outcome:
     config_obj = detect.build_detection_config(
         eta=args.eta, tau=args.tau, t_range=args.big_t, log_scale=args.log_scale,
         c_linnik=args.c_linnik, c_dirichlet_upper=args.c_upper,
@@ -398,31 +338,20 @@ def cmd_detect(args) -> int:
     series = coeffs.expand_global(triv, triv, args.truncation, "biglambda", "gl1_exact")
     zeros = detect.parse_zeros_file(args.zeros) if args.zeros else None
     report = detect.detection_bounds(series, config_obj, zeros=zeros, k=args.k)
-    config = _resolved(args)
-    config["zeros"] = args.zeros or ""
-    record = {
-        "k": report.k,
-        "hd_value": report.hd_value,
-        "hd_tail": report.hd_tail,
-        "integral": report.integral,
-        "near_zero_count": report.near_zero_count,
-        "near_zero_triggered": report.near_zero_triggered,
-        "residual_weight_log10": report.residual_weight_log10,
-        "c_measured": report.c_measured,
-        "chain_ok": report.chain_ok,
-        "constant_free": report.constant_free,
-        "flags": "; ".join(report.flags),
-    }
-    path = _default_out(args, args.format)
-    emit_report([record], args.format, path, config=config)
-    near = "not triggered" if report.near_zero_triggered is False else (
-        f"{report.near_zero_count} zeros" if report.near_zero_count is not None else "no zeros supplied")
-    print(f"detect: k={report.k} |hd|={report.hd_value:.3e} (tail {report.hd_tail:.3e}) "
-          f"integral={report.integral:.3e} near-zero leg: {near} -> {path}")
-    return 0
+    record = _fields(report, "k hd_value hd_tail integral near_zero_count near_zero_triggered "
+                             "residual_weight_log10 c_measured chain_ok constant_free flags")
+    if report.near_zero_triggered is False:
+        near = "not triggered"
+    elif report.near_zero_count is not None:
+        near = f"{report.near_zero_count} zeros"
+    else:
+        near = "no zeros supplied"
+    summary = (f"detect: k={report.k} |hd|={report.hd_value:.3e} (tail {report.hd_tail:.3e}) "
+               f"integral={report.integral:.3e} near-zero leg: {near}")
+    return Outcome([record], summary, config={"zeros": args.zeros or ""})
 
 
-def cmd_density(args) -> int:
+def cmd_density(args) -> Outcome:
     family = _load_family(args.family, lambda: localdata.synthetic_family(
         2, 4, seed=args.seed, model=("planted", args.p, args.theta)))
     n = max(m.degree for m in family.members)
@@ -430,91 +359,59 @@ def cmd_density(args) -> int:
     scale = args.scale if args.scale is not None else float(prime.norm) ** (n + 2)
     query = detect.DensityQuery.build(prime, args.theta, scale, n)
     report = detect.density_scan(family, query, seed=args.seed, epsilon=args.epsilon)
-    config = _resolved(args)
-    config["family_label"] = family.label
-    config["scale"] = scale
-    records = [
-        {
-            "member": r.label,
-            "max_alpha": r.max_alpha,
-            "flagged": r.flagged,
-            "certificate_fired": r.certificate_fired,
-            "k_fired": r.k_fired,
-            "best_power_sum": r.best_power_sum,
-        }
-        for r in report.rows
-    ]
-    path = _default_out(args, args.format)
-    emit_report(records, args.format, path, config=config)
-    print(f"density: flagged {report.flagged_count} member(s), certificates fired for "
-          f"{report.certificate_count}; measured total {report.measured_total:.6g} vs "
-          f"shape {report.shape:.6g} (shape only) -> {path}")
-    return 0
+    records = [_fields(r, "member max_alpha flagged certificate_fired k_fired best_power_sum",
+                       member=r.label) for r in report.rows]
+    summary = (f"density: flagged {report.flagged_count} member(s), certificates fired for "
+               f"{report.certificate_count}; measured total {report.measured_total:.6g} vs "
+               f"shape {report.shape:.6g} (shape only)")
+    return Outcome(records, summary, config={"family_label": family.label, "scale": scale})
 
 
-def cmd_count(args) -> int:
+def cmd_count(args) -> Outcome:
     res = detect.family_count_bound(ideals.NumberFieldSpec.rationals(), args.n, args.q, args.epsilon)
-    config = _resolved(args)
-    record = {
-        "enumerated": res.enumerated,
-        "bound_shape": res.bound_shape,
-        "ratio": res.ratio,
-        "shape_only": res.shape_only,
-        "flags": "; ".join(res.flags),
-    }
-    path = _default_out(args, args.format)
-    emit_report([record], args.format, path, config=config)
     shown = "n/a" if res.enumerated is None else str(res.enumerated)
-    print(f"count: enumerated {shown} members, shape {res.bound_shape:.6g} -> {path}")
-    return 0
+    summary = f"count: enumerated {shown} members, shape {res.bound_shape:.6g}"
+    return Outcome([_fields(res, "enumerated bound_shape ratio shape_only flags")], summary)
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> Outcome:
     if args.hecke is None and args.zeros is None:
         raise UsageError("ingest needs --hecke or --zeros")
-    records = []
-    config = _resolved(args)
     if args.hecke:
         rep = localdata.ingest_hecke_eigenvalues(args.hecke, args.weight, args.level)
+        records = []
         for p in rep.hecke_primes:
-            prime = ideals.prime_ideal(rep.field, (p, 0))
-            params = rep.local_at(prime)
-            records.append(
-                {
-                    "p": p,
-                    "lambda_p": sum(params.alphas).real,
-                    "alpha1_re": params.alphas[0].real,
-                    "alpha1_im": params.alphas[0].imag,
-                    "alpha2_re": params.alphas[1].real,
-                    "alpha2_im": params.alphas[1].imag,
-                }
-            )
-        summary = f"hecke member {rep.label} with {len(records)} primes"
+            alphas = rep.local_at(ideals.prime_ideal(rep.field, (p, 0))).alphas
+            records.append({
+                "p": p,
+                "lambda_p": sum(alphas).real,
+                "alpha1_re": alphas[0].real,
+                "alpha1_im": alphas[0].imag,
+                "alpha2_re": alphas[1].real,
+                "alpha2_im": alphas[1].imag,
+            })
+        summary = f"ingest: hecke member {rep.label} with {len(records)} primes"
     else:
         zl = detect.parse_zeros_file(args.zeros)
-        records = [
-            {"beta": z.real, "gamma": z.imag, "paired": zl.paired} for z in zl.zeros
-        ]
-        summary = f"{len(zl)} zeros from {args.zeros}"
-    path = _default_out(args, args.format)
-    emit_report(records, args.format, path, config=config)
-    print(f"ingest: {summary} -> {path}")
-    return 0
+        records = [{"beta": z.real, "gamma": z.imag, "paired": zl.paired} for z in zl.zeros]
+        summary = f"ingest: {len(zl)} zeros from {args.zeros}"
+    return Outcome(records, summary)
 
 
-HANDLERS = {
-    "constants": cmd_constants,
-    "large-sieve": cmd_large_sieve,
-    "psd": cmd_psd,
-    "covers": cmd_covers,
-    "sieve-weights": cmd_sieve_weights,
-    "sifted": cmd_sifted,
-    "residue": cmd_residue,
-    "mvt": cmd_mvt,
-    "detect": cmd_detect,
-    "density": cmd_density,
-    "count": cmd_count,
-    "ingest": cmd_ingest,
+# subcommand -> (handler, modules whose selftest() runs under --selftest, in order)
+COMMANDS = {
+    "constants": (cmd_constants, (detect,)),
+    "large-sieve": (cmd_large_sieve, (sieve, ideals)),
+    "psd": (cmd_psd, (covers, coeffs)),
+    "covers": (cmd_covers, (covers, coeffs)),
+    "sieve-weights": (cmd_sieve_weights, (sieve,)),
+    "sifted": (cmd_sifted, (sieve,)),
+    "residue": (cmd_residue, (sieve,)),
+    "mvt": (cmd_mvt, (sieve,)),
+    "detect": (cmd_detect, (detect,)),
+    "density": (cmd_density, (detect, localdata)),
+    "count": (cmd_count, (detect, localdata)),
+    "ingest": (cmd_ingest, (localdata, characters)),
 }
 
 
@@ -523,25 +420,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error("--threads must be >= 1")
+    handler, modules = COMMANDS[args.command]
     try:
         if args.selftest:
-            return _run_selftest(args.command)
-        return HANDLERS[args.command](args)
-    except ReportIOError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (InvariantError,) as exc:
+            return _run_selftest(modules)
+        return _finish(args, handler(args))
+    except InvariantError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 3
-    except UsageError as exc:
+    except (ReportIOError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 4
     except LfuncLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

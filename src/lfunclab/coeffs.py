@@ -40,6 +40,7 @@ from .ideals import (
     ideal_mul,
     prime_ideal,
     prime_ideals_up_to,
+    primes_up_to,
     unit_ideal,
 )
 from .localdata import Family, LocalParameters, Representation, contragredient
@@ -516,18 +517,12 @@ def mobius_sieve(n: int) -> np.ndarray:
 
 def von_mangoldt_sieve(n: int) -> np.ndarray:
     lam = np.zeros(n + 1, dtype=np.float64)
-    for p in map(int, _primes(n)):
+    for p in map(int, primes_up_to(n)):
         pk = p
         while pk <= n:
             lam[pk] = math.log(p)
             pk *= p
     return lam
-
-
-def _primes(n):
-    from .ideals import primes_up_to
-
-    return primes_up_to(n)
 
 
 def gl1_series_array(

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all lfunclab modules.
 
 The CLI maps these onto process exit codes: usage/validation problems
-exit 2, violated invariants exit 3, report I/O failures exit 4.
+exit 2, violated invariants exit 3, report I/O failures exit 4 (as do
+unreadable input files, which surface as OSError).
 """
 
 

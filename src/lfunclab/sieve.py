@@ -41,7 +41,13 @@ from .ideals import (
     prime_ideals_up_to,
     unit_ideal,
 )
-from .localdata import Family, Representation, theta_bound, trivial_representation
+from .localdata import (
+    Family,
+    Representation,
+    analytic_conductor,
+    theta_bound,
+    trivial_representation,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -612,18 +618,12 @@ def sifted_sum_check(
         single += diag0.value(ideal).real
     single_shape = x / (t_sharp * max(math.log(z), 1e-300)) + abs(
         fld.discriminant
-    ) ** (-(n0**2) / 2.0) * analytic_conductor_of(pi0) ** (n0 + epsilon) * z ** (
+    ) ** (-(n0**2) / 2.0) * analytic_conductor(pi0) ** (n0 + epsilon) * z ** (
         2 * n0**2 + 2 + epsilon
     ) * t_sharp ** (fld.degree * n0**2 / 2.0 + epsilon)
     return SiftedSumResult(
         lhs, rhs, wnorm, len(window), single, single_shape, True, flags
     )
-
-
-def analytic_conductor_of(rep: Representation) -> float:
-    from .localdata import analytic_conductor
-
-    return analytic_conductor(rep, 0.0)
 
 
 # ---------------------------------------------------------------------------

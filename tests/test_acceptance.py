@@ -144,7 +144,7 @@ def test_criterion_3_positive_semidefiniteness(gl1_pairs):
             for ideal in enumerate_ideals(Q, N_SWEEP):
                 if ideal.is_unit:
                     continue
-                m = coefficient_matrix(fam, ideal, "lambda_centered", table=None)
+                m = coefficient_matrix(fam, ideal, "lambda_centered", table=table)
                 min_eig, spectral, verdict = psd_check_full(m, tol=1e-9)
                 worst_centered = min(worst_centered, min_eig / max(spectral, 1.0))
                 assert verdict, f"centered failure: degree {degree} seed {seed} at {ideal}"

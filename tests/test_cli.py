@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from lfunclab import characters, coeffs, covers
+from lfunclab import characters, cli, coeffs, covers, detect, ideals, localdata, sieve
 from lfunclab.cli import main
 from lfunclab.errors import UsageError
 from lfunclab.ideals import enumerate_ideals
@@ -119,6 +119,77 @@ class TestExitCodes:
         bad.write_text("1.5,3.0\n")  # beta outside the critical strip
         code = main(["ingest", "--zeros", str(bad), "--out", str(tmp_path / "z.csv")])
         assert code == 3
+
+    def test_psd_failure_report_keeps_format_and_config(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = main(["psd", "--nmax", "10", "--tol", "0", "--format", "csv", "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invariant failure: matrix at norm 2 has min eigenvalue ")
+        first, header, *rows = out.read_text().splitlines()
+        config = json.loads(first[len("# config = "):])
+        assert config["family_label"] == "dirichlet(C<=20)" and config["tol"] == 0
+        assert header == "ideal_norm,kind,min_eig,margin,seed,verdict"
+        assert [row.split(",")[-1] for row in rows] == ["true"] * (len(rows) - 1) + ["false"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sieve-weights", "--z", "20", "--member", "1"],
+            ["sieve-weights", "--z", "20", "--member", "-1"],
+            ["residue", "--x", "50", "--a", "3"],
+            ["residue", "--x", "50", "--b", "-1"],
+            ["large-sieve", "--n", "abc"],
+            ["large-sieve", "--n", ","],
+            ["psd", "--nmax", "10", "--tol=-1e-9"],
+        ],
+    )
+    def test_bad_flag_value_exits_two_before_any_report(self, argv, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+# the modules each subcommand's --selftest runs, in order
+SELFTEST_MODULES = {
+    "constants": ["detect"],
+    "large-sieve": ["sieve", "ideals"],
+    "psd": ["covers", "coeffs"],
+    "covers": ["covers", "coeffs"],
+    "sieve-weights": ["sieve"],
+    "sifted": ["sieve"],
+    "residue": ["sieve"],
+    "mvt": ["sieve"],
+    "detect": ["detect"],
+    "density": ["detect", "localdata"],
+    "count": ["detect", "localdata"],
+    "ingest": ["localdata", "characters"],
+}
+
+REQUIRED_FLAGS = {
+    "sieve-weights": ["--z", "10"],
+    "sifted": ["--x", "10", "--z", "2"],
+    "residue": ["--x", "10"],
+    "mvt": ["--x", "10"],
+    "detect": ["--eta", "0.05", "--log-scale", "40"],
+    "count": ["--q", "12"],
+}
+
+
+class TestSelftest:
+    def test_every_subcommand_has_a_selftest_entry(self):
+        assert set(cli.COMMANDS) == set(SELFTEST_MODULES)
+
+    @pytest.mark.parametrize("command", sorted(SELFTEST_MODULES))
+    def test_runs_owning_modules_in_order(self, command, monkeypatch, capsys):
+        for module in (characters, coeffs, covers, detect, ideals, localdata, sieve):
+            monkeypatch.setattr(module, "selftest", lambda: [("stub", True, "")])
+        assert main([command, "--selftest"] + REQUIRED_FLAGS.get(command, [])) == 0
+        *lines, last = capsys.readouterr().out.splitlines()
+        assert last == "selftest: all checks passed"
+        assert [line.split()[1].rstrip(":") for line in lines] == SELFTEST_MODULES[command]
 
 
 class TestDeterminism:

@@ -36,9 +36,11 @@ SPECS = {
 # run name -> (report extension, arguments without --out)
 RUNS = {
     "constants": ("csv", ["constants"]),
+    "constants-jsonl": ("jsonl", ["constants", "--format", "jsonl"]),
     "large-sieve-gl1": ("csv", ["large-sieve", "--gl1", "--qmax", "6", "--n", "50,100"]),
     "large-sieve-quadratic": ("csv", ["large-sieve", "--family", "quadratic.spec",
                                       "--n", "40,80"]),
+    "psd-csv": ("csv", ["psd", "--family", "chars.spec", "--nmax", "30", "--format", "csv"]),
     "psd-lambda": ("jsonl", ["psd", "--family", "quadratic.spec", "--nmax", "40"]),
     "psd-lambda_centered": ("jsonl", ["psd", "--nmax", "40", "--kind", "lambda_centered"]),
     "psd-lambda_centered-quadratic": ("jsonl", ["psd", "--family", "quadratic.spec", "--nmax", "40",
