@@ -23,6 +23,21 @@ from .errors import InvariantError, LfuncLabError, ReportIOError, UsageError
 from .report import emit_report
 
 
+class _SelftestRequested(Exception):
+    def __init__(self, command: str):
+        self.command = command
+
+
+class _SelftestAction(argparse.Action):
+    """Stops parsing at --selftest, as --help does, so no other flag is required."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, nargs=0, default=argparse.SUPPRESS, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise _SelftestRequested(self.const)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lfunclab",
@@ -33,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help="report path (default: derived from the command)")
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-        p.add_argument("--selftest", action="store_true", help="run the module invariant suite and exit")
+        p.add_argument("--selftest", action=_SelftestAction, const=p.prog.split()[-1],
+                       help="run the module invariant suite and exit")
         p.add_argument("--threads", type=int, default=1,
                        help="worker cap; results never depend on it (current pipelines are serial)")
 
@@ -147,7 +163,7 @@ class Outcome:
 
 
 def _finish(args, outcome: Outcome) -> int:
-    config = {k: v for k, v in sorted(vars(args).items()) if k != "selftest"}
+    config = dict(sorted(vars(args).items()))
     config.update(outcome.config)
     path = args.out or f"lfunclab_{args.command}.{args.format}"
     emit_report(outcome.records, args.format, path, columns=outcome.columns, config=config)
@@ -417,14 +433,14 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
-    handler, modules = COMMANDS[args.command]
     try:
-        if args.selftest:
-            return _run_selftest(modules)
-        return _finish(args, handler(args))
+        try:
+            args = parser.parse_args(argv)
+        except _SelftestRequested as request:
+            return _run_selftest(COMMANDS[request.command][1])
+        if args.threads < 1:
+            parser.error("--threads must be >= 1")
+        return _finish(args, COMMANDS[args.command][0](args))
     except InvariantError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 3

@@ -451,8 +451,6 @@ def _hd_tail_bound(
     eta: float, k: int, trunc: int, degree_factor: float, theta: float
 ) -> tuple[float, list[str]]:
     """Bound eta * sum_{m > trunc} Lambda(m) m^(theta - 1) j_k(eta log m)."""
-    from scipy.special import gammaincc  # deferred: only detection bounds need it
-
     flags: list[str] = []
     u0 = eta * math.log(max(trunc, 2))
     c = 1.0 - theta / eta
@@ -462,17 +460,39 @@ def _hd_tail_bound(
     if u0 < k * eta / (eta + 1.0 - theta):
         flags.append("tail bound loose: cutoff sits before the integrand peak")
     boundary = math.exp(theta * math.log(trunc) + log_jk(u0, k)) if u0 > 0 else trunc**theta
-    gic = float(gammaincc(k + 1, c * u0))
-    if gic > 0.0:
-        # (1/eta) c^-(k+1) gammaincc in logs: c < 1 makes the prefactor huge
-        log_integral = -(k + 1) * math.log(c) + math.log(gic) - math.log(eta)
-        if log_integral > 700.0:
-            return math.inf, flags + ["tail bound overflows: cutoff far below the peak"]
-        integral = math.exp(log_integral)
-    else:
-        integral = 0.0
+    # (1/eta) c^-(k+1) Q(k+1, c u0) in logs: c < 1 makes the prefactor huge
+    log_integral = -(k + 1) * math.log(c) + _log_gamma_upper(k, c * u0) - math.log(eta)
+    if log_integral > 700.0:
+        return math.inf, flags + ["tail bound overflows: cutoff far below the peak"]
+    integral = math.exp(log_integral)
     tail = eta * CHEBYSHEV_PSI_SLOPE * degree_factor * (boundary + integral)
     return tail, flags
+
+
+def _log_gamma_upper(k: int, x: float) -> float:
+    """log Q(k + 1, x), the regularized upper incomplete gamma, for x > 0.
+
+    Q(k + 1, x) = sum_{j <= k} j_j(x).  The terms rise to their largest at
+    j* = min(k, floor(x)) and fall on either side, so the sum starts there,
+    in units of j_j*(x), and walks outward by the term ratios until a term
+    drops below 2^-60 of the running sum.  About sqrt(x) terms count, so
+    the cost does not grow with k.
+    """
+    peak = min(k, math.floor(x))
+    terms = [1.0]
+
+    def walk(ratios):
+        term, total = 1.0, math.fsum(terms)
+        for ratio in ratios:
+            term *= ratio
+            terms.append(term)
+            total += term
+            if term < 2.0**-60 * total:
+                return
+
+    walk(j / x for j in range(peak, 0, -1))  # j_(j-1)(x) = j_j(x) j / x
+    walk(x / j for j in range(peak + 1, k + 1))  # j_j(x) = j_(j-1)(x) x / j
+    return log_jk(x, peak) + math.log(math.fsum(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -63,23 +64,41 @@ class TestStartup:
         assert loaded == []
 
     def test_deferred_scipy_values(self):
+        """The two numerical kernels that once imported scipy load none of it."""
         code = (
             "import json, sys\n"
             "from lfunclab.sieve import phi_hat\n"
             "from lfunclab.detect import _hd_tail_bound\n"
-            f"before = {SCIPY_MODULES}\n"
             "a, b = phi_hat(1.0), phi_hat(complex(0.5, 2.0))\n"
             "t1, f1 = _hd_tail_bound(0.1, 3, 10000, 1.0, 0.0)\n"
             "t2, f2 = _hd_tail_bound(0.5, 5, 100000, 2.0, 0.3)\n"
-            "print(json.dumps({'before': before, 'after': 'scipy' in sys.modules,\n"
+            f"print(json.dumps({{'scipy': {SCIPY_MODULES},\n"
             "    'phi': [a.real, a.imag, b.real, b.imag], 'tail': [t1, t2], 'flags': f1 + f2}))\n"
         )
         out = fresh_python(code)
-        assert out["before"] == [] and out["after"]
+        assert out["scipy"] == []
         want_phi = [4.560161743051781, 0.0, 0.493062890324944, 0.8037278326081274]
         assert out["phi"] == pytest.approx(want_phi, rel=1e-12, abs=0.0)
         assert out["tail"] == pytest.approx([1.0291280915292738, 497.4376283979193], rel=1e-12)
         assert out["flags"] == []
+
+    def test_no_scipy_import_in_src(self):
+        imported = []
+        for dirpath, _, names in os.walk(SRC_DIR):
+            for name in sorted(n for n in names if n.endswith(".py")):
+                path = os.path.join(dirpath, name)
+                with open(path, encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read(), filename=path)
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Import):
+                        modules = [alias.name for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom):
+                        modules = [node.module or ""]
+                    else:
+                        continue
+                    imported += [f"{name}:{node.lineno}" for m in modules
+                                 if m == "scipy" or m.startswith("scipy.")]
+        assert imported == []
 
 
 def run(tmp_path, *argv):
@@ -168,16 +187,6 @@ SELFTEST_MODULES = {
     "ingest": ["localdata", "characters"],
 }
 
-REQUIRED_FLAGS = {
-    "sieve-weights": ["--z", "10"],
-    "sifted": ["--x", "10", "--z", "2"],
-    "residue": ["--x", "10"],
-    "mvt": ["--x", "10"],
-    "detect": ["--eta", "0.05", "--log-scale", "40"],
-    "count": ["--q", "12"],
-}
-
-
 class TestSelftest:
     def test_every_subcommand_has_a_selftest_entry(self):
         assert set(cli.COMMANDS) == set(SELFTEST_MODULES)
@@ -186,10 +195,16 @@ class TestSelftest:
     def test_runs_owning_modules_in_order(self, command, monkeypatch, capsys):
         for module in (characters, coeffs, covers, detect, ideals, localdata, sieve):
             monkeypatch.setattr(module, "selftest", lambda: [("stub", True, "")])
-        assert main([command, "--selftest"] + REQUIRED_FLAGS.get(command, [])) == 0
+        assert main([command, "--selftest"]) == 0
         *lines, last = capsys.readouterr().out.splitlines()
         assert last == "selftest: all checks passed"
         assert [line.split()[1].rstrip(":") for line in lines] == SELFTEST_MODULES[command]
+
+    def test_required_flags_still_required_without_selftest(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["sieve-weights", "--member", "0"])
+        assert err.value.code == 2
+        assert "the following arguments are required: --z" in capsys.readouterr().err
 
 
 class TestDeterminism:

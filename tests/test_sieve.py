@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from lfunclab.coeffs import KahanAccumulator, expand_global
-from lfunclab.errors import UsageError
+from lfunclab import sieve
+from lfunclab.errors import ResourceLimitError, UsageError
 from lfunclab.ideals import (
     NumberFieldSpec,
     enumerate_ideals,
@@ -242,6 +243,62 @@ class TestSmoothSum:
     def test_synthetic_pair_is_shape_only(self, gl2_family):
         r = smooth_sum_residue(gl2_family.members[0], gl2_family.members[0], 50.0, 1.0)
         assert r.shape_only and r.main is None
+
+
+def bump_transform_oracle(s: complex) -> complex:
+    """Integral of exp(4/3 - 1/(1 - (y/2)^2)) e^{s y} over (-2, 2) at 40 digits (tanh-sinh)."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        s = mpmath.mpc(s)
+
+        def f(y):
+            return mpmath.exp(mpmath.mpf(4) / 3 - 1 / (1 - (y / 2) ** 2)) * mpmath.exp(s * y)
+
+        return complex(mpmath.quad(f, mpmath.linspace(-2, 2, 9)))
+
+
+def grid_sizes(monkeypatch) -> list:
+    """Record the length of every node array phi_hat passes to bump_phi."""
+    sizes = []
+
+    def spy(y):
+        sizes.append(np.size(y))
+        return bump_phi(y)
+
+    monkeypatch.setattr(sieve, "bump_phi", spy)
+    return sizes
+
+
+class TestPhiHat:
+    REL = 1e-14  # measured worst 2.2e-16 over these points
+
+    @pytest.mark.parametrize("s", [1 / 50, 0.1, 1 / 3, 0.5, 1.0, 1.5, 2.0])
+    def test_real_s_against_mpmath(self, s):
+        want = bump_transform_oracle(s)
+        got = phi_hat(s)
+        assert got.imag == 0.0
+        assert abs(got - want) <= self.REL * abs(want)
+
+    @pytest.mark.parametrize("s", [0.5 + 2j, 1 + 3j, -1 + 5j, 2 - 10j, 0.02 - 10j])
+    def test_complex_s_against_mpmath(self, s):
+        want = bump_transform_oracle(s)
+        assert abs(phi_hat(s) - want) <= self.REL * abs(want)
+
+    @pytest.mark.parametrize("s", [100.0, 300.0])
+    def test_large_s_doubles_the_panels(self, s, monkeypatch):
+        sizes = grid_sizes(monkeypatch)
+        want = bump_transform_oracle(s)
+        assert abs(phi_hat(s) - want) <= self.REL * abs(want)
+        assert sizes[0] == 1023 and max(sizes) > 1023
+
+    def test_panel_ceiling_raises_before_allocating(self, monkeypatch):
+        # s = 300 needs 2048 panels (above); a ceiling of 1024 stops it after one grid
+        monkeypatch.setattr(sieve, "PHI_HAT_MAX_PANELS", 1024)
+        sizes = grid_sizes(monkeypatch)
+        with pytest.raises(ResourceLimitError, match="more than 1024 trapezoid panels"):
+            phi_hat(300.0)
+        assert sizes == [1023]
 
 
 class TestDiagonalLowerBound:
