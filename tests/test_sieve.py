@@ -271,7 +271,7 @@ def grid_sizes(monkeypatch) -> list:
 
 
 class TestPhiHat:
-    REL = 1e-14  # measured worst 2.2e-16 over these points
+    REL = 1e-14  # measured worst 2.8e-16 over these points (s = 0.02 - 10i)
 
     @pytest.mark.parametrize("s", [1 / 50, 0.1, 1 / 3, 0.5, 1.0, 1.5, 2.0])
     def test_real_s_against_mpmath(self, s):
