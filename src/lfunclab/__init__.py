@@ -38,7 +38,6 @@ from .covers import (
     coefficient_matrix,
     cover_ops,
     gl1_log_decomposition,
-    psd_check,
 )
 from .sieve import (
     SieveWeights,

@@ -33,14 +33,12 @@ import numpy as np
 from . import characters as chars
 from .errors import UsageError
 from .ideals import (
-    DEFAULT_IDEAL_CEILING,
     IdealIndex,
     NumberFieldSpec,
     enumerate_ideals,
     ideal_mul,
     prime_ideal,
     prime_ideals_up_to,
-    primes_up_to,
     unit_ideal,
 )
 from .localdata import Family, LocalParameters, Representation, contragredient
@@ -55,11 +53,11 @@ def _cached_ideal_list(field: NumberFieldSpec, bound: int) -> tuple[IdealIndex, 
     return tuple(enumerate_ideals(field, bound))
 
 
-def ideal_list(field: NumberFieldSpec, bound: int, max_count: int = DEFAULT_IDEAL_CEILING):
+def ideal_list(field: NumberFieldSpec, bound: int):
     """Ideal enumeration with a small cache for repeated moderate bounds."""
-    if bound <= _IDEAL_CACHE_MAX_BOUND and max_count >= DEFAULT_IDEAL_CEILING:
+    if bound <= _IDEAL_CACHE_MAX_BOUND:
         return _cached_ideal_list(field, bound)
-    return enumerate_ideals(field, bound, max_count)
+    return enumerate_ideals(field, bound)
 
 
 @dataclass
@@ -80,20 +78,6 @@ class CoefficientSeries:
 
     def items_sorted(self):
         return sorted(self.values.items(), key=lambda kv: kv[0].sort_key())
-
-    def export_csv(self, path: str) -> None:
-        from .report import emit_report
-
-        records = [
-            {
-                "norm": ideal.norm,
-                "ideal_id": repr(ideal),
-                "re": val.real,
-                "im": val.imag,
-            }
-            for ideal, val in self.items_sorted()
-        ]
-        emit_report(records, "csv", path, columns=["norm", "ideal_id", "re", "im"])
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +357,6 @@ def expand_global(
     bound: int,
     kind: str,
     ramified_model: str = "product",
-    max_count: int = DEFAULT_IDEAL_CEILING,
 ) -> CoefficientSeries:
     """Assemble global coefficients up to the norm bound.
 
@@ -400,7 +383,7 @@ def expand_global(
                 norm_pow *= pn
                 e += 1
     else:
-        for ideal in ideal_list(field, bound, max_count):
+        for ideal in ideal_list(field, bound):
             val = engine.at(ideal)
             if val != 0 or ideal.is_unit:
                 values[ideal] = val
@@ -472,7 +455,7 @@ def unit_indicator_series(field: NumberFieldSpec, bound: int) -> CoefficientSeri
     return CoefficientSeries(field, "unit", bound, {unit_ideal(field): 1 + 0j})
 
 
-def mertens_sum(rep: Representation, x: int, ramified_model: str | None = None) -> float:
+def mertens_sum(rep: Representation, x: int) -> float:
     """sum over N(n) <= x of lambda_{pi x dual(pi)}(n) / N(n).
 
     Diagonal coefficients are nonnegative reals; the gl1_exact model is
@@ -480,8 +463,7 @@ def mertens_sum(rep: Representation, x: int, ramified_model: str | None = None) 
     """
     if x < 3:
         raise UsageError("mertens_sum requires x >= 3")
-    model = pair_model(rep, rep, "gl1_exact") if ramified_model is None else ramified_model
-    series = expand_global(rep, rep, x, "lambda", model)
+    series = expand_global(rep, rep, x, "lambda", pair_model(rep, rep, "gl1_exact"))
     acc = KahanAccumulator()
     for ideal, val in series.items_sorted():
         acc.add(val / ideal.norm)
@@ -489,71 +471,6 @@ def mertens_sum(rep: Representation, x: int, ramified_model: str | None = None) 
     if abs(total.imag) > 1e-9 * max(1.0, abs(total.real)):
         raise UsageError(f"diagonal coefficient sum is not real: {total}")
     return float(total.real)
-
-
-# ---------------------------------------------------------------------------
-# fast vectorized series for GL1 members over Q (array indexed by n)
-
-
-def mobius_sieve(n: int) -> np.ndarray:
-    mu = np.ones(n + 1, dtype=np.int64)
-    mu[0] = 0
-    primes = []
-    is_comp = np.zeros(n + 1, dtype=bool)
-    smallest = np.zeros(n + 1, dtype=np.int64)
-    for i in range(2, n + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            smallest[i] = i
-            mu[i] = -1
-        for p in primes:
-            if p * i > n or p > smallest[i]:
-                break
-            is_comp[p * i] = True
-            smallest[p * i] = p
-            mu[p * i] = 0 if i % p == 0 else -mu[i]
-    return mu
-
-
-def von_mangoldt_sieve(n: int) -> np.ndarray:
-    lam = np.zeros(n + 1, dtype=np.float64)
-    for p in map(int, primes_up_to(n)):
-        pk = p
-        while pk <= n:
-            lam[pk] = math.log(p)
-            pk *= p
-    return lam
-
-
-def gl1_series_array(
-    a: Representation, b: Representation | None, bound: int, kind: str
-) -> np.ndarray:
-    """values[n] for n = 0..bound of the gl1_exact series over Q."""
-    if a.field != NumberFieldSpec.rationals() or a.character is None:
-        raise UsageError("gl1_series_array needs GL1 members over Q with characters")
-    ns = np.arange(bound + 1)
-    if b is None:
-        psi = a.character
-    else:
-        if b.character is None:
-            raise UsageError("gl1_series_array needs character data on both members")
-        psi = product_primitive_character(a.character, b.character)
-    vals = psi.values(ns)
-    vals[0] = 0
-    if kind == "lambda":
-        return vals
-    if kind == "mu":
-        return vals * mobius_sieve(bound)
-    if kind == "biglambda":
-        return vals * von_mangoldt_sieve(bound)
-    if kind == "logl":
-        out = np.zeros(bound + 1, dtype=np.complex128)
-        lam = von_mangoldt_sieve(bound)
-        logs = np.log(np.maximum(ns, 1))
-        support = lam > 0
-        out[support] = vals[support] * lam[support] / logs[support]
-        return out
-    raise UsageError(f"unknown series kind {kind!r}")
 
 
 def selftest() -> list[tuple[str, bool, str]]:

@@ -239,12 +239,6 @@ def psd_check_full(m: CoefficientMatrix, tol: float = 1e-9) -> tuple[float, floa
     return min_eig, spectral, verdict
 
 
-def psd_check(m: CoefficientMatrix, tol: float = 1e-9) -> tuple[float, bool]:
-    """Minimum eigenvalue and the verdict min_eig >= -tol * spectral norm."""
-    min_eig, _, verdict = psd_check_full(m, tol)
-    return min_eig, verdict
-
-
 @dataclass
 class BilinearCheckResult:
     worst_margin: float
@@ -270,7 +264,6 @@ def bilinear_inequality_check(
     ideal: IdealIndex,
     trials: int = 1000,
     seed: int = 0,
-    ramified_model: str | None = None,
     table: PairCoefficientTable | None = None,
 ) -> BilinearCheckResult:
     """Worst margin of the covered Cauchy-Schwarz bound over random weights.
@@ -279,18 +272,17 @@ def bilinear_inequality_check(
     lambda_{i x dual j}(n) - |sum_i w_i lambda^o_{i x pi0}(n)|^2, where
     lambda^o is the kind-selected coefficient (lambda, mu, or logl), all
     covered by lambda.  Nonnegative up to rounding for every weight vector.
-    A table passed in must be a lambda table of this family and model.
+    A table passed in must be a lambda table of this family; its model is used.
     """
     if kind not in ("lambda", "mu", "logl"):
         raise UsageError("coverable kinds are lambda, mu, logl")
     if trials < 1:
         raise UsageError("trials must be >= 1")
-    model = ramified_model or default_model(family)
-    table = table or PairCoefficientTable(family, "lambda", model)
-    cover = coefficient_matrix(family, ideal, "lambda", ramified_model=model, table=table).entries
+    table = table or PairCoefficientTable(family, "lambda")
+    cover = coefficient_matrix(family, ideal, "lambda", ramified_model=table.model, table=table)
     vec, w00 = table.pi0_column(pi0, kind, ideal)
     ws = weight_battery(len(family.members), trials, seed)
-    quad = np.einsum("ti,ij,tj->t", ws, cover, ws.conj()).real
+    quad = np.einsum("ti,ij,tj->t", ws, cover.entries, ws.conj()).real
     lin = np.abs(ws @ vec) ** 2
     margins = w00.real * quad - lin
     worst = int(np.argmin(margins))
@@ -606,7 +598,7 @@ def selftest() -> list[tuple[str, bool, str]]:
     table = PairCoefficientTable(fam, "lambda")
     for n in range(1, 120):
         m = coefficient_matrix(fam, ideal_from_int(field, n), "lambda", table=table)
-        min_eig, verdict = psd_check(m)
+        min_eig, _, verdict = psd_check_full(m)
         if not verdict:
             worst_eig = min(worst_eig, min_eig)
     results.append(("lambda matrices PSD for n < 120", worst_eig == 0.0, f"{worst_eig:.2e}"))
@@ -638,6 +630,6 @@ def selftest() -> list[tuple[str, bool, str]]:
 
     gl2 = synthetic_family(2, 3, seed=9)
     m = coefficient_matrix(gl2, ideal_from_int(field, 7), "lambda_centered")
-    min_eig, verdict = psd_check(m)
+    min_eig, _, verdict = psd_check_full(m)
     results.append(("centered synthetic matrix PSD", verdict, f"min eig {min_eig:.2e}"))
     return results

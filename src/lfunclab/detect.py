@@ -37,6 +37,7 @@ from .localdata import Family
 
 CONSTRAINT_LEVEL = 1.0 - 1e-8
 CHEBYSHEV_PSI_SLOPE = 1.03883  # psi(x) < 1.03883 x for all x > 0
+WINDOW_POINTS_PER_OCTAVE = 64  # window-integral grid; checked against twice as many
 
 
 @dataclass(frozen=True)
@@ -141,26 +142,19 @@ def solve_constants() -> ConstantSystem:
 class DetectionConfig:
     """Resolved parameter bundle for one detection experiment.
 
-    log_scale is the working value of log(Q^(8 n~^3) T^(4 [F:Q] n~^3));
-    overriding it to a desk-scale number is the documented way to make the
-    windows finite, and every report must carry the override.
+    log_scale stands for log(Q^(8 n~^3) T^(4 [F:Q] n~^3)); a desk-scale
+    value is the documented way to make the windows finite, and every
+    report carries it as an override flag.
     """
 
     eta: float
     tau: float
     t_range: float
     log_scale: float
-    n: int
-    n0: int
-    field_degree: int
     c_linnik: float
-    c_far_zeros: float
     c_dirichlet_upper: float
-    delta_diagonal: int
-    xi: float
     constants: ConstantSystem
-    calligraphic_n: float  # 8 A eta log_scale + c_linnik
-    m_eta: float
+    m_eta: float  # (alpha - 1)(8 A eta log_scale + c_linnik)
     log_n_eta: float  # log of exp(A0 M/eta), kept in log form
     log_n_eta_star: float
     k_min: int
@@ -171,64 +165,34 @@ class DetectionConfig:
     def s0(self) -> complex:
         return complex(1.0 + self.eta, self.tau)
 
-    def summary(self) -> dict:
-        return {
-            "eta": self.eta,
-            "tau": self.tau,
-            "T": self.t_range,
-            "log_scale": self.log_scale,
-            "n": self.n,
-            "n0": self.n0,
-            "c_linnik": self.c_linnik,
-            "M_eta": self.m_eta,
-            "log_N_eta": self.log_n_eta,
-            "log_N_eta_star": self.log_n_eta_star,
-            "k_range": [self.k_min, self.k_max],
-            "flags": list(self.flags),
-        }
-
 
 def build_detection_config(
     eta: float,
+    log_scale: float,
     tau: float = 0.0,
     t_range: float = 2.0,
-    log_scale: float | None = None,
-    n: int = 1,
-    n0: int = 1,
-    field_degree: int = 1,
-    q_tilde: float | None = None,
     c_linnik: float = 0.0,
-    c_far_zeros: float = 0.0,
     c_dirichlet_upper: float = 0.0,
-    delta_diagonal: int = 0,
 ) -> DetectionConfig:
     """Validate and resolve a detection configuration.
 
-    Either log_scale is given directly (desk-scale override) or it is
-    computed from q_tilde and T.  eta must lie in [1/(R L), 1/(n0 n R)].
+    log_scale is given directly (a desk-scale override).  eta must lie in
+    [1/(R L), 1/R], the range for a degree-1 family paired with a degree-1
+    pi0.
     """
     cs = solve_constants()
     if t_range < 2.0:
         raise UsageError("T must be >= 2")
     if abs(tau) > t_range:
         raise UsageError("|tau| must not exceed T")
-    flags = []
-    if log_scale is None:
-        if q_tilde is None or q_tilde < 1:
-            raise UsageError("give either log_scale or q_tilde >= 1")
-        n_t = max(n, n0)
-        log_scale = math.log(
-            q_tilde ** (8 * n_t**3) * t_range ** (4 * field_degree * n_t**3)
-        )
-    else:
-        flags.append(f"log_scale overridden to {log_scale:g}")
+    flags = [f"log_scale overridden to {log_scale:g}"]
     if log_scale <= 0:
         raise UsageError("log_scale must be positive")
     eta_lo = 1.0 / (cs.r_radius * log_scale)
-    eta_hi = 1.0 / (n0 * n * cs.r_radius)
+    eta_hi = 1.0 / cs.r_radius
     if not (eta_lo - 1e-15 <= eta <= eta_hi + 1e-15):
         raise UsageError(
-            f"eta = {eta:g} outside [1/(R L), 1/(n0 n R)] = [{eta_lo:g}, {eta_hi:g}]"
+            f"eta = {eta:g} outside [1/(R L), 1/R] = [{eta_lo:g}, {eta_hi:g}]"
         )
     cal_n = 8.0 * cs.a_weight * eta * log_scale + c_linnik
     m_eta = (cs.alpha - 1.0) * cal_n
@@ -246,16 +210,9 @@ def build_detection_config(
         tau=tau,
         t_range=t_range,
         log_scale=log_scale,
-        n=n,
-        n0=n0,
-        field_degree=field_degree,
         c_linnik=c_linnik,
-        c_far_zeros=c_far_zeros,
         c_dirichlet_upper=c_dirichlet_upper,
-        delta_diagonal=delta_diagonal,
-        xi=1.0 + 1e-7,
         constants=cs,
-        calligraphic_n=cal_n,
         m_eta=m_eta,
         log_n_eta=cs.a0 * m_eta / eta,
         log_n_eta_star=cs.a1 * m_eta / eta,
@@ -407,16 +364,15 @@ def high_derivative(
     tau: float,
     truncation: int | None = None,
     log_n_eta: float | None = None,
-    tail_degree_factor: float = 1.0,
-    tail_theta: float = 0.0,
 ) -> HighDerivResult:
     """eta * sum of Lambda(n) N(n)^(-1-i tau) j_k(eta log N(n)) to a cutoff.
 
     This equals the weighted k-th derivative eta^(k+1)/k! (L'/L)^(k)(s0)
     in absolute value.  The attached tail bound covers the discarded range
-    via the Chebyshev psi slope and an incomplete-gamma integral; it is
-    per rational prime, so tail_degree_factor should carry n n' [F:Q] and
-    tail_theta the coefficient growth exponent.
+    via the Chebyshev psi slope and an incomplete-gamma integral, for a
+    series over Q with |coefficient| <= Lambda(n) (degree factor 1, growth
+    exponent 0): the -zeta'/zeta series that the detect command evaluates,
+    or any GL1 pair series over Q.
 
     A truncation below N_eta is refused when log_n_eta is supplied,
     because the window integrand then dominates everything retained.
@@ -442,7 +398,7 @@ def high_derivative(
         phase = m ** (-1.0) * complex(math.cos(tau * math.log(m)), -math.sin(tau * math.log(m)))
         acc.add(val * phase * w)
     value = eta * acc.value()
-    tail, tail_flags = _hd_tail_bound(eta, k, trunc, tail_degree_factor, tail_theta)
+    tail, tail_flags = _hd_tail_bound(eta, k, trunc, 1.0, 0.0)
     flags.extend(tail_flags)
     return HighDerivResult(value, tail, trunc, flags)
 
@@ -589,9 +545,6 @@ def detection_bounds(
     config: DetectionConfig,
     zeros: ZeroList | None = None,
     k: int | None = None,
-    points_per_octave: int = 64,
-    tail_degree_factor: float = 1.0,
-    tail_theta: float = 0.0,
 ) -> DetectionReport:
     """Evaluate the three detection quantities on one coefficient series.
 
@@ -606,15 +559,7 @@ def detection_bounds(
     eta, tau = config.eta, config.tau
     cs = config.constants
     kk = k if k is not None else config.k_min
-    hd = high_derivative(
-        series,
-        kk,
-        eta,
-        tau,
-        truncation=series.bound,
-        tail_degree_factor=tail_degree_factor,
-        tail_theta=tail_theta,
-    )
+    hd = high_derivative(series, kk, eta, tau, truncation=series.bound)
     flags.extend(hd.flags)
     if math.log(series.bound) < config.log_n_eta:
         flags.append(
@@ -622,8 +567,8 @@ def detection_bounds(
             "only the reachable range"
         )
 
-    integral, npts = _window_integral(series, config, points_per_octave)
-    refined, _ = _window_integral(series, config, 2 * points_per_octave)
+    integral, npts = _window_integral(series, config, WINDOW_POINTS_PER_OCTAVE)
+    refined, _ = _window_integral(series, config, 2 * WINDOW_POINTS_PER_OCTAVE)
     moved = abs(refined - integral) / max(abs(refined), 1e-300)
     if moved > 0.01:
         flags.append(f"window integral moved {moved:.2%} under refinement")
@@ -674,7 +619,7 @@ def detection_bounds(
 
 
 def _window_integral(
-    series: CoefficientSeries, config: DetectionConfig, points_per_octave: int
+    series: CoefficientSeries, config: DetectionConfig, per_octave: int
 ) -> tuple[float, int]:
     """eta^2 int |sum_{N_eta < N(n) <= u} Lambda(n) N(n)^(-1-i tau)| du/u
     over the reachable part of the window, on a geometric u-grid."""
@@ -683,7 +628,7 @@ def _window_integral(
     log_hi = min(config.log_n_eta_star, math.log(series.bound))
     if log_hi <= log_lo:
         return 0.0, 0
-    n_steps = max(2, int(math.ceil((log_hi - log_lo) / math.log(2.0) * points_per_octave)))
+    n_steps = max(2, int(math.ceil((log_hi - log_lo) / math.log(2.0) * per_octave)))
     grid = np.linspace(log_lo, log_hi, n_steps + 1)
     items = [
         (i.norm, v)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +55,11 @@ from .localdata import (
 # test function and its Laplace transform
 
 BUMP_SCALE = math.exp(1.0 / 3.0)  # makes phi >= 1 on [0, 1]
+PHI_HAT_TARGET = 1e-12  # relative error estimate at which phi_hat stops doubling
 PHI_HAT_MAX_PANELS = 1 << 16
+# exp(s y) overflows near |y| = 2 once 2 |Re s| passes log(max float) = 709.78
+PHI_HAT_SHIFT_FROM = 700.0
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def bump_phi(y):
@@ -71,7 +76,7 @@ def bump_phi(y):
     return out if out.ndim else float(out)
 
 
-def phi_hat(s: complex, target: float = 1e-12) -> complex:
+def phi_hat(s: complex) -> complex:
     """Laplace-type transform of the bump: integral of phi(y) e^{s y} dy.
 
     Trapezoid rule on [-2, 2]: phi is C^infinity with every derivative
@@ -79,26 +84,37 @@ def phi_hat(s: complex, target: float = 1e-12) -> complex:
     (Trefethen and Weideman, SIAM Review 56 (2014)).  The even nodes form
     the rule at half the panels, whose difference from the full rule
     bounds the error; the panel count doubles from 1024 until that
-    estimate is at most target * max(1, |result|).
+    estimate is at most PHI_HAT_TARGET * max(1, |result|).
+
+    Beyond 2 |Re s| = PHI_HAT_SHIFT_FROM the rule sums e^(s y - shift)
+    with shift = 2 |Re s|, which stays finite, and multiplies e^shift back
+    in two halves; a transform beyond the float range raises UsageError.
     """
     s = complex(s)
+    shift = 2.0 * abs(s.real) if 2.0 * abs(s.real) > PHI_HAT_SHIFT_FROM else 0.0
     panels = 1024
     while panels <= PHI_HAT_MAX_PANELS:
         y = np.linspace(-2.0, 2.0, panels + 1)[1:-1]  # phi vanishes at the endpoints
-        f = bump_phi(y) * np.exp(s * y)
+        f = bump_phi(y) * np.exp(s * y - shift)
         h = 4.0 / panels
         fine = complex(math.fsum(f.real), math.fsum(f.imag)) * h
         coarse = complex(math.fsum(f.real[1::2]), math.fsum(f.imag[1::2])) * (2.0 * h)
-        if abs(fine - coarse) <= target * max(1.0, abs(fine)):
-            return fine
+        if shift and (not fine or math.log(abs(fine)) + shift > LOG_FLOAT_MAX):
+            raise UsageError(f"phi_hat({s}) exceeds the float range")
+        if abs(fine - coarse) <= PHI_HAT_TARGET * max(math.exp(-shift), abs(fine)):
+            half = math.exp(shift / 2.0)
+            return fine * half * half
         panels *= 2
     raise ResourceLimitError(
-        f"phi_hat({s}) needs more than {PHI_HAT_MAX_PANELS} trapezoid panels for target {target:g}"
+        f"phi_hat({s}) needs more than {PHI_HAT_MAX_PANELS} trapezoid panels "
+        f"for target {PHI_HAT_TARGET:g}"
     )
 
 
 # ---------------------------------------------------------------------------
 # weight vectors and the sieve constant
+
+GRC_PROBE_NORM = 100  # family_grc_exponent scans the primes up to this norm
 
 
 @dataclass
@@ -121,7 +137,6 @@ def family_coefficient_rows(
     n_bound: int,
     pi0: Representation | None,
     kind: str,
-    ramified_model: str | None = None,
 ) -> tuple[np.ndarray, list[IdealIndex], np.ndarray | None]:
     """Matrix A with A[i, j] = lambda^o of member i at ideal j, plus weights.
 
@@ -129,7 +144,7 @@ def family_coefficient_rows(
     lambda_{pi0 x dual pi0}(n) used for the weighted norm.
     """
     ideals = ideal_list(family.field, n_bound)
-    model = ramified_model or default_model(family)
+    model = default_model(family)
     rows = []
     for member in family.members:
         if pi0 is None:
@@ -150,7 +165,6 @@ def sieve_constant(
     n_bound: int,
     pi0: Representation | None = None,
     kind: str = "lambda",
-    ramified_model: str | None = None,
 ) -> SieveConstantResult:
     """Largest eigenvalue of the self-adjoint Gram matrix of the family.
 
@@ -159,7 +173,7 @@ def sieve_constant(
     """
     if len(family.members) == 0:
         raise UsageError("sieve_constant needs a nonempty family")
-    a, _ideals, weights = family_coefficient_rows(family, n_bound, pi0, kind, ramified_model)
+    a, _ideals, weights = family_coefficient_rows(family, n_bound, pi0, kind)
     return _gram_constant(a, weights)
 
 
@@ -175,28 +189,28 @@ def _gram_constant(a: np.ndarray, weights: np.ndarray | None) -> SieveConstantRe
     return SieveConstantResult(float(eigs[-1]), False, a.shape[0], a.shape[1])
 
 
-def power_iteration_max_eig(gram: np.ndarray, tol: float = 1e-10, max_iter: int = 100_000) -> float:
-    """Deterministic power iteration fallback for the largest eigenvalue."""
+def power_iteration_max_eig(gram: np.ndarray) -> float:
+    """Deterministic power iteration for the largest eigenvalue, to relative 1e-10."""
     v = np.ones(gram.shape[0], dtype=np.complex128)
     v /= np.linalg.norm(v)
     last = 0.0
-    for _ in range(max_iter):
+    for _ in range(100_000):
         w = gram @ v
         norm = np.linalg.norm(w)
         if norm == 0:
             return 0.0
         v = w / norm
         val = float(np.real(np.vdot(v, gram @ v)))
-        if abs(val - last) <= tol * max(1.0, abs(val)):
+        if abs(val - last) <= 1e-10 * max(1.0, abs(val)):
             return val
         last = val
     return last
 
 
-def family_grc_exponent(family: Family, probe_norm: int = 100) -> float:
-    """Best observed exponent toward |alpha| = 1 over small primes."""
+def family_grc_exponent(family: Family) -> float:
+    """Best observed exponent toward |alpha| = 1 over the primes of norm <= GRC_PROBE_NORM."""
     theta = max(m.theta_hint for m in family.members)
-    for pid, pn in prime_ideals_up_to(family.field, probe_norm):
+    for pid, pn in prime_ideals_up_to(family.field, GRC_PROBE_NORM):
         prime = prime_ideal(family.field, pid)
         for m in family.members:
             top = m.local_at(prime).max_abs()
@@ -210,7 +224,6 @@ def bound_table(
     n_list,
     pi0: Representation | None = None,
     kind: str = "lambda",
-    theta: float | None = None,
 ) -> list[dict]:
     """Measured sieve constant against the published bound shapes.
 
@@ -220,7 +233,7 @@ def bound_table(
     n_deg = max(m.degree for m in family.members)
     q = family.max_conductor
     s = len(family.members)
-    th = family_grc_exponent(family) if theta is None else theta
+    th = family_grc_exponent(family)
     if not n_list:
         return []
     # one coefficient matrix at the largest N; each N takes its column prefix
@@ -470,7 +483,6 @@ def smooth_sum_residue(
     x: float,
     t_sharp: float,
     d: IdealIndex | None = None,
-    residue: float | None = None,
 ) -> SmoothSumResult:
     """Bump-weighted coefficient sum over multiples of d, minus its main term.
 
@@ -499,16 +511,10 @@ def smooth_sum_residue(
         flags.append("pair sum has a nontrivial imaginary part; reporting the real part")
     lhs = float(total.real)
 
-    res = residue
-    shape_only = False
-    if res is None:
-        if a.degree == 1 and b.degree == 1 and a.character is not None and b.character is not None:
-            res = rs_residue_gl1(a, b)
-        else:
-            flags.append("residue unknown for this pair; main term is shape only")
-            shape_only = True
-    if shape_only:
+    if a.degree != 1 or b.degree != 1 or a.character is None or b.character is None:
+        flags.append("residue unknown for this pair; main term is shape only")
         return SmoothSumResult(lhs, None, None, None, True, flags)
+    res = rs_residue_gl1(a, b)
     gval, gflags = g_factor(a, d)
     flags.extend(gflags)
     main = gval * x * phi_hat(complex(1.0 / t_sharp)).real / t_sharp * res
@@ -524,9 +530,7 @@ class DiagonalLowerBoundResult:
     flags: list[str]
 
 
-def diagonal_lower_bound_check(
-    rep: Representation, z: float, residue: float | None = None
-) -> DiagonalLowerBoundResult:
+def diagonal_lower_bound_check(rep: Representation, z: float) -> DiagonalLowerBoundResult:
     """(sum_{N(n) <= z} diag(n)/N(n)) / (log z * residue), GL1-exact residue."""
     flags: list[str] = []
     if z < 1:
@@ -537,11 +541,11 @@ def diagonal_lower_bound_check(
         acc.add(val / ideal.norm)
     partial = acc.value().real
     logz = math.log(z)
-    if residue is None:
-        if rep.degree == 1 and rep.character is not None:
-            residue = 1.0  # gl1_exact diagonal is the Dedekind zeta of Q
-        else:
-            flags.append("residue unknown; ratio is shape only")
+    residue = None
+    if rep.degree == 1 and rep.character is not None:
+        residue = 1.0  # gl1_exact diagonal is the Dedekind zeta of Q
+    else:
+        flags.append("residue unknown; ratio is shape only")
     if logz == 0.0:
         flags.append("z = 1 makes log z vanish; returning the unit-ideal sum")
         return DiagonalLowerBoundResult(None, partial, 0.0, residue, flags)
@@ -573,7 +577,6 @@ def sifted_sum_check(
     z: float,
     weights: WeightVector | None = None,
     kind: str = "lambda",
-    epsilon: float = 0.0,
 ) -> SiftedSumResult:
     """Sifted-window mean square against the sieve-weighted bound shape.
 
@@ -615,8 +618,8 @@ def sifted_sum_check(
         rhs = None
     else:
         rhs = (
-            (x / t_sharp + dfac * q ** (n_deg + epsilon) * z ** (2 * n_deg**2 + 2 + epsilon)
-             * t_sharp ** (fld.degree * n_deg**2 / 2.0 + epsilon) * len(family.members))
+            (x / t_sharp + dfac * q**n_deg * z ** (2 * n_deg**2 + 2)
+             * t_sharp ** (fld.degree * n_deg**2 / 2.0) * len(family.members))
             / math.log(z)
             * wnorm
         )
@@ -627,9 +630,9 @@ def sifted_sum_check(
         single += diag0.value(ideal).real
     single_shape = x / (t_sharp * max(math.log(z), 1e-300)) + abs(
         fld.discriminant
-    ) ** (-(n0**2) / 2.0) * analytic_conductor(pi0) ** (n0 + epsilon) * z ** (
-        2 * n0**2 + 2 + epsilon
-    ) * t_sharp ** (fld.degree * n0**2 / 2.0 + epsilon)
+    ) ** (-(n0**2) / 2.0) * analytic_conductor(pi0) ** n0 * z ** (
+        2 * n0**2 + 2
+    ) * t_sharp ** (fld.degree * n0**2 / 2.0)
     return SiftedSumResult(
         lhs, rhs, wnorm, len(window), single, single_shape, True, flags
     )
@@ -655,7 +658,6 @@ def mvt_mu(
     y_scale: float | None = None,
     variant: str = "low",
     truncation: float | None = None,
-    points: int | None = None,
 ) -> MvtResult:
     """Mean square of inverse-coefficient partial sums on vertical segments.
 
@@ -681,10 +683,8 @@ def mvt_mu(
         lo, hi = int(x_bound) + 1, int(truncation)
         sigma = 1.0 + 1.0 / math.log(y_scale)
         flags.append(f"tail truncated at N(n) <= {hi}")
-    if points is None:
-        density = max(8.0, math.log(max(hi, 3)))
-        points = int(2 * math.ceil(8 * t_range * density) + 1)
-        points = max(points, 129)
+    density = max(8.0, math.log(max(hi, 3)))
+    points = max(int(2 * math.ceil(8 * t_range * density) + 1), 129)
     if (points - 1) / (2 * t_range) < 4.0 * math.log(max(hi, 3)):
         flags.append("quadrature may undersample the integrand oscillation")
     vs = np.linspace(-t_range, t_range, points)

@@ -11,15 +11,7 @@ import numpy as np
 import pytest
 
 from lfunclab.characters import primitive_characters
-from lfunclab.coeffs import (
-    dirichlet_convolve,
-    expand_global,
-    gl1_series_array,
-    mobius_sieve,
-    product_primitive_character,
-    rankin_selberg_local,
-    von_mangoldt_sieve,
-)
+from lfunclab.coeffs import dirichlet_convolve, expand_global, rankin_selberg_local
 from lfunclab.covers import PairCoefficientTable, coefficient_matrix, psd_check_full
 from lfunclab.detect import (
     jk_tail_bounds_check,
@@ -45,6 +37,7 @@ from lfunclab.sieve import selberg_weights, sieve_constant
 Q = NumberFieldSpec.rationals()
 N_SWEEP = 2000
 POINTWISE_BOUND = 10_000
+STACK_CHUNK = 250  # ideals per stacked GL1 batch: 250 x 80 x 80 complex is 26 MB
 
 
 def report(idx: int, text: str):
@@ -56,28 +49,16 @@ def report(idx: int, text: str):
 
 
 @pytest.fixture(scope="module")
-def gl1_pairs(char_family_20):
-    members = char_family_20.members
-    size = len(members)
-    ns = np.arange(N_SWEEP + 1)
-    upper = {}
-    for i in range(size):
-        for j in range(i, size):
-            psi = product_primitive_character(members[i].character, members[j].character)
-            vals = psi.values(ns)
-            vals[0] = 0
-            upper[(i, j)] = vals
-    return members, upper
+def gl1_table(char_family_20):
+    return PairCoefficientTable(char_family_20, "lambda")
 
 
-def stacked_matrices(members, upper, ns):
-    size = len(members)
-    stack = np.zeros((len(ns), size, size), dtype=np.complex128)
-    for (i, j), vals in upper.items():
-        stack[:, i, j] = vals[ns]
-        if i != j:
-            stack[:, j, i] = np.conj(vals[ns])
-    return stack
+def gl1_chunks(table):
+    """(ideals, stacked matrices) for every ideal of norm <= N_SWEEP, STACK_CHUNK at a time."""
+    ideals = enumerate_ideals(Q, N_SWEEP)
+    for start in range(0, len(ideals), STACK_CHUNK):
+        chunk = ideals[start : start + STACK_CHUNK]
+        yield chunk, np.stack([table.matrix(ideal) for ideal in chunk])
 
 
 def test_criterion_1_constants():
@@ -118,22 +99,17 @@ def test_criterion_2_classical_gl1_large_sieve(trivial_rep):
               f"trivial family saturates C = N; {elapsed:.1f} s")
 
 
-def test_criterion_3_positive_semidefiniteness(gl1_pairs):
+def test_criterion_3_positive_semidefiniteness(gl1_table):
     t0 = time.perf_counter()
-    members, upper = gl1_pairs
-    size = len(members)
     worst_ratio = math.inf
-    ns_all = np.arange(1, N_SWEEP + 1)
-    for start in range(0, len(ns_all), 250):
-        ns = ns_all[start : start + 250]
-        stack = stacked_matrices(members, upper, ns)
+    for ideals, stack in gl1_chunks(gl1_table):
         eigs = np.linalg.eigvalsh(stack)
         min_eigs = eigs[:, 0]
         spectral = np.abs(eigs).max(axis=1)
         ratios = min_eigs / np.maximum(spectral, 1.0)
         worst_ratio = min(worst_ratio, float(ratios.min()))
         assert (min_eigs >= -1e-9 * np.maximum(spectral, 1.0)).all(), (
-            f"PSD failure near n = {ns[int(np.argmin(ratios))]}"
+            f"PSD failure at {ideals[int(np.argmin(ratios))]}"
         )
     # centered matrices on synthetic GL2 and GL3 families, five seeds each
     worst_centered = math.inf
@@ -154,36 +130,22 @@ def test_criterion_3_positive_semidefiniteness(gl1_pairs):
               f"centered GL2/GL3 PSD (worst {worst_centered:.2e}); {elapsed:.1f} s")
 
 
-def test_criterion_4_cover_inequalities(gl1_pairs, gl2_family):
+def test_criterion_4_cover_inequalities(gl1_table, gl2_family):
     t0 = time.perf_counter()
-    members, upper = gl1_pairs
-    size = len(members)
+    size = len(gl1_table.family.members)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(20250811)))
     weights = rng.standard_normal((1000, size)) + 1j * rng.standard_normal((1000, size))
     battery = np.vstack([np.ones((1, size)), np.eye(size), weights]).astype(np.complex128)
 
-    mob = mobius_sieve(N_SWEEP)
-    lam_q = von_mangoldt_sieve(N_SWEEP)
-    logs = np.log(np.maximum(np.arange(N_SWEEP + 1), 1))
     # lambda^o vectors for pi0 = trivial: member series of L, 1/L, log L
-    vecs = {}
-    chi_vals = np.stack([gl1_series_array(m, None, N_SWEEP, "lambda") for m in members])
-    vecs["lambda"] = chi_vals
-    vecs["mu"] = chi_vals * mob[None, :]
-    logl = np.zeros_like(chi_vals)
-    support = lam_q > 0
-    logl[:, support] = chi_vals[:, support] * (lam_q[support] / logs[support])[None, :]
-    vecs["logl"] = logl
-
-    worst = {kind: math.inf for kind in vecs}
-    ns_all = np.arange(1, N_SWEEP + 1)
-    for start in range(0, len(ns_all), 100):
-        ns = ns_all[start : start + 100]
-        stack = stacked_matrices(members, upper, ns)
+    kinds = ("lambda", "mu", "logl")
+    worst = {kind: math.inf for kind in kinds}
+    for ideals, stack in gl1_chunks(gl1_table):
         quad = np.einsum("ti,nij,tj->nt", battery, stack, battery.conj()).real
-        for kind, arr in vecs.items():
-            lin = np.abs(battery @ arr[:, ns]) ** 2  # (trials, len(ns))
-            margins = quad - lin.T
+        for kind in kinds:
+            vecs = np.stack([gl1_table.pi0_column(None, kind, ideal)[0] for ideal in ideals])
+            lin = np.abs(vecs @ battery.T) ** 2  # (len(ideals), trials)
+            margins = quad - lin
             worst[kind] = min(worst[kind], float(margins.min()))
     for kind, value in worst.items():
         assert value >= -1e-9, f"GL1 margin violation for {kind}: {value}"
@@ -217,19 +179,18 @@ def test_criterion_5_pointwise_bounds(gl2_family, delta_csv):
     chars = [trivial_representation()] + [
         character_representation(c) for q in (3, 4, 5, 7, 8, 9) for c in primitive_characters(q)
     ]
-    # GL1 exact model: mu and Lambda bounds against the zeta diagonal
-    mob = mobius_sieve(POINTWISE_BOUND)
-    lam_q = von_mangoldt_sieve(POINTWISE_BOUND)
+    # GL1 exact model: mu and Lambda bounds against the zeta diagonal, with
+    # Lambda(n) = log p read off each prime power's factorization
     worst_mu = worst_big = math.inf
     for i, a in enumerate(chars):
         for b in chars[i:]:
-            psi = product_primitive_character(a.character, conjugate_of(b))
-            vals = psi.values(np.arange(POINTWISE_BOUND + 1))
-            vals[0] = 0
-            mu_sq = np.abs(vals * mob) ** 2
-            worst_mu = min(worst_mu, float((1.0 - mu_sq).min()))
-            big = np.abs(vals) * lam_q
-            worst_big = min(worst_big, float((lam_q - big).min()))
+            dual_b = contragredient_of(b)
+            mu_ab = expand_global(a, dual_b, POINTWISE_BOUND, "mu", "gl1_exact")
+            worst_mu = min(worst_mu, min(1.0 - abs(v) ** 2 for v in mu_ab.values.values()))
+            big_ab = expand_global(a, dual_b, POINTWISE_BOUND, "biglambda", "gl1_exact")
+            for ideal, val in big_ab.values.items():
+                (((p, _), _),) = ideal.factors
+                worst_big = min(worst_big, math.log(p) - abs(val))
     assert worst_mu >= -1e-9 and worst_big >= -1e-9
 
     # product model: GL2 pairs, Delta, and mixed pairs
@@ -259,12 +220,6 @@ def test_criterion_5_pointwise_bounds(gl2_family, delta_csv):
     elapsed = time.perf_counter() - t0
     report(5, f"pointwise mu and Lambda bounds hold to n <= {POINTWISE_BOUND} "
               f"(worst GL1 slacks {worst_mu:.2e}, {worst_big:.2e}); {elapsed:.1f} s")
-
-
-def conjugate_of(rep):
-    from lfunclab.characters import conjugate
-
-    return conjugate(rep.character)
 
 
 def contragredient_of(rep):

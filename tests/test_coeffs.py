@@ -9,7 +9,6 @@ from lfunclab.coeffs import (
     default_model,
     dirichlet_convolve,
     expand_global,
-    gl1_series_array,
     hom_sym_values,
     local_lambda,
     mertens_sum,
@@ -166,6 +165,10 @@ class TestSchurMemo:
         assert sorted(params.kernels) == list(range(1, 7))
         assert all(len(v) == len(partitions_of(k, 3)) for k, v in params.kernels.items())
 
+    def test_partition_cap_enforced(self):
+        with pytest.raises(UsageError, match="cap"):
+            partitions_of(65, 4)
+
 
 class TestProductCharacterCache:
     def test_keyed_by_value_and_bounded(self, monkeypatch):
@@ -224,14 +227,35 @@ class TestExpandGlobal:
             rhs = series.value(ideal_from_int(Q, m)) * series.value(ideal_from_int(Q, n))
             assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-12)
 
-    def test_gl1_fast_path_matches_expand(self):
-        chi = primitive_characters(5)[1]
-        rep = character_representation(chi)
-        triv = trivial_representation()
-        arr = gl1_series_array(rep, triv, 50, "lambda")
-        series = expand_global(rep, triv, 50, "lambda", "gl1_exact")
-        for ideal in enumerate_ideals(Q, 50):
-            assert arr[ideal.norm] == pytest.approx(series.value(ideal), abs=1e-13)
+    @pytest.mark.parametrize("kind", ["lambda", "mu", "biglambda", "logl"])
+    def test_gl1_exact_matches_character_values(self, kind):
+        # psi(n) times mu(n), Lambda(n) or Lambda(n)/log n, with mu and Lambda
+        # read off each ideal's factorization rather than from the library
+        bound = 200
+        chi5, chi5b = primitive_characters(5)[1:3]
+        pairs = [
+            (character_representation(chi5), trivial_representation()),
+            (character_representation(chi5), character_representation(chi5b)),
+            (character_representation(primitive_characters(4)[0]),
+             character_representation(primitive_characters(8)[1])),
+        ]
+        ideals = enumerate_ideals(Q, bound)
+        ns = np.array([ideal.norm for ideal in ideals])
+        for a, b in pairs:
+            psi = product_primitive_character(a.character, b.character)
+            series = expand_global(a, b, bound, kind, "gl1_exact")
+            for ideal, value in zip(ideals, psi.values(ns)):
+                exponents = [e for _, e in ideal.factors]
+                p = ideal.factors[0][0][0] if len(exponents) == 1 else None
+                if kind == "lambda":
+                    want = value
+                elif kind == "mu":
+                    want = value * (-1) ** len(exponents) if set(exponents) <= {1} else 0j
+                elif kind == "biglambda":
+                    want = value * math.log(p) if p else 0j
+                else:
+                    want = value * math.log(p) / math.log(ideal.norm) if p else 0j
+                assert series.value(ideal) == pytest.approx(want, abs=1e-13), (a.label, b.label, ideal)
 
 
 class TestNewtonConsistency:
@@ -300,23 +324,6 @@ def _divisor_ideals(n):
     from lfunclab.ideals import divisors
 
     return divisors(ideal_from_int(Q, n))
-
-
-class TestSeriesExport:
-    def test_csv_round_trip(self, trivial_rep, tmp_path):
-        series = expand_global(trivial_rep, trivial_rep, 20, "biglambda")
-        path = tmp_path / "series.csv"
-        series.export_csv(str(path))
-        lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-        assert lines[0] == "norm,ideal_id,re,im"
-        rows = [l.split(",") for l in lines[1:]]
-        assert rows[0][0] == "2" and float(rows[0][2]) == pytest.approx(math.log(2))
-
-    def test_partition_cap_enforced(self):
-        from lfunclab.coeffs import partitions_of
-
-        with pytest.raises(UsageError, match="cap"):
-            partitions_of(65, 4)
 
 
 class TestMertens:

@@ -13,7 +13,6 @@ from lfunclab.covers import (
     coefficient_matrix,
     cover_ops,
     gl1_log_decomposition,
-    psd_check,
     psd_check_full,
 )
 from lfunclab.errors import DataIntegrityError, UnsupportedCaseError, UsageError
@@ -67,7 +66,7 @@ class TestCoefficientMatrix:
 class TestPsdCheck:
     def test_identity(self):
         m = CoefficientMatrix(unit_ideal(Q), "lambda", np.eye(3, dtype=complex), ("a", "b", "c"))
-        min_eig, verdict = psd_check(m)
+        min_eig, _, verdict = psd_check_full(m)
         assert verdict and min_eig == pytest.approx(1.0)
 
     def test_gl1_sweep_small(self, char_family_20):
@@ -76,7 +75,7 @@ class TestPsdCheck:
             if ideal.is_unit:
                 continue
             m = coefficient_matrix(char_family_20, ideal, "lambda", table=table)
-            _, verdict = psd_check(m)
+            _, _, verdict = psd_check_full(m)
             assert verdict, f"failed at {ideal}"
 
     def test_planted_family_still_psd(self):
@@ -86,13 +85,13 @@ class TestPsdCheck:
             if ideal.is_unit:
                 continue
             m = coefficient_matrix(fam, ideal, "lambda", table=table)
-            _, verdict = psd_check(m)
+            _, _, verdict = psd_check_full(m)
             assert verdict
 
     def test_centered_kind_psd(self, gl2_family):
         for n in (2, 3, 4, 9, 30, 64):
             m = coefficient_matrix(gl2_family, ideal_from_int(Q, n), "lambda_centered")
-            _, verdict = psd_check(m)
+            _, _, verdict = psd_check_full(m)
             assert verdict
 
     def test_vanishing_centered_matrices_pass(self, tmp_path):
@@ -120,7 +119,7 @@ class TestPsdCheck:
         bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
         m = CoefficientMatrix(unit_ideal(Q), "lambda", bad, ("a", "b"))
         with pytest.raises(DataIntegrityError):
-            psd_check(m)
+            psd_check_full(m)
 
 
 class TestBilinearInequality:

@@ -292,6 +292,19 @@ class TestPhiHat:
         assert abs(phi_hat(s) - want) <= self.REL * abs(want)
         assert sizes[0] == 1023 and max(sizes) > 1023
 
+    @pytest.mark.parametrize("s", [360.0, -360.0])
+    def test_finite_beyond_exp_overflow(self, s):
+        # e^(s y) overflows near |y| = 2 although phi_hat(s) ~ 1.04e295 is finite
+        want = bump_transform_oracle(s)
+        assert abs(phi_hat(s) - want) <= self.REL * abs(want)
+
+    @pytest.mark.parametrize("s", [400.0, -400.0])
+    def test_beyond_float_range_raises_at_first_grid(self, s, monkeypatch):
+        sizes = grid_sizes(monkeypatch)
+        with pytest.raises(UsageError, match="exceeds the float range"):
+            phi_hat(s)
+        assert sizes == [1023]
+
     def test_panel_ceiling_raises_before_allocating(self, monkeypatch):
         # s = 300 needs 2048 panels (above); a ceiling of 1024 stops it after one grid
         monkeypatch.setattr(sieve, "PHI_HAT_MAX_PANELS", 1024)
