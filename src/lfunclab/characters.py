@@ -15,6 +15,7 @@ labelled (q, j) is the same in every run.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -79,21 +80,12 @@ def unit_group(q: int) -> UnitGroup:
         exponent = math.lcm(exponent, o)
     dlogs = -np.ones((len(comps), q if q > 1 else 1), dtype=np.int64)
     # walk the whole group once, recording the exponent tuple of each unit
-    idx = [0] * len(comps)
-    total = 1
-    for o in orders:
-        total *= o
-    for _ in range(total):
+    for idx in itertools.product(*(range(o) for o in orders)):
         val = 1
-        for (g, o), t in zip(comps, idx):
+        for g, t in zip(gens, idx):
             val = val * pow(g, t, q) % q
         for i, t in enumerate(idx):
             dlogs[i, val] = t
-        for i in range(len(idx) - 1, -1, -1):
-            idx[i] += 1
-            if idx[i] < orders[i]:
-                break
-            idx[i] = 0
     if q == 1:
         dlogs[:, :] = 0
     return UnitGroup(q, orders, gens, exponent, dlogs)
@@ -212,11 +204,8 @@ def character_group(q: int) -> tuple[DirichletCharacter, ...]:
     M = grp.exponent
     chars = []
     # exponent tuples in row-major order over the component orders
-    idx = [0] * len(grp.orders)
-    total = 1
-    for o in grp.orders:
-        total *= o
-    for count in range(total):
+    exponents = itertools.product(*(range(o) for o in grp.orders))
+    for count, idx in enumerate(exponents):
         angles = -np.ones(q, dtype=np.int64)
         unit_mask = grp.dlogs[0] >= 0 if len(grp.orders) else np.ones(q, dtype=bool)
         if len(grp.orders):
@@ -228,11 +217,6 @@ def character_group(q: int) -> tuple[DirichletCharacter, ...]:
             angles[np.array([n for n in range(q) if math.gcd(n, q) == 1])] = 0
         cond = _conductor_of(q, angles)
         chars.append(DirichletCharacter(q, M, angles, cond, count))
-        for i in range(len(idx) - 1, -1, -1):
-            idx[i] += 1
-            if idx[i] < grp.orders[i]:
-                break
-            idx[i] = 0
     return tuple(chars)
 
 

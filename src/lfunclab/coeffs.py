@@ -161,29 +161,15 @@ def schur_from_h(h: np.ndarray, lam: tuple[int, ...]) -> complex:
     return complex(np.linalg.det(m))
 
 
-def rankin_selberg_local(
-    a: LocalParameters,
-    b: LocalParameters,
-    k: int,
-    ramified_model: str = "product",
-    characters: tuple | None = None,
-) -> complex:
+def rankin_selberg_local(a: LocalParameters, b: LocalParameters, k: int) -> complex:
     """x^k coefficient of the local pair factor at a common prime.
 
-    product model: Cauchy identity sum over partitions of k of
-    s_lam(alpha) * conj(s_lam(beta)).  gl1_exact model: value at p^k of
-    the primitive character inducing chi_a * conj(chi_b).
+    Cauchy identity: the sum over partitions of k of
+    s_lam(alpha) * conj(s_lam(beta)), the product model.  _LocalEngine
+    applies the gl1_exact model itself.
     """
     if a.prime != b.prime:
         raise UsageError("local pair coefficients need a common prime")
-    if ramified_model == "gl1_exact":
-        if characters is None or characters[0] is None or characters[1] is None:
-            raise UsageError("gl1_exact requires character data on both members")
-        psi = product_primitive_character(characters[0], characters[1])
-        p = a.prime.factors[0][0][0]
-        return psi.value(p) ** k if k else 1 + 0j
-    if ramified_model != "product":
-        raise UsageError(f"unknown ramified model {ramified_model!r}")
     if k == 0:
         return 1 + 0j
     max_parts = min(len(a.alphas), len(b.alphas))
@@ -351,6 +337,78 @@ class _LocalEngine:
         return complex(ps / e)
 
 
+class _PrimePowerArrays:
+    """Local values of a fixed list of engines of one kind, one array per prime power.
+
+    Each array is filled once from the engines' _compute.  The values at an
+    ideal are the product of its factors' arrays, taken with the explicit
+    real/imaginary formula of Python's complex product (numpy's complex
+    multiply can differ from it in the last bit), so every entry equals
+    _LocalEngine.at bit for bit: biglambda and logl vanish off prime powers,
+    and zeros come out as 0j.  The last ideal's values are kept, so that
+    reading them entry by entry costs one product.
+    """
+
+    def __init__(self, engines: list[_LocalEngine], field, kind: str):
+        self.engines = engines
+        self.field = field
+        self.kind = kind
+        self._local: dict[tuple[tuple[int, int], int], np.ndarray] = {}
+        self._last: tuple[IdealIndex, np.ndarray] | None = None
+
+    def local(self, pid, e: int) -> np.ndarray:
+        arr = self._local.get((pid, e))
+        if arr is None:
+            arr = np.array(
+                [eng._compute(self.field, pid, e) for eng in self.engines], dtype=np.complex128
+            )
+            self._local[(pid, e)] = arr
+        return arr
+
+    def at(self, ideal: IdealIndex) -> np.ndarray:
+        if self._last is not None and self._last[0] == ideal:
+            return self._last[1]
+        size = len(self.engines)
+        out = np.zeros(size, dtype=np.complex128)
+        if self.kind not in ("biglambda", "logl") or len(ideal.factors) == 1:
+            re, im = np.ones(size), np.zeros(size)
+            for pid, e in ideal.factors:
+                loc = self.local(pid, e)
+                re, im = re * loc.real - im * loc.imag, re * loc.imag + im * loc.real
+            out.real, out.imag = re, im
+            out[out == 0] = 0
+        out.flags.writeable = False  # kept for the next call, so shared
+        self._last = (ideal, out)
+        return out
+
+    def rows(self, ideals) -> np.ndarray:
+        """The (engines, ideals) array whose column j is at(ideals[j])."""
+        out = np.empty((len(self.engines), len(ideals)), dtype=np.complex128)
+        for j, ideal in enumerate(ideals):
+            out[:, j] = self.at(ideal)
+        return out
+
+
+def family_arrays(
+    family: Family, kind: str, pi0: Representation | None, model: str
+) -> tuple[_PrimePowerArrays, _PrimePowerArrays | None]:
+    """A family's coefficients of one kind, one entry per member.
+
+    pi0 = None: each member's own series (product model), and no diagonal.
+    pi0 given: each member against pi0 itself, that is paired with
+    contragredient(pi0), under pair_model(member, pi0, model); the second
+    array holds the one diagonal lambda_{pi0 x dual pi0}.
+    """
+    field = family.field
+    if pi0 is None:
+        own = [_LocalEngine(m, None, kind, "product") for m in family.members]
+        return _PrimePowerArrays(own, field, kind), None
+    dual = contragredient(pi0)
+    column = [_LocalEngine(m, dual, kind, pair_model(m, pi0, model)) for m in family.members]
+    diagonal = _LocalEngine(pi0, pi0, "lambda", pair_model(pi0, pi0, model))
+    return _PrimePowerArrays(column, field, kind), _PrimePowerArrays([diagonal], field, "lambda")
+
+
 def expand_global(
     a: Representation,
     b: Representation | None,
@@ -388,17 +446,6 @@ def expand_global(
             if val != 0 or ideal.is_unit:
                 values[ideal] = val
     return CoefficientSeries(field, kind, bound, values, exact=engine.exact)
-
-
-def pair_series(
-    a: Representation,
-    pi0: Representation,
-    bound: int,
-    kind: str,
-    ramified_model: str = "product",
-) -> CoefficientSeries:
-    """Coefficients of the convolution of a with pi0 itself (not its dual)."""
-    return expand_global(a, contragredient(pi0), bound, kind, ramified_model)
 
 
 class KahanAccumulator:

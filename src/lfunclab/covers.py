@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import _LocalEngine, default_model, pair_model
+from .coeffs import _LocalEngine, _PrimePowerArrays, default_model, family_arrays
 from .errors import DataIntegrityError, UnsupportedCaseError, UsageError
 from .ideals import (
     IdealIndex,
@@ -26,7 +26,7 @@ from .ideals import (
     prime_ideals_up_to,
     unit_ideal,
 )
-from .localdata import Family, Representation, contragredient, trivial_representation
+from .localdata import Family, Representation, trivial_representation
 
 MATRIX_KINDS = ("lambda", "mu", "biglambda", "logl", "lambda_centered")
 HERMITIAN_HARD_TOL = 1e-6
@@ -42,51 +42,6 @@ class CoefficientMatrix:
     labels: tuple[str, ...]
     # magnitude of the terms before any cancellation; None: the largest entry
     scale: float | None = None
-
-
-class _PrimePowerArrays:
-    """Local values of a fixed list of engines of one kind, one array per prime power.
-
-    Each array is filled once from the engines' _compute.  The values at an
-    ideal are the product of its factors' arrays, taken with the explicit
-    real/imaginary formula of Python's complex product (numpy's complex
-    multiply can differ from it in the last bit), so every entry equals
-    _LocalEngine.at bit for bit: biglambda and logl vanish off prime powers,
-    and zeros come out as 0j.  The last ideal's values are kept, so that
-    reading them entry by entry costs one product.
-    """
-
-    def __init__(self, engines: list[_LocalEngine], field, kind: str):
-        self.engines = engines
-        self.field = field
-        self.kind = kind
-        self._local: dict[tuple[tuple[int, int], int], np.ndarray] = {}
-        self._last: tuple[IdealIndex, np.ndarray] | None = None
-
-    def local(self, pid, e: int) -> np.ndarray:
-        arr = self._local.get((pid, e))
-        if arr is None:
-            arr = np.array(
-                [eng._compute(self.field, pid, e) for eng in self.engines], dtype=np.complex128
-            )
-            self._local[(pid, e)] = arr
-        return arr
-
-    def at(self, ideal: IdealIndex) -> np.ndarray:
-        if self._last is not None and self._last[0] == ideal:
-            return self._last[1]
-        size = len(self.engines)
-        out = np.zeros(size, dtype=np.complex128)
-        if self.kind not in ("biglambda", "logl") or len(ideal.factors) == 1:
-            re, im = np.ones(size), np.zeros(size)
-            for pid, e in ideal.factors:
-                loc = self.local(pid, e)
-                re, im = re * loc.real - im * loc.imag, re * loc.imag + im * loc.real
-            out.real, out.imag = re, im
-            out[out == 0] = 0
-        out.flags.writeable = False  # kept for the next call, so shared
-        self._last = (ideal, out)
-        return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -156,18 +111,8 @@ class PairCoefficientTable:
         """
         key = (pi0, kind)
         if key not in self._pi0_arrays:
-            field = self.family.field
-            base = pi0 or trivial_representation(field)
-            dual = contragredient(base)
-            column = [
-                _LocalEngine(m, dual, kind, pair_model(m, base, self.model))
-                for m in self.family.members
-            ]
-            diagonal = _LocalEngine(base, base, "lambda", pair_model(base, base, self.model))
-            self._pi0_arrays[key] = (
-                _PrimePowerArrays(column, field, kind),
-                _PrimePowerArrays([diagonal], field, "lambda"),
-            )
+            base = pi0 or trivial_representation(self.family.field)
+            self._pi0_arrays[key] = family_arrays(self.family, kind, base, self.model)
         column, diagonal = self._pi0_arrays[key]
         return column.at(ideal), complex(diagonal.at(ideal)[0])
 

@@ -272,16 +272,12 @@ def turan_existence(zs, m_shift: int) -> TuranResult:
 
 
 def jk(u: float, k: int) -> float:
-    """e^-u u^k / k!, evaluated in log space for k >= 1."""
+    """e^-u u^k / k!, evaluated in log space."""
     if k < 0:
         raise UsageError("k must be nonnegative")
     if u < 0:
         raise UsageError("u must be nonnegative")
-    if k == 0:
-        return math.exp(-u)
-    if u == 0.0:
-        return 0.0
-    return math.exp(k * math.log(u) - u - math.lgamma(k + 1))
+    return math.exp(log_jk(u, k))
 
 
 def log_jk(u: float, k: int) -> float:
@@ -398,30 +394,28 @@ def high_derivative(
         phase = m ** (-1.0) * complex(math.cos(tau * math.log(m)), -math.sin(tau * math.log(m)))
         acc.add(val * phase * w)
     value = eta * acc.value()
-    tail, tail_flags = _hd_tail_bound(eta, k, trunc, 1.0, 0.0)
+    tail, tail_flags = _hd_tail_bound(eta, k, trunc)
     flags.extend(tail_flags)
     return HighDerivResult(value, tail, trunc, flags)
 
 
-def _hd_tail_bound(
-    eta: float, k: int, trunc: int, degree_factor: float, theta: float
-) -> tuple[float, list[str]]:
-    """Bound eta * sum_{m > trunc} Lambda(m) m^(theta - 1) j_k(eta log m)."""
+def _hd_tail_bound(eta: float, k: int, trunc: int) -> tuple[float, list[str]]:
+    """Bound eta * sum_{m > trunc} Lambda(m) m^-1 j_k(eta log m).
+
+    By partial summation against psi(t) <= CHEBYSHEV_PSI_SLOPE t, the bound
+    is eta * CHEBYSHEV_PSI_SLOPE * (j_k(u0) + Q(k + 1, u0) / eta) with
+    u0 = eta log trunc.
+    """
     flags: list[str] = []
     u0 = eta * math.log(max(trunc, 2))
-    c = 1.0 - theta / eta
-    if c <= 0:
-        return math.inf, ["tail bound unavailable: coefficient growth reaches eta"]
-    # monotonicity of t^(theta-1) j_k(eta log t) beyond the cutoff
-    if u0 < k * eta / (eta + 1.0 - theta):
+    # monotonicity of t^-1 j_k(eta log t) beyond the cutoff
+    if u0 < k * eta / (eta + 1.0):
         flags.append("tail bound loose: cutoff sits before the integrand peak")
-    boundary = math.exp(theta * math.log(trunc) + log_jk(u0, k)) if u0 > 0 else trunc**theta
-    # (1/eta) c^-(k+1) Q(k+1, c u0) in logs: c < 1 makes the prefactor huge
-    log_integral = -(k + 1) * math.log(c) + _log_gamma_upper(k, c * u0) - math.log(eta)
+    log_integral = _log_gamma_upper(k, u0) - math.log(eta)
     if log_integral > 700.0:
         return math.inf, flags + ["tail bound overflows: cutoff far below the peak"]
     integral = math.exp(log_integral)
-    tail = eta * CHEBYSHEV_PSI_SLOPE * degree_factor * (boundary + integral)
+    tail = eta * CHEBYSHEV_PSI_SLOPE * (jk(u0, k) + integral)
     return tail, flags
 
 

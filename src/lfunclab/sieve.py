@@ -26,9 +26,9 @@ from .coeffs import (
     KahanAccumulator,
     default_model,
     expand_global,
+    family_arrays,
     ideal_list,
     pair_model,
-    pair_series,
 )
 from .errors import ResourceLimitError, UsageError
 from .ideals import (
@@ -144,20 +144,9 @@ def family_coefficient_rows(
     lambda_{pi0 x dual pi0}(n) used for the weighted norm.
     """
     ideals = ideal_list(family.field, n_bound)
-    model = default_model(family)
-    rows = []
-    for member in family.members:
-        if pi0 is None:
-            series = expand_global(member, None, n_bound, kind)
-        else:
-            series = pair_series(member, pi0, n_bound, kind, pair_model(member, pi0, model))
-        rows.append(np.array([series.value(i) for i in ideals], dtype=np.complex128))
-    a = np.vstack(rows)
-    weights = None
-    if pi0 is not None:
-        diag = expand_global(pi0, pi0, n_bound, "lambda", pair_model(pi0, pi0, model))
-        weights = np.array([diag.value(i).real for i in ideals])
-    return a, ideals, weights
+    column, diagonal = family_arrays(family, kind, pi0, default_model(family))
+    weights = None if diagonal is None else diagonal.rows(ideals)[0].real
+    return column.rows(ideals), ideals, weights
 
 
 def sieve_constant(
@@ -595,21 +584,18 @@ def sifted_sum_check(
         for i in ideal_list(fld, max(hi, 1))
         if i.norm > x and ((mp := min_prime_norm(i)) is None or mp > z) and not i.is_unit
     ]
-    model = default_model(family)
-    diag0 = expand_global(pi0, pi0, max(hi, 1), "lambda", pair_model(pi0, pi0, model))
+    column, diagonal = family_arrays(family, kind, pi0, default_model(family))
+    diag0 = diagonal.rows(window)[0].real.tolist()
     wvals = weights.values if weights is not None else {i: 1 + 0j for i in window}
+    ws = [wvals.get(i, 0j) for i in window]
     lhs = 0.0
-    for member in family.members:
-        series = pair_series(member, pi0, max(hi, 1), kind, pair_model(member, pi0, model))
+    for row in column.rows(window).tolist():
         acc = KahanAccumulator()
-        for ideal in window:
-            wv = wvals.get(ideal, 0j)
+        for wv, val in zip(ws, row):
             if wv:
-                acc.add(wv * series.value(ideal))
+                acc.add(wv * val)
         lhs += abs(acc.value()) ** 2
-    wnorm = sum(
-        diag0.value(i).real * abs(wvals.get(i, 0j)) ** 2 for i in window
-    )
+    wnorm = sum(d * abs(wv) ** 2 for d, wv in zip(diag0, ws))
     n_deg = max(m.degree for m in family.members)
     dfac = abs(fld.discriminant) ** (-(n_deg**2) / 2.0)
     q = family.max_conductor
@@ -626,8 +612,8 @@ def sifted_sum_check(
     # single-member sifted sum with unit weights
     n0 = pi0.degree
     single = 0.0
-    for ideal in window:
-        single += diag0.value(ideal).real
+    for d in diag0:
+        single += d
     single_shape = x / (t_sharp * max(math.log(z), 1e-300)) + abs(
         fld.discriminant
     ) ** (-(n0**2) / 2.0) * analytic_conductor(pi0) ** n0 * z ** (
@@ -672,7 +658,6 @@ def mvt_mu(
     flags: list[str] = []
     if x_bound < math.e:
         raise UsageError("X must be at least e")
-    model = default_model(family)
     if variant == "low":
         lo, hi = 1, int(x_bound)
         sigma = 0.5
@@ -688,20 +673,19 @@ def mvt_mu(
     if (points - 1) / (2 * t_range) < 4.0 * math.log(max(hi, 3)):
         flags.append("quadrature may undersample the integrand oscillation")
     vs = np.linspace(-t_range, t_range, points)
+    ideals = [i for i in ideal_list(family.field, hi) if i.norm >= lo]
+    all_norms = np.array([i.norm for i in ideals], dtype=np.float64)
+    column, _ = family_arrays(family, "mu", pi0, default_model(family))
     total = 0.0
-    for member in family.members:
-        if pi0 is None:
-            series = expand_global(member, None, hi, "mu")
-        else:
-            series = pair_series(member, pi0, hi, "mu", pair_model(member, pi0, model))
-        items = [(i.norm, v) for i, v in series.items_sorted() if lo <= i.norm <= hi]
-        if not items:
+    for row in column.rows(ideals):
+        nonzero = row != 0
+        if not nonzero.any():
             continue
-        norms = np.array([n for n, _ in items], dtype=np.float64)
-        cs = np.array([v for _, v in items], dtype=np.complex128) * norms ** (-sigma)
+        norms = all_norms[nonzero]
+        cs = row[nonzero] * norms ** (-sigma)
         logn = np.log(norms)
         vals = np.empty(points, dtype=np.float64)
-        chunk = max(1, int(2_000_000 // max(len(items), 1)))
+        chunk = max(1, 2_000_000 // len(norms))
         for start in range(0, points, chunk):
             vv = vs[start : start + chunk]
             phase = np.exp(-1j * np.outer(vv, logn))

@@ -70,16 +70,15 @@ class TestStartup:
             "from lfunclab.sieve import phi_hat\n"
             "from lfunclab.detect import _hd_tail_bound\n"
             "a, b = phi_hat(1.0), phi_hat(complex(0.5, 2.0))\n"
-            "t1, f1 = _hd_tail_bound(0.1, 3, 10000, 1.0, 0.0)\n"
-            "t2, f2 = _hd_tail_bound(0.5, 5, 100000, 2.0, 0.3)\n"
+            "tail, flags = _hd_tail_bound(0.1, 3, 10000)\n"
             f"print(json.dumps({{'scipy': {SCIPY_MODULES},\n"
-            "    'phi': [a.real, a.imag, b.real, b.imag], 'tail': [t1, t2], 'flags': f1 + f2}))\n"
+            "    'phi': [a.real, a.imag, b.real, b.imag], 'tail': [tail], 'flags': flags}))\n"
         )
         out = fresh_python(code)
         assert out["scipy"] == []
         want_phi = [4.560161743051781, 0.0, 0.493062890324944, 0.8037278326081274]
         assert out["phi"] == pytest.approx(want_phi, rel=1e-12, abs=0.0)
-        assert out["tail"] == pytest.approx([1.0291280915292738, 497.4376283979193], rel=1e-12)
+        assert out["tail"] == pytest.approx([1.0291280915292738], rel=1e-12)
         assert out["flags"] == []
 
     def test_no_scipy_import_in_src(self):

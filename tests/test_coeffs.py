@@ -13,7 +13,6 @@ from lfunclab.coeffs import (
     local_lambda,
     mertens_sum,
     pair_model,
-    pair_series,
     partitions_of,
     product_primitive_character,
     rankin_selberg_local,
@@ -37,6 +36,7 @@ from lfunclab.ideals import (
 from lfunclab.localdata import (
     LocalParameters,
     character_representation,
+    contragredient,
     make_family,
     synthetic_family,
     trivial_representation,
@@ -102,17 +102,14 @@ class TestRankinSelbergLocal:
         assert got == pytest.approx(complex((0.3 + 0.4j + 0.3 - 0.4j)) * np.conj(0.6 - 0.1), abs=1e-13)
 
     def test_gl1_exact_ramified_unit(self):
-        chi = primitive_characters(3)[0]
-        rep = character_representation(chi)
-        p3 = prime_ideal(Q, (3, 0))
-        a = rep.local_at(p3)
-        got = rankin_selberg_local(a, a, 1, "gl1_exact", characters=(chi, chi))
-        assert got == pytest.approx(1.0, abs=1e-14)
+        rep = character_representation(primitive_characters(3)[0])
+        series = expand_global(rep, rep, 3, "lambda", "gl1_exact")
+        assert series.value(ideal_from_int(Q, 3)) == pytest.approx(1.0, abs=1e-14)
 
     def test_gl1_exact_requires_characters(self):
-        a = LocalParameters(P2, (1.0,))
-        with pytest.raises(UsageError):
-            rankin_selberg_local(a, a, 1, "gl1_exact")
+        no_character = trivial_representation(NumberFieldSpec.quadratic(-1))
+        with pytest.raises(UsageError, match="character data"):
+            expand_global(no_character, no_character, 3, "lambda", "gl1_exact")
 
     def test_cauchy_oracle_sweep(self):
         rng = np.random.default_rng(11)
@@ -385,7 +382,8 @@ class TestRamifiedModel:
         bound, trials, seed = 40, 30, 5
         rows, ideals, weights = family_coefficient_rows(fam, bound, pi0, kind)
         diag = expand_global(pi0, pi0, bound, "lambda", "product")
-        columns = [pair_series(m, pi0, bound, kind, "product") for m in fam.members]
+        dual = contragredient(pi0)
+        columns = [expand_global(m, dual, bound, kind, "product") for m in fam.members]
         assert np.array_equal(weights, [diag.value(i).real for i in ideals])
         for row, series in zip(rows, columns):
             assert np.array_equal(row, [series.value(i) for i in ideals])

@@ -135,7 +135,7 @@ class TestUpperGamma:
 
     def test_tail_bound_with_huge_k_is_fast(self):
         start = time.perf_counter()
-        tail, flags = _hd_tail_bound(0.05, 10**9, 100_000, 1.0, 0.0)
+        tail, flags = _hd_tail_bound(0.05, 10**9, 100_000)
         assert time.perf_counter() - start < 0.05
         assert math.isfinite(tail) and flags == ["tail bound loose: cutoff sits before the integrand peak"]
 

@@ -8,8 +8,14 @@ line must both match the committed copies under ``tests/data/golden/``.
 After an intended output change, regenerate the corpus with
 
     PYTHONPATH=src python tests/test_golden.py
+
+The benchmark's traced driver, bench/traced.py, repeats each handler's
+library calls; every golden run of a subcommand it knows must give it the
+CLI's report bytes.
 """
 
+import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -22,6 +28,7 @@ import pytest
 from lfunclab.cli import main
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+TRACED_PATH = os.path.join(os.path.dirname(os.path.dirname(DATA_DIR)), "bench", "traced.py")
 GOLDEN_DIR = os.path.join(DATA_DIR, "golden")
 STDOUT_FILE = os.path.join(GOLDEN_DIR, "stdout.json")
 HECKE_ROWS = 25  # primes taken from the frozen Delta table
@@ -76,23 +83,40 @@ def write_inputs(workdir: str) -> None:
         fh.writelines(head)
 
 
+@contextlib.contextmanager
+def inside(workdir: str):
+    here = os.getcwd()
+    os.chdir(workdir)
+    try:
+        yield
+    finally:
+        os.chdir(here)
+
+
 def produce(name: str, workdir: str) -> tuple[bytes, str]:
     """Run one golden command inside workdir; return its report bytes and stdout."""
     ext, argv = RUNS[name]
     report = f"{name}.{ext}"
     buf = io.StringIO()
-    here = os.getcwd()
-    os.chdir(workdir)
-    try:
+    with inside(workdir):
         with redirect_stdout(buf):
             code = main(argv + ["--out", report])
         with open(report, "rb") as fh:
             data = fh.read()
-    finally:
-        os.chdir(here)
     if code != 0:
         raise AssertionError(f"{name} exited with {code}")
     return data, buf.getvalue()
+
+
+def load_traced():
+    spec = importlib.util.spec_from_file_location("traced", TRACED_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+traced = load_traced()
+TRACED_RUNS = sorted(name for name, (_, argv) in RUNS.items() if argv[0] in traced.STEPS)
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +133,23 @@ def test_report_matches_golden(name, tmp_path, golden_stdout):
     with open(os.path.join(GOLDEN_DIR, f"{name}.{ext}"), "rb") as fh:
         assert data == fh.read()
     assert stdout == golden_stdout[name]
+
+
+def test_every_traced_step_has_a_golden_run():
+    assert {RUNS[name][1][0] for name in TRACED_RUNS} == set(traced.STEPS)
+
+
+@pytest.mark.parametrize("name", TRACED_RUNS)
+def test_traced_report_matches_cli(name, tmp_path):
+    write_inputs(str(tmp_path))
+    want, _ = produce(name, str(tmp_path))
+    ext, argv = RUNS[name]
+    with inside(str(tmp_path)):
+        # the CLI's --out is passed too, since the report embeds it
+        code = traced.main(["spans.json", f"traced.{ext}", name, "--", *argv, "--out", f"{name}.{ext}"])
+        with open(f"traced.{ext}", "rb") as fh:
+            assert fh.read() == want
+    assert code == 0
 
 
 def regenerate() -> None:

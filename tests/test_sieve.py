@@ -1,10 +1,20 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from lfunclab.coeffs import KahanAccumulator, expand_global
+from lfunclab.coeffs import (
+    SERIES_KINDS,
+    KahanAccumulator,
+    default_model,
+    expand_global,
+    ideal_list,
+    pair_model,
+)
 from lfunclab import sieve
 from lfunclab.errors import ResourceLimitError, UsageError
 from lfunclab.ideals import (
@@ -12,11 +22,13 @@ from lfunclab.ideals import (
     enumerate_ideals,
     gcd_lcm,
     ideal_from_int,
+    min_prime_norm,
     prime_ideal,
     unit_ideal,
 )
 from lfunclab.localdata import (
     character_representation,
+    contragredient,
     dirichlet_family_by_modulus,
     make_family,
     synthetic_family,
@@ -378,3 +390,145 @@ class TestMvt:
         r = mvt_mu(small_char_family, None, 40.0, 1.0, y_scale=100.0, variant="tail")
         assert np.isfinite(r.value) and any("truncated" in f for f in r.flags)
         assert r.shape == pytest.approx(math.log(40.0))
+
+
+GAUSS = NumberFieldSpec.quadratic(-1)
+
+
+@functools.cache
+def family_case(name: str):
+    return {
+        "characters": dirichlet_family_by_modulus(7),
+        "gl2": synthetic_family(2, 3, seed=21),
+        "gl3": synthetic_family(3, 2, seed=22),
+        "gl2_gauss": synthetic_family(2, 3, seed=23, field=GAUSS),
+        "gl3_gauss": synthetic_family(3, 2, seed=24, field=GAUSS),
+    }[name]
+
+
+@functools.cache
+def pi0_case(name: str | None):
+    if name is None:
+        return None
+    return {
+        "chi5": character_representation(primitive_characters(5)[1]),
+        "gl2_q": synthetic_family(2, 1, seed=25).members[0],
+        "trivial_gauss": trivial_representation(GAUSS),
+        "gl2_gauss": synthetic_family(2, 1, seed=26, field=GAUSS).members[0],
+    }[name]
+
+
+# (family, pi0) pairs over a common field; pi0 None is the family's own series
+FAMILY_CASES = [
+    (fam, pi0)
+    for fams, pi0s in (
+        (("characters", "gl2", "gl3"), (None, "chi5", "gl2_q")),
+        (("gl2_gauss", "gl3_gauss"), (None, "trivial_gauss", "gl2_gauss")),
+    )
+    for fam in fams
+    for pi0 in pi0s
+]
+
+
+def series_path(family, pi0, bound, kind):
+    """The per-member dict path: one expand_global series per member, and the diagonal."""
+    model = default_model(family)
+    if pi0 is None:
+        return [expand_global(m, None, bound, kind) for m in family.members], None
+    dual = contragredient(pi0)
+    series = [expand_global(m, dual, bound, kind, pair_model(m, pi0, model)) for m in family.members]
+    return series, expand_global(pi0, pi0, bound, "lambda", pair_model(pi0, pi0, model))
+
+
+class TestFamilyArraysAgainstSeriesPath:
+    """family_coefficient_rows, sifted_sum_check and mvt_mu read the per-prime-power
+    arrays; every value must equal the per-member expand_global path bit for bit."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        case=st.sampled_from(FAMILY_CASES),
+        kind=st.sampled_from(SERIES_KINDS),
+        bound=st.integers(1, 60),
+    )
+    def test_rows(self, case, kind, bound):
+        family, pi0 = family_case(case[0]), pi0_case(case[1])
+        a, ideals, weights = family_coefficient_rows(family, bound, pi0, kind)
+        series, diag = series_path(family, pi0, bound, kind)
+        want = np.array([[s.value(i) for i in ideals] for s in series], dtype=np.complex128)
+        assert np.array_equal(a.view(np.float64), want.view(np.float64))
+        if pi0 is None:
+            assert weights is None
+        else:
+            assert weights.dtype == np.float64
+            assert np.array_equal(weights, [diag.value(i).real for i in ideals])
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        case=st.sampled_from(FAMILY_CASES),
+        kind=st.sampled_from(SERIES_KINDS),
+        x=st.integers(1, 40),
+        t_sharp=st.sampled_from([1.0, 2.0]),
+        z=st.sampled_from([2.0, 3.0, 5.0]),
+        weighted=st.booleans(),
+    )
+    def test_sifted(self, case, kind, x, t_sharp, z, weighted):
+        family, pi0 = family_case(case[0]), pi0_case(case[1])
+        hi = int(math.floor(x * math.exp(1.0 / t_sharp)))
+        weights = None
+        if weighted:
+            weights = WeightVector({
+                i: complex(1.0 / i.norm, (-1) ** i.norm * 0.5) for i in ideal_list(family.field, hi)
+            })
+        res = sifted_sum_check(family, pi0, float(x), t_sharp, z, weights=weights, kind=kind)
+
+        window = [
+            i for i in ideal_list(family.field, hi)
+            if i.norm > x and ((mp := min_prime_norm(i)) is None or mp > z) and not i.is_unit
+        ]
+        series, diag = series_path(family, pi0 or trivial_representation(family.field), hi, kind)
+        wvals = weights.values if weights is not None else {i: 1 + 0j for i in window}
+        lhs = 0.0
+        for s in series:
+            acc = KahanAccumulator()
+            for ideal in window:
+                wv = wvals.get(ideal, 0j)
+                if wv:
+                    acc.add(wv * s.value(ideal))
+            lhs += abs(acc.value()) ** 2
+        wnorm = sum(diag.value(i).real * abs(wvals.get(i, 0j)) ** 2 for i in window)
+        single = 0.0
+        for ideal in window:
+            single += diag.value(ideal).real
+        got = (res.lhs, res.weighted_norm_sq, res.single_rep_sum, res.sifted_count)
+        assert got == (lhs, wnorm, single, len(window))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        case=st.sampled_from(FAMILY_CASES),
+        x=st.integers(3, 50),
+        t_range=st.sampled_from([0.5, 1.0]),
+        tail=st.booleans(),
+    )
+    def test_mvt(self, case, x, t_range, tail):
+        family, pi0 = family_case(case[0]), pi0_case(case[1])
+        if tail:
+            res = mvt_mu(family, pi0, float(x), t_range, y_scale=100.0, variant="tail",
+                         truncation=4.0 * x)
+            lo, hi, sigma = x + 1, 4 * x, 1.0 + 1.0 / math.log(100.0)
+        else:
+            res = mvt_mu(family, pi0, float(x), t_range)
+            lo, hi, sigma = 1, x, 0.5
+
+        series, _ = series_path(family, pi0, hi, "mu")
+        vs = np.linspace(-t_range, t_range, res.points)
+        total = 0.0
+        for s in series:
+            items = [(i.norm, v) for i, v in s.items_sorted() if lo <= i.norm <= hi]
+            if not items:
+                continue
+            norms = np.array([n for n, _ in items], dtype=np.float64)
+            cs = np.array([v for _, v in items], dtype=np.complex128) * norms ** (-sigma)
+            vals = np.abs(np.exp(-1j * np.outer(vs, np.log(norms))) @ cs) ** 2
+            h = vs[1] - vs[0]
+            total += (vals[0] + vals[-1] + 4 * vals[1:-1:2].sum() + 2 * vals[2:-2:2].sum()) * h / 3.0
+        assert res.value == total
