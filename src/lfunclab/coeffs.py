@@ -20,11 +20,16 @@ sum over partitions lam of k with at most min(n, n') parts of
 s_lam(a) * conj(s_lam(b)), with Schur values from the Jacobi-Trudi
 determinant in complete homogeneous polynomials.  The determinant form
 stays finite at repeated parameters, where quotient-of-alternants fails.
+
+_LocalEngine gives the values at prime powers; _PrimePowerArrays.rows alone
+multiplies them out over an ideal's factors, for one series (expand_global)
+and for a family (family_arrays and the pair tables of covers).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,13 +43,14 @@ from .ideals import (
     enumerate_ideals,
     ideal_mul,
     prime_ideal,
-    prime_ideals_up_to,
+    prime_powers_up_to,
     unit_ideal,
 )
 from .localdata import Family, LocalParameters, Representation, contragredient
 
 SERIES_KINDS = ("lambda", "mu", "biglambda", "logl")
 PARTITION_SIZE_CAP = 64
+ROWS_CHUNK = 1 << 14  # values per step of _PrimePowerArrays.rows, which bounds its working arrays
 _IDEAL_CACHE_MAX_BOUND = 200_000
 
 
@@ -250,13 +256,12 @@ def pair_model(a: Representation, b: Representation, model: str) -> str:
 
 
 class _LocalEngine:
-    """Per-(prime, exponent) coefficients for a member or a pair a x conj(b)."""
+    """Local coefficients at (prime, exponent) for a member or a pair a x conj(b)."""
 
     def __init__(self, a: Representation, b: Representation | None, kind: str, model: str):
         if kind not in SERIES_KINDS:
             raise UsageError(f"unknown series kind {kind!r}")
         self.a, self.b, self.kind = a, b, kind
-        self.model = model
         self.psi = None
         if model == "gl1_exact":
             if b is None:
@@ -266,7 +271,6 @@ class _LocalEngine:
             self.psi = product_primitive_character(a.character, b.character)
         elif model != "product":
             raise UsageError(f"unknown ramified model {model!r}")
-        self._cache: dict[tuple[tuple[int, int], int], complex] = {}
 
     @property
     def exact(self) -> bool:
@@ -276,27 +280,7 @@ class _LocalEngine:
         # the product model is exact whenever no ramified prime can occur
         return all(r.conductor.is_unit for r in reps)
 
-    def at(self, ideal: IdealIndex) -> complex:
-        """Value at an ideal: the product of the local values over its factors.
-
-        biglambda and logl vanish off prime powers.
-        """
-        if self.kind in ("biglambda", "logl") and len(ideal.factors) != 1:
-            return 0j
-        acc = 1 + 0j
-        for pid, e in ideal.factors:
-            acc *= self.value(self.a.field, pid, e)
-            if acc == 0:
-                return 0j
-        return acc
-
-    def value(self, field, pid, e: int) -> complex:
-        key = (pid, e)
-        if key not in self._cache:
-            self._cache[key] = self._compute(field, pid, e)
-        return self._cache[key]
-
-    def _compute(self, field, pid, e: int) -> complex:
+    def _compute(self, pid, e: int) -> complex:
         if e == 0:
             return 1 + 0j
         kind = self.kind
@@ -310,7 +294,7 @@ class _LocalEngine:
             if kind == "biglambda":
                 return v**e * math.log(p)
             return v**e / e  # logl
-        prime = prime_ideal(field, pid)
+        prime = prime_ideal(self.a.field, pid)
         pa = self.a.local_at(prime)
         if self.b is None:
             if kind == "lambda":
@@ -338,55 +322,69 @@ class _LocalEngine:
 
 
 class _PrimePowerArrays:
-    """Local values of a fixed list of engines of one kind, one array per prime power.
+    """Values at ideals of a fixed list of engines of one kind: the one product of local values.
 
-    Each array is filled once from the engines' _compute.  The values at an
-    ideal are the product of its factors' arrays, taken with the explicit
-    real/imaginary formula of Python's complex product (numpy's complex
-    multiply can differ from it in the last bit), so every entry equals
-    _LocalEngine.at bit for bit: biglambda and logl vanish off prime powers,
-    and zeros come out as 0j.  The last ideal's values are kept, so that
-    reading them entry by entry costs one product.
+    Row r >= 2 of a growing table, zero-filled so that unused rows cost no memory,
+    holds one prime power's values over the engines, computed once by _compute; row 0
+    is 1+0j and row 1 is 0j.  rows multiplies each ideal's factor rows with the
+    explicit real/imaginary formula of Python's complex product (numpy's can differ
+    in the last bit), so each value is the Python product of the local values in
+    factor order.  Factor lists are front-padded with row 0, as (1+0j)(1+0j) is
+    exact; biglambda and logl read row 1 off prime powers; exact zeros come out as 0j.
     """
 
-    def __init__(self, engines: list[_LocalEngine], field, kind: str):
+    def __init__(self, engines: list[_LocalEngine], kind: str):
         self.engines = engines
-        self.field = field
         self.kind = kind
-        self._local: dict[tuple[tuple[int, int], int], np.ndarray] = {}
+        self._table = np.zeros((64, len(engines)), dtype=np.complex128)
+        self._table[0] = 1
+        self._row: dict[tuple[tuple[int, int], int], int] = {}
         self._last: tuple[IdealIndex, np.ndarray] | None = None
 
-    def local(self, pid, e: int) -> np.ndarray:
-        arr = self._local.get((pid, e))
-        if arr is None:
-            arr = np.array(
-                [eng._compute(self.field, pid, e) for eng in self.engines], dtype=np.complex128
-            )
-            self._local[(pid, e)] = arr
-        return arr
-
-    def at(self, ideal: IdealIndex) -> np.ndarray:
-        if self._last is not None and self._last[0] == ideal:
-            return self._last[1]
-        size = len(self.engines)
-        out = np.zeros(size, dtype=np.complex128)
-        if self.kind not in ("biglambda", "logl") or len(ideal.factors) == 1:
-            re, im = np.ones(size), np.zeros(size)
-            for pid, e in ideal.factors:
-                loc = self.local(pid, e)
-                re, im = re * loc.real - im * loc.imag, re * loc.imag + im * loc.real
-            out.real, out.imag = re, im
-            out[out == 0] = 0
-        out.flags.writeable = False  # kept for the next call, so shared
-        self._last = (ideal, out)
-        return out
+    def _row_of(self, factor: tuple[tuple[int, int], int]) -> int:
+        row = self._row.get(factor)
+        if row is None:
+            row = self._row[factor] = len(self._row) + 2
+            if row == len(self._table):
+                grown = np.zeros((2 * row, len(self.engines)), dtype=np.complex128)
+                grown[:row] = self._table
+                self._table = grown
+            pid, e = factor
+            self._table[row] = [eng._compute(pid, e) for eng in self.engines]
+        return row
 
     def rows(self, ideals) -> np.ndarray:
-        """The (engines, ideals) array whose column j is at(ideals[j])."""
-        out = np.empty((len(self.engines), len(ideals)), dtype=np.complex128)
-        for j, ideal in enumerate(ideals):
-            out[:, j] = self.at(ideal)
+        """The (engines, ideals) array of values, column j at ideals[j]."""
+        size = len(self.engines)
+        out = np.empty((size, len(ideals)), dtype=np.complex128)
+        step = max(1, ROWS_CHUNK // max(1, size))
+        for start in range(0, len(ideals), step):
+            chunk = ideals[start : start + step]
+            depth = max(len(i.factors) for i in chunk) or 1
+            flat = itertools.chain.from_iterable(self._padded(i, depth) for i in chunk)
+            index = np.fromiter(flat, dtype=np.intp, count=len(chunk) * depth)
+            re, im = np.ones((len(chunk), size)), np.zeros((len(chunk), size))
+            for r in index.reshape(len(chunk), depth).T:
+                loc = self._table[r]
+                re, im = re * loc.real - im * loc.imag, re * loc.imag + im * loc.real
+            out.real[:, start : start + step], out.imag[:, start : start + step] = re.T, im.T
+        out[out == 0] = 0
         return out
+
+    def _padded(self, ideal: IdealIndex, depth: int) -> tuple[int, ...]:
+        """The ideal's table rows, front-padded with row 0 to the depth."""
+        if self.kind in ("biglambda", "logl") and len(ideal.factors) != 1:
+            return (0,) * (depth - 1) + (1,)
+        return (0,) * (depth - len(ideal.factors)) + tuple(map(self._row_of, ideal.factors))
+
+    def at(self, ideal: IdealIndex) -> np.ndarray:
+        """rows at one ideal; the last ideal's values are kept, so that
+        reading them entry by entry costs one product."""
+        if self._last is None or self._last[0] != ideal:
+            values = self.rows([ideal])[:, 0]
+            values.flags.writeable = False  # kept for the next call, so shared
+            self._last = (ideal, values)
+        return self._last[1]
 
 
 def family_arrays(
@@ -399,14 +397,13 @@ def family_arrays(
     contragredient(pi0), under pair_model(member, pi0, model); the second
     array holds the one diagonal lambda_{pi0 x dual pi0}.
     """
-    field = family.field
     if pi0 is None:
         own = [_LocalEngine(m, None, kind, "product") for m in family.members]
-        return _PrimePowerArrays(own, field, kind), None
+        return _PrimePowerArrays(own, kind), None
     dual = contragredient(pi0)
     column = [_LocalEngine(m, dual, kind, pair_model(m, pi0, model)) for m in family.members]
     diagonal = _LocalEngine(pi0, pi0, "lambda", pair_model(pi0, pi0, model))
-    return _PrimePowerArrays(column, field, kind), _PrimePowerArrays([diagonal], field, "lambda")
+    return _PrimePowerArrays(column, kind), _PrimePowerArrays([diagonal], "lambda")
 
 
 def expand_global(
@@ -428,23 +425,10 @@ def expand_global(
     if b is not None and b.field != field:
         raise UsageError("pair expansion requires a common field")
     engine = _LocalEngine(a, b, kind, ramified_model)
-    values: dict[IdealIndex, complex] = {}
-    if kind in ("biglambda", "logl"):
-        for pid, pn in prime_ideals_up_to(field, bound):
-            norm_pow = pn
-            e = 1
-            while norm_pow <= bound:
-                ideal = IdealIndex(field, ((pid, e),), norm_pow)
-                val = engine.value(field, pid, e)
-                if val != 0:
-                    values[ideal] = val
-                norm_pow *= pn
-                e += 1
-    else:
-        for ideal in ideal_list(field, bound):
-            val = engine.at(ideal)
-            if val != 0 or ideal.is_unit:
-                values[ideal] = val
+    prime_powers = kind in ("biglambda", "logl")
+    ideals = prime_powers_up_to(field, bound) if prime_powers else ideal_list(field, bound)
+    row = _PrimePowerArrays([engine], kind).rows(ideals)[0].tolist()
+    values = {ideal: val for ideal, val in zip(ideals, row) if val != 0 or ideal.is_unit}
     return CoefficientSeries(field, kind, bound, values, exact=engine.exact)
 
 
@@ -502,19 +486,22 @@ def unit_indicator_series(field: NumberFieldSpec, bound: int) -> CoefficientSeri
     return CoefficientSeries(field, "unit", bound, {unit_ideal(field): 1 + 0j})
 
 
-def mertens_sum(rep: Representation, x: int) -> float:
-    """sum over N(n) <= x of lambda_{pi x dual(pi)}(n) / N(n).
-
-    Diagonal coefficients are nonnegative reals; the gl1_exact model is
-    used automatically for character members, where it is exact.
-    """
-    if x < 3:
-        raise UsageError("mertens_sum requires x >= 3")
+def diagonal_sum(rep: Representation, x: int) -> complex:
+    """sum over N(n) <= x of lambda_{pi x dual(pi)}(n) / N(n), Kahan-summed in ideal
+    order; character members use the gl1_exact model, which is exact for them."""
     series = expand_global(rep, rep, x, "lambda", pair_model(rep, rep, "gl1_exact"))
     acc = KahanAccumulator()
     for ideal, val in series.items_sorted():
         acc.add(val / ideal.norm)
-    total = acc.value()
+    return acc.value()
+
+
+def mertens_sum(rep: Representation, x: int) -> float:
+    """diagonal_sum(rep, x) as a float: diagonal coefficients are nonnegative
+    reals, so a total with an imaginary part is rejected."""
+    if x < 3:
+        raise UsageError("mertens_sum requires x >= 3")
+    total = diagonal_sum(rep, x)
     if abs(total.imag) > 1e-9 * max(1.0, abs(total.real)):
         raise UsageError(f"diagonal coefficient sum is not real: {total}")
     return float(total.real)

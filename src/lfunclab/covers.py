@@ -23,7 +23,7 @@ from .errors import DataIntegrityError, UnsupportedCaseError, UsageError
 from .ideals import (
     IdealIndex,
     ideal_mul,
-    prime_ideals_up_to,
+    prime_powers_up_to,
     unit_ideal,
 )
 from .localdata import Family, Representation, trivial_representation
@@ -81,7 +81,7 @@ class PairCoefficientTable:
     def _pair_values(self, ideal: IdealIndex) -> np.ndarray:
         if self._pairs is None:
             engines = [self.engine(int(i), int(j)) for i, j in zip(*self._upper)]
-            self._pairs = _PrimePowerArrays(engines, self.family.field, self.kind)
+            self._pairs = _PrimePowerArrays(engines, self.kind)
         return self._pairs.at(ideal)
 
     def entry(self, i: int, j: int, ideal: IdealIndex) -> complex:
@@ -500,19 +500,13 @@ def gl1_log_decomposition(family: Family, norm_bound: int) -> CoverDecomposition
                 cond_prod *= p
     terms = []
     target: dict[IdealIndex, np.ndarray] = {}
-    for pid, pn in prime_ideals_up_to(family.field, norm_bound):
-        p = pid[0]
+    for ideal in prime_powers_up_to(family.field, norm_bound):
+        [((p, _), f)] = ideal.factors
         if cond_prod % p == 0:
             continue
-        f = 1
-        npf = pn
-        while npf <= norm_bound:
-            u = np.array([m.character.value(p) ** f for m in members]) / math.sqrt(f)
-            ideal = IdealIndex(family.field, ((pid, f),), npf)
-            terms.append(CoverTerm(1 + 0j, ideal, u))
-            target[ideal] = np.outer(u, np.conj(u))
-            f += 1
-            npf *= pn
+        u = np.array([m.character.value(p) ** f for m in members]) / math.sqrt(f)
+        terms.append(CoverTerm(1 + 0j, ideal, u))
+        target[ideal] = np.outer(u, np.conj(u))
     out = CoverDecomposition(
         terms,
         tuple(m.label for m in members),

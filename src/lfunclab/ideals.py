@@ -25,6 +25,7 @@ import numpy as np
 from .errors import InvariantError, ResourceLimitError, UsageError
 
 DEFAULT_IDEAL_CEILING = 10_000_000
+PRIME_SIEVE_CEILING = DEFAULT_IDEAL_CEILING  # bytes; over Q, the bound with that many ideals
 
 PrimeId = tuple[int, int]  # (rational prime, slot)
 
@@ -273,6 +274,8 @@ def min_prime_norm(a: IdealIndex) -> int | None:
 
 
 def primes_up_to(n: int) -> np.ndarray:
+    if n > PRIME_SIEVE_CEILING:
+        raise ResourceLimitError(f"a prime sieve up to {n} exceeds the ceiling {PRIME_SIEVE_CEILING}")
     if n < 2:
         return np.empty(0, dtype=np.int64)
     sieve = np.ones(n + 1, dtype=bool)
@@ -291,6 +294,17 @@ def prime_ideals_up_to(field: NumberFieldSpec, bound: int) -> list[tuple[PrimeId
             if norm <= bound:
                 out.append((pid, norm))
     out.sort(key=lambda t: (t[1], t[0]))
+    return out
+
+
+def prime_powers_up_to(field: NumberFieldSpec, bound: int) -> list[IdealIndex]:
+    """The prime-power ideals of norm <= bound, prime by prime as prime_ideals_up_to."""
+    out = []
+    for pid, pn in prime_ideals_up_to(field, bound):
+        norm, e = pn, 1
+        while norm <= bound:
+            out.append(IdealIndex(field, ((pid, e),), norm))
+            norm, e = norm * pn, e + 1
     return out
 
 

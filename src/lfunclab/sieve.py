@@ -25,10 +25,10 @@ import numpy as np
 from .coeffs import (
     KahanAccumulator,
     default_model,
+    diagonal_sum,
     expand_global,
     family_arrays,
     ideal_list,
-    pair_model,
 )
 from .errors import ResourceLimitError, UsageError
 from .ideals import (
@@ -286,6 +286,8 @@ def g_factor(rep: Representation, d: IdealIndex) -> tuple[float, list[str]]:
 
 
 _BRUTE_FORCE_BLOCK = 256  # support rows per block of the brute-force diagonal
+# over Q the support has at most z ideals; the brute-force diagonal costs |support|^2
+SELBERG_MAX_Z = 100_000
 
 
 @dataclass
@@ -362,6 +364,8 @@ def selberg_weights(rep: Representation, z: float) -> SieveWeights:
     """
     if z < 1:
         raise UsageError("selberg_weights needs z >= 1")
+    if z > SELBERG_MAX_Z:
+        raise ResourceLimitError(f"Selberg support z = {z:g} exceeds the ceiling {SELBERG_MAX_Z}")
     fld = rep.field
     unit = unit_ideal(fld)
     primes = []
@@ -524,11 +528,7 @@ def diagonal_lower_bound_check(rep: Representation, z: float) -> DiagonalLowerBo
     flags: list[str] = []
     if z < 1:
         raise UsageError("z must be >= 1")
-    series = expand_global(rep, rep, max(int(z), 1), "lambda", pair_model(rep, rep, "gl1_exact"))
-    acc = KahanAccumulator()
-    for ideal, val in series.items_sorted():
-        acc.add(val / ideal.norm)
-    partial = acc.value().real
+    partial = diagonal_sum(rep, max(int(z), 1)).real
     logz = math.log(z)
     residue = None
     if rep.degree == 1 and rep.character is not None:
@@ -627,6 +627,8 @@ def sifted_sum_check(
 # ---------------------------------------------------------------------------
 # mean-value integrals of inverse coefficients
 
+MVT_MAX_POINTS = 1 << 20  # quadrature points; the grid and the values take 8 bytes each
+
 
 @dataclass
 class MvtResult:
@@ -670,6 +672,8 @@ def mvt_mu(
         flags.append(f"tail truncated at N(n) <= {hi}")
     density = max(8.0, math.log(max(hi, 3)))
     points = max(int(2 * math.ceil(8 * t_range * density) + 1), 129)
+    if points > MVT_MAX_POINTS:
+        raise ResourceLimitError(f"{points} mvt points exceed the ceiling {MVT_MAX_POINTS}")
     if (points - 1) / (2 * t_range) < 4.0 * math.log(max(hi, 3)):
         flags.append("quadrature may undersample the integrand oscillation")
     vs = np.linspace(-t_range, t_range, points)

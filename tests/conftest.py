@@ -1,5 +1,7 @@
+import math
 import os
 
+import numpy as np
 import pytest
 
 from lfunclab.characters import primitive_characters
@@ -12,6 +14,7 @@ from lfunclab.localdata import (
 )
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+LARGE_ARRAY = 10**8  # elements: past anything a desk-scale run allocates at once
 
 
 def ramanujan_tau_table(n_max: int) -> list[int]:
@@ -74,3 +77,22 @@ def gl2_family():
 @pytest.fixture(scope="session")
 def conductor_family_20():
     return dirichlet_character_family(20)
+
+
+@pytest.fixture
+def refuse_large_arrays(monkeypatch):
+    """np.ones and np.linspace fail past LARGE_ARRAY elements, so a ceiling
+    test whose check comes after the allocation fails instead of exhausting
+    memory."""
+
+    def guarded(real, size):
+        def wrapper(*args, **kwargs):
+            assert size(*args, **kwargs) <= LARGE_ARRAY, f"np.{real.__name__} past the guard"
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    ones_size = lambda shape, *args, **kwargs: math.prod(np.atleast_1d(shape))
+    linspace_size = lambda start, stop, num=50, *args, **kwargs: num
+    monkeypatch.setattr(np, "ones", guarded(np.ones, ones_size))
+    monkeypatch.setattr(np, "linspace", guarded(np.linspace, linspace_size))

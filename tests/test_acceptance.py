@@ -130,6 +130,7 @@ def test_criterion_3_positive_semidefiniteness(gl1_table):
               f"centered GL2/GL3 PSD (worst {worst_centered:.2e}); {elapsed:.1f} s")
 
 
+@pytest.mark.slow
 def test_criterion_4_cover_inequalities(gl1_table, gl2_family):
     t0 = time.perf_counter()
     size = len(gl1_table.family.members)

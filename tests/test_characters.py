@@ -120,6 +120,7 @@ def test_prime_power_groups_and_their_products(q):
     assert levels == expected
 
 
+@pytest.mark.slow
 def test_products_up_to_fifty():
     prim = primitive_characters_up_to_modulus(50)
     for i, a in enumerate(prim):

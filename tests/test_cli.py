@@ -127,6 +127,23 @@ class TestExitCodes:
                      "--out", str(tmp_path / "d.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["psd", "--nmax", "10000000000"],
+            ["detect", "--eta", "0.05", "--log-scale", "40", "--truncation", "10000000000"],
+            ["sieve-weights", "--z", "1e12"],
+            ["mvt", "--x", "30", "--t", "1e12"],
+        ],
+    )
+    def test_past_a_ceiling_exits_two_before_allocating(
+        self, argv, tmp_path, capsys, refuse_large_arrays
+    ):
+        out = tmp_path / "r.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "exceed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_selftest_passes(self, capsys):
         assert main(["constants", "--selftest"]) == 0
         out = capsys.readouterr().out
@@ -346,15 +363,7 @@ class TestKernelBuildCounts:
         )
         monkeypatch.setattr(coeffs, "hom_sym_values", counted(h_calls, coeffs.hom_sym_values))
         monkeypatch.setattr(characters, "_canonical_key", counted(keyed, characters._canonical_key))
-        computed, read = [], []
-        real_compute = coeffs._LocalEngine._compute
-
-        def compute(engine, field, pid, e):
-            computed.append((engine, pid, e))
-            return real_compute(engine, field, pid, e)
-
-        monkeypatch.setattr(coeffs._LocalEngine, "_compute", compute)
-        monkeypatch.setattr(coeffs._LocalEngine, "at", counted(read, coeffs._LocalEngine.at))
+        computed = self.record_computes(monkeypatch)
         out = tmp_path / "report.jsonl"
         argv = self.COMMANDS[command] + [
             "--family", str(spec), "--nmax", str(self.NMAX), "--out", str(out), "--format", "jsonl",
@@ -372,7 +381,34 @@ class TestKernelBuildCounts:
         # keeps every object alive, so no id is reused
         assert len({id(chi) for chi in keyed}) == len(keyed)
         # each engine (a pair, a pi0-column member or the pi0 diagonal) computes
-        # each prime power once, and matrices are read from the arrays, not at()
+        # each prime power once
         assert len({(id(engine), pid, e) for engine, pid, e in computed}) == len(computed)
         assert len({id(engine) for engine, _, _ in computed}) <= size * (size + 1) // 2 + size + 1
-        assert not read
+
+    SERIES_COMMANDS = {
+        "residue": ["residue", "--x", "150", "--t", "1", "--d", "6"],
+        "detect": ["detect", "--eta", "0.05", "--log-scale", "40", "--truncation", "2000",
+                   "--k", "5"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(SERIES_COMMANDS))
+    def test_series_computes_each_prime_power_once(self, command, tmp_path, monkeypatch):
+        computed = self.record_computes(monkeypatch)
+        out = tmp_path / "report.csv"
+        assert main(self.SERIES_COMMANDS[command] + ["--out", str(out)]) == 0
+        # one series: one engine, and each prime power computed once
+        assert len({id(engine) for engine, _, _ in computed}) == 1
+        assert len({(pid, e) for _, pid, e in computed}) == len(computed) > 100
+
+    @staticmethod
+    def record_computes(monkeypatch) -> list:
+        """(engine, prime id, exponent) for every _LocalEngine._compute call."""
+        computed = []
+        real_compute = coeffs._LocalEngine._compute
+
+        def compute(engine, pid, e):
+            computed.append((engine, pid, e))
+            return real_compute(engine, pid, e)
+
+        monkeypatch.setattr(coeffs._LocalEngine, "_compute", compute)
+        return computed

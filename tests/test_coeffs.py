@@ -6,6 +6,9 @@ import pytest
 from lfunclab import coeffs
 from lfunclab.characters import conjugate, primitive_characters
 from lfunclab.coeffs import (
+    SERIES_KINDS,
+    _LocalEngine,
+    _PrimePowerArrays,
     default_model,
     dirichlet_convolve,
     expand_global,
@@ -37,11 +40,14 @@ from lfunclab.localdata import (
     LocalParameters,
     character_representation,
     contragredient,
+    dirichlet_family_by_modulus,
     make_family,
     synthetic_family,
     trivial_representation,
 )
 from lfunclab.sieve import family_coefficient_rows
+
+from scalar_oracle import scalar_coefficient
 
 Q = NumberFieldSpec.rationals()
 P2 = prime_ideal(Q, (2, 0))
@@ -255,6 +261,77 @@ class TestExpandGlobal:
                 assert series.value(ideal) == pytest.approx(want, abs=1e-13), (a.label, b.label, ideal)
 
 
+class TestPrimePowerArraysRows:
+    """rows, the one product of local values, against the scalar product."""
+
+    # (family, ramified model, norm bound): gl1_exact characters vanish at
+    # ramified primes; GL3 over Q(i) exercises split primes and the product model
+    CASES = {
+        "gl1_exact-Q": (lambda: dirichlet_family_by_modulus(8), "gl1_exact", 400),
+        "product-quadratic(-1)": (
+            lambda: synthetic_family(3, 3, seed=5, field=NumberFieldSpec.quadratic(-1)),
+            "product",
+            200,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("kind", SERIES_KINDS)
+    def test_unsorted_mix_bitwise(self, case, kind):
+        make, model, bound = self.CASES[case]
+        fam = make()
+        members = fam.members
+        engines = [
+            _LocalEngine(a, b, kind, pair_model(a, b, model))
+            for a in members
+            for b in members
+        ] + [_LocalEngine(m, None, kind, "product") for m in members]
+        ideals = list(enumerate_ideals(fam.field, bound))
+        mix = [ideals[k] for k in np.random.default_rng(11).permutation(len(ideals))]
+        mix += mix[:5]  # repeats read the same table rows
+        arrays = _PrimePowerArrays(engines, kind)
+        # two calls: the second reads prime powers the first put in the table
+        got = np.concatenate([arrays.rows(mix[:40]), arrays.rows(mix[40:])], axis=1)
+        want = np.array(
+            [[scalar_coefficient(eng, ideal) for ideal in mix] for eng in engines],
+            dtype=np.complex128,
+        )
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        column = np.ascontiguousarray(want[:, 7])
+        assert np.array_equal(arrays.at(mix[7]).view(np.uint64), column.view(np.uint64))
+        assert not np.signbit(got[got == 0].view(np.float64)).any()  # exact zeros are 0j
+        assert any(ideal.is_unit for ideal in mix)
+        assert max(len(ideal.factors) for ideal in mix) >= 3
+        # zeros: mu past the degree, characters at ramified primes
+        assert (got == 0).any() or (kind, model) == ("lambda", "product")
+        if kind in ("biglambda", "logl"):
+            off = [j for j, ideal in enumerate(mix) if len(ideal.factors) != 1]
+            assert off and not got[:, off].any()
+
+    def test_signed_zeros_match_the_scalar_product(self):
+        # (-1+0j)(-1+0j) is 1-0j, and a trailing identity factor would make it 1+0j
+        class Engine:
+            kind = "lambda"
+            local = {3: complex(-1.0, 0.0), 5: 1j, 7: complex(-1.0, 0.0)}
+
+            def _compute(self, pid, e):
+                return self.local.get(pid[0], 1 + 0j) ** e
+
+        engine = Engine()
+        mix = [ideal_from_int(Q, n) for n in (21, 2, 105, 3, 15, 1, 35, 210, 9, 7)]
+        got = _PrimePowerArrays([engine], "lambda").rows(mix)[0]
+        want = np.array([scalar_coefficient(engine, i) for i in mix])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.signbit(want.imag[want.imag == 0]).any()
+
+    def test_empty_and_unit_only(self):
+        fam = dirichlet_family_by_modulus(5)
+        engines = [_LocalEngine(m, None, "lambda", "product") for m in fam.members]
+        arrays = _PrimePowerArrays(engines, "lambda")
+        assert arrays.rows([]).shape == (len(engines), 0)
+        assert np.array_equal(arrays.rows([unit_ideal(Q)] * 2), np.ones((len(engines), 2)))
+
+
 class TestNewtonConsistency:
     def test_power_sums_vs_newton_identities(self, gl2_family):
         # Lambda(p^l)/log Np equals the l-th power sum; Newton's identities
@@ -372,27 +449,27 @@ class TestRamifiedModel:
         table = PairCoefficientTable(mixed, "lambda")
         assert table.model == "product"
         # the product model also holds for the character pairs of a mixed family
-        series = expand_global(mixed.members[1], mixed.members[2], 30, "lambda", "product")
+        engine = _LocalEngine(mixed.members[1], mixed.members[2], "lambda", "product")
         for ideal in enumerate_ideals(Q, 30):
-            assert table.entry(1, 2, ideal) == series.value(ideal)
+            assert table.entry(1, 2, ideal) == scalar_coefficient(engine, ideal)
 
     @pytest.mark.parametrize("kind", ["lambda", "mu", "logl"])
     def test_gl2_pi0_column_uses_product(self, small_char_family, gl2_family, kind):
         fam, pi0 = small_char_family, gl2_family.members[0]
         bound, trials, seed = 40, 30, 5
         rows, ideals, weights = family_coefficient_rows(fam, bound, pi0, kind)
-        diag = expand_global(pi0, pi0, bound, "lambda", "product")
+        diag = _LocalEngine(pi0, pi0, "lambda", "product")
         dual = contragredient(pi0)
-        columns = [expand_global(m, dual, bound, kind, "product") for m in fam.members]
-        assert np.array_equal(weights, [diag.value(i).real for i in ideals])
-        for row, series in zip(rows, columns):
-            assert np.array_equal(row, [series.value(i) for i in ideals])
+        columns = [_LocalEngine(m, dual, kind, "product") for m in fam.members]
+        assert np.array_equal(weights, [scalar_coefficient(diag, i).real for i in ideals])
+        for row, engine in zip(rows, columns):
+            assert np.array_equal(row, [scalar_coefficient(engine, i) for i in ideals])
         ws = weight_battery(len(fam.members), trials, seed)
         for n in (2, 3, 6, 12, 25):
             ideal = ideal_from_int(Q, n)
             res = bilinear_inequality_check(kind, fam, pi0, ideal, trials=trials, seed=seed)
             cover = coefficient_matrix(fam, ideal, "lambda").entries
-            vec = np.array([series.value(ideal) for series in columns])
+            vec = np.array([scalar_coefficient(engine, ideal) for engine in columns])
             quad = np.einsum("ti,ij,tj->t", ws, cover, ws.conj()).real
-            margins = diag.value(ideal).real * quad - np.abs(ws @ vec) ** 2
+            margins = scalar_coefficient(diag, ideal).real * quad - np.abs(ws @ vec) ** 2
             assert res.worst_margin == pytest.approx(margins.min(), rel=1e-12, abs=1e-12)

@@ -27,6 +27,8 @@ from lfunclab.localdata import (
 )
 from lfunclab.characters import primitive_characters
 
+from scalar_oracle import scalar_coefficient
+
 Q = NumberFieldSpec.rationals()
 
 # one family per ramified model: characters (gl1_exact) and GL3 over Q(i) (product)
@@ -220,7 +222,7 @@ class TestTableMismatch:
 
 class PerEntryAssembly:
     """The assembly the per-prime-power arrays replaced: one _LocalEngine per
-    pair, each entry read through _LocalEngine.at."""
+    pair, each entry the scalar product of its local values."""
 
     def __init__(self, family, kind, model):
         self.family, self.model = family, model
@@ -235,7 +237,7 @@ class PerEntryAssembly:
         size = len(self.family.members)
         m = np.zeros((size, size), dtype=np.complex128)
         for (i, j), engine in self.pairs.items():
-            v = engine.at(ideal)
+            v = scalar_coefficient(engine, ideal)
             m[i, j] = v
             if j != i:
                 m[j, i] = np.conj(v)
@@ -243,10 +245,14 @@ class PerEntryAssembly:
             base = pi0 or trivial_representation(self.family.field)
             dual = contragredient(base)
             vec = np.array([
-                _LocalEngine(member, dual, "lambda", pair_model(member, base, self.model)).at(ideal)
+                scalar_coefficient(
+                    _LocalEngine(member, dual, "lambda", pair_model(member, base, self.model)), ideal
+                )
                 for member in self.family.members
             ])
-            w00 = _LocalEngine(base, base, "lambda", pair_model(base, base, self.model)).at(ideal)
+            w00 = scalar_coefficient(
+                _LocalEngine(base, base, "lambda", pair_model(base, base, self.model)), ideal
+            )
             m = w00 * m - np.outer(vec, np.conj(vec))
         return m
 
@@ -277,7 +283,7 @@ class TestPerEntryDifferential:
                     fam, ideal, kind, pi0=pi0, ramified_model=model, table=table
                 ).entries
                 want = reference.matrix(ideal, kind, pi0)
-                assert np.array_equal(got.view(np.float64), want.view(np.float64)), ideal
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), ideal
                 zeros += int(np.count_nonzero(got == 0))
             factor_counts.add(len(ideal.factors))
         assert {1, 2, 3} <= factor_counts

@@ -21,6 +21,7 @@ from lfunclab.ideals import (
     is_prime,
     kronecker_symbol,
     prime_ideal,
+    PRIME_SIEVE_CEILING,
     primes_up_to,
     split_prime,
     unit_ideal,
@@ -85,6 +86,15 @@ class TestEnumeration:
     def test_memory_ceiling_error_names_the_ceiling(self):
         with pytest.raises(ResourceLimitError, match="50"):
             enumerate_ideals(Q, 1000, max_count=50)
+
+    def test_prime_sieve_ceiling_before_allocating(self, refuse_large_arrays, monkeypatch):
+        with pytest.raises(ResourceLimitError, match=f"exceeds the ceiling {PRIME_SIEVE_CEILING}"):
+            primes_up_to(10**10)
+        # the ceiling is inclusive, and enumeration trips it before counting ideals
+        monkeypatch.setattr("lfunclab.ideals.PRIME_SIEVE_CEILING", 100)
+        assert len(primes_up_to(100)) == 25
+        with pytest.raises(ResourceLimitError, match="prime sieve up to 101"):
+            enumerate_ideals(Q, 101)
 
     def test_bound_below_one_rejected(self):
         with pytest.raises(UsageError):

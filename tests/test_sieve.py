@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from lfunclab.coeffs import (
     SERIES_KINDS,
     KahanAccumulator,
+    _LocalEngine,
     default_model,
     expand_global,
     ideal_list,
@@ -50,6 +51,8 @@ from lfunclab.sieve import (
     sifted_sum_check,
     smooth_sum_residue,
 )
+
+from scalar_oracle import scalar_coefficient
 
 Q = NumberFieldSpec.rationals()
 
@@ -206,6 +209,17 @@ class TestSelbergWeights:
         w = selberg_weights(make_rep(), 60.0)
         want = pair_loop_diagonal(w)
         assert w.brute_force_diagonal() == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_support_ceiling_before_the_prime_scan(self, trivial_rep, monkeypatch):
+        monkeypatch.setattr(sieve, "SELBERG_MAX_Z", 50)
+        assert len(selberg_weights(trivial_rep, 50.0).support) > 1  # inclusive
+
+        def refuse(*args):
+            raise AssertionError("scanned the primes past the ceiling")
+
+        monkeypatch.setattr(sieve, "prime_ideals_up_to", refuse)
+        with pytest.raises(ResourceLimitError, match="z = 50.5 exceeds the ceiling 50"):
+            selberg_weights(trivial_rep, 50.5)
 
     def test_ramified_primes_excluded_from_support(self):
         rep = character_representation(primitive_characters(3)[0])
@@ -386,6 +400,16 @@ class TestMvt:
         large = mvt_mu(fam, None, 30.0, 2.0).value
         assert large > small
 
+    def test_point_ceiling_before_allocating(self, trivial_rep, refuse_large_arrays, monkeypatch):
+        fam = make_family([trivial_rep])
+        with pytest.raises(ResourceLimitError, match="mvt points exceed the ceiling"):
+            mvt_mu(fam, None, 50.0, 1e9)
+        # x = 50, T = 2 takes 257 points; the ceiling is inclusive
+        monkeypatch.setattr(sieve, "MVT_MAX_POINTS", 257)
+        assert mvt_mu(fam, None, 50.0, 2.0).points == 257
+        with pytest.raises(ResourceLimitError, match="259 mvt points exceed the ceiling 257"):
+            mvt_mu(fam, None, 50.0, 2.01)
+
     def test_tail_variant_runs(self, small_char_family):
         r = mvt_mu(small_char_family, None, 40.0, 1.0, y_scale=100.0, variant="tail")
         assert np.isfinite(r.value) and any("truncated" in f for f in r.flags)
@@ -431,18 +455,25 @@ FAMILY_CASES = [
 
 
 def series_path(family, pi0, bound, kind):
-    """The per-member dict path: one expand_global series per member, and the diagonal."""
+    """The scalar oracle per member, {ideal: value} up to the bound, and the diagonal."""
     model = default_model(family)
     if pi0 is None:
-        return [expand_global(m, None, bound, kind) for m in family.members], None
-    dual = contragredient(pi0)
-    series = [expand_global(m, dual, bound, kind, pair_model(m, pi0, model)) for m in family.members]
-    return series, expand_global(pi0, pi0, bound, "lambda", pair_model(pi0, pi0, model))
+        engines, diag = [_LocalEngine(m, None, kind, "product") for m in family.members], None
+    else:
+        dual = contragredient(pi0)
+        engines = [_LocalEngine(m, dual, kind, pair_model(m, pi0, model)) for m in family.members]
+        diag = _LocalEngine(pi0, pi0, "lambda", pair_model(pi0, pi0, model))
+    ideals = ideal_list(family.field, bound)
+
+    def values(engine):
+        return {i: scalar_coefficient(engine, i) for i in ideals}
+
+    return [values(e) for e in engines], None if diag is None else values(diag)
 
 
 class TestFamilyArraysAgainstSeriesPath:
     """family_coefficient_rows, sifted_sum_check and mvt_mu read the per-prime-power
-    arrays; every value must equal the per-member expand_global path bit for bit."""
+    arrays; every value must equal the scalar product per member bit for bit."""
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(
@@ -454,13 +485,13 @@ class TestFamilyArraysAgainstSeriesPath:
         family, pi0 = family_case(case[0]), pi0_case(case[1])
         a, ideals, weights = family_coefficient_rows(family, bound, pi0, kind)
         series, diag = series_path(family, pi0, bound, kind)
-        want = np.array([[s.value(i) for i in ideals] for s in series], dtype=np.complex128)
-        assert np.array_equal(a.view(np.float64), want.view(np.float64))
+        want = np.array([[s[i] for i in ideals] for s in series], dtype=np.complex128)
+        assert np.array_equal(a.view(np.uint64), want.view(np.uint64))
         if pi0 is None:
             assert weights is None
         else:
             assert weights.dtype == np.float64
-            assert np.array_equal(weights, [diag.value(i).real for i in ideals])
+            assert np.array_equal(weights, [diag[i].real for i in ideals])
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(
@@ -493,12 +524,12 @@ class TestFamilyArraysAgainstSeriesPath:
             for ideal in window:
                 wv = wvals.get(ideal, 0j)
                 if wv:
-                    acc.add(wv * s.value(ideal))
+                    acc.add(wv * s[ideal])
             lhs += abs(acc.value()) ** 2
-        wnorm = sum(diag.value(i).real * abs(wvals.get(i, 0j)) ** 2 for i in window)
+        wnorm = sum(diag[i].real * abs(wvals.get(i, 0j)) ** 2 for i in window)
         single = 0.0
         for ideal in window:
-            single += diag.value(ideal).real
+            single += diag[ideal].real
         got = (res.lhs, res.weighted_norm_sq, res.single_rep_sum, res.sifted_count)
         assert got == (lhs, wnorm, single, len(window))
 
@@ -523,7 +554,7 @@ class TestFamilyArraysAgainstSeriesPath:
         vs = np.linspace(-t_range, t_range, res.points)
         total = 0.0
         for s in series:
-            items = [(i.norm, v) for i, v in s.items_sorted() if lo <= i.norm <= hi]
+            items = [(i.norm, v) for i, v in s.items() if lo <= i.norm <= hi and v != 0]
             if not items:
                 continue
             norms = np.array([n for n, _ in items], dtype=np.float64)
