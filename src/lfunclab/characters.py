@@ -4,7 +4,13 @@ A character mod q is stored by its angle table: chi(n) = e(angles[n]/M)
 with e(x) = exp(2 pi i x), angles[n] an integer and M the group exponent
 carried by the character.  gcd(n, q) > 1 is marked by angle -1.  Products,
 conjugates, conductors, and primitive parts are then exact integer
-computations; complex values only appear on evaluation.
+computations; complex values only appear on evaluation, through unit_root.
+
+PrimeAngles gives characters' local data at primes for the GL1 pair rule
+of coeffs: the angle of each one's prime-to-p part at p, and an id of its
+p-part.  The primitive character inducing chi_a * conj(chi_b) vanishes at p
+exactly when the p-parts differ, and otherwise has the angle
+A_a M/M_a - A_b M/M_b mod M, M = lcm(M_a, M_b), with no product table built.
 
 Group structure: (Z/qZ)* is decomposed into cyclic components with fixed
 generators (smallest primitive root for odd prime powers, -1 and 5 for
@@ -129,7 +135,7 @@ class DirichletCharacter:
         a = int(self.angles[n % q])
         if a < 0:
             return 0j
-        return complex(np.exp(2j * np.pi * a / self.order_denom))
+        return unit_root(a, self.order_denom)
 
     def values(self, ns: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at integer array ns."""
@@ -147,6 +153,11 @@ class DirichletCharacter:
 
     def __repr__(self):
         return f"chi(mod {self.modulus}, #{self.index}, cond {self.conductor})"
+
+
+def unit_root(a: int, m: int) -> complex:
+    """e(a/m) = exp(2 pi i a/m) for integers a and m: the one scalar evaluation of an angle."""
+    return complex(np.exp(2j * np.pi * a / m))
 
 
 def _canonical_key(chi: DirichletCharacter):
@@ -189,6 +200,48 @@ def _conductor_of(q: int, angles: np.ndarray) -> int:
         )
         f *= p**k
     return f
+
+
+class PrimeAngles:
+    """Local data of a list of characters at primes, for the GL1 pair rule.
+
+    at(primes) gives two (primes, characters) int arrays.  angles: the angle,
+    in units of 1/order_denom, of each character's prime-to-p part at p, that
+    is chi(n) for n = p mod q/p^e and n = 1 mod p^e, p^e || q.  parts: an id
+    of its p-part, 0 when that is trivial (p does not divide the conductor),
+    else p^k + j when it is induced from character #j of character_group(p^k),
+    so equal p-parts of any two characters get equal ids.  One lookup into
+    the stacked angle tables serves every prime that divides no modulus.
+    """
+
+    def __init__(self, characters: list[DirichletCharacter]):
+        self.characters = characters
+        self.moduli = np.array([chi.modulus for chi in characters], dtype=np.int64)
+        self._offsets = np.cumsum(self.moduli) - self.moduli
+        self._angles = np.concatenate([chi.angles for chi in characters] or [np.empty(0, np.int64)])
+
+    def at(self, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        primes = np.asarray(primes, dtype=np.int64)[:, None]
+        angles = self._angles[self._offsets + primes % self.moduli]
+        parts = np.zeros_like(angles)
+        for i, c in zip(*np.nonzero(self.moduli % primes == 0)):
+            angles[i, c], parts[i, c] = _ramified_prime_angle(self.characters[c], int(primes[i, 0]))
+        return angles, parts
+
+
+def _ramified_prime_angle(chi: DirichletCharacter, p: int) -> tuple[int, int]:
+    """PrimeAngles.at for one character at one prime p dividing its modulus."""
+    q = chi.modulus
+    pe = p ** dict(factor_int(q))[p]
+    angle = int(chi.angles[_crt_lift(p, q // pe, q)])
+    pk = math.gcd(chi.conductor, pe)
+    if pk == 1:
+        return angle, 0
+    grp = unit_group(pk)
+    j = 0
+    for g, order in zip(grp.generators, grp.orders):
+        j = j * order + int(chi.angles[_crt_lift(g, pe, q)]) * order // chi.order_denom
+    return angle, pk + j
 
 
 def trivial_character() -> DirichletCharacter:

@@ -12,7 +12,11 @@ product set {alpha_i * conj(beta_j)}.  At ramified primes two models are
 available: "product" keeps the same product formula with zero parameters
 included (a documented stand-in, labelled non-exact in reports), while
 "gl1_exact" replaces the pair of degree-1 members by the primitive
-Dirichlet character inducing chi_a * conj(chi_b), which is exact.
+Dirichlet character psi inducing chi_a * conj(chi_b), which is exact.
+psi is never built: psi(p) is 0 where the p-parts of chi_a and chi_b
+differ, and otherwise e(angle/M) with the integer angle
+A_a M/M_a - A_b M/M_b mod M, M = lcm(M_a, M_b), from each member's angle
+A at p (characters.PrimeAngles).
 
 Pair coefficients use the Cauchy identity: the x^k coefficient of
 prod_{i,j} (1 - a_i conj(b_j) x)^{-1} equals
@@ -21,9 +25,12 @@ s_lam(a) * conj(s_lam(b)), with Schur values from the Jacobi-Trudi
 determinant in complete homogeneous polynomials.  The determinant form
 stays finite at repeated parameters, where quotient-of-alternants fails.
 
-_LocalEngine gives the values at prime powers; _PrimePowerArrays.rows alone
-multiplies them out over an ideal's factors, for one series (expand_global)
-and for a family (family_arrays and the pair tables of covers).
+_PrimePowerArrays keeps one table row per prime power, filled once for all
+its engines in one block per rows call: gl1_exact engines by the angle rule,
+with one memo lookup per distinct (angle, M, exponent), the others through
+_LocalEngine._compute.  rows alone multiplies the rows out over an ideal's
+factors, for one series (expand_global) and for a family (family_arrays and
+the pair tables of covers).
 """
 
 from __future__ import annotations
@@ -207,30 +214,6 @@ def _schur_values(params: LocalParameters, k: int, max_parts: int):
     return [v for lam, v in zip(partitions_of(k, degree), values) if len(lam) <= max_parts]
 
 
-# Above the pair count of the 285-member stress family: a caller that builds
-# a fresh table per ideal cycles through every pair, and a cache smaller than
-# that cycle would miss on every lookup.
-PRODUCT_CACHE_MAX = 65536
-_product_primitive_cache: dict[tuple, chars.DirichletCharacter] = {}
-
-
-def product_primitive_character(chi_a, chi_b):
-    """Primitive character inducing chi_a * conj(chi_b).
-
-    Cached by value, on the two canonical keys, so separately built copies
-    of one character (such as contragredients) share an entry; the cache
-    drops its oldest entry beyond PRODUCT_CACHE_MAX.
-    """
-    key = (chi_a.canonical_key(), chi_b.canonical_key())
-    psi = _product_primitive_cache.get(key)
-    if psi is None:
-        if len(_product_primitive_cache) >= PRODUCT_CACHE_MAX:
-            del _product_primitive_cache[next(iter(_product_primitive_cache))]
-        psi = chars.primitive_part(chars.multiply(chi_a, chars.conjugate(chi_b)))
-        _product_primitive_cache[key] = psi
-    return psi
-
-
 # ---------------------------------------------------------------------------
 # ramified model choice
 
@@ -256,25 +239,28 @@ def pair_model(a: Representation, b: Representation, model: str) -> str:
 
 
 class _LocalEngine:
-    """Local coefficients at (prime, exponent) for a member or a pair a x conj(b)."""
+    """Local coefficients at (prime, exponent) for a member or a pair a x conj(b).
+
+    _compute is the product model's value at one prime power.  A gl1_exact
+    engine has no scalar rule: _PrimePowerArrays fills its rows from the
+    members' character angles.
+    """
 
     def __init__(self, a: Representation, b: Representation | None, kind: str, model: str):
         if kind not in SERIES_KINDS:
             raise UsageError(f"unknown series kind {kind!r}")
-        self.a, self.b, self.kind = a, b, kind
-        self.psi = None
+        self.a, self.b, self.kind, self.model = a, b, kind, model
         if model == "gl1_exact":
             if b is None:
                 raise UsageError("gl1_exact applies to pairs of degree-1 members")
             if not (_has_character(a) and _has_character(b)):
                 raise UsageError("gl1_exact requires two degree-1 members with character data")
-            self.psi = product_primitive_character(a.character, b.character)
         elif model != "product":
             raise UsageError(f"unknown ramified model {model!r}")
 
     @property
     def exact(self) -> bool:
-        if self.psi is not None:
+        if self.model == "gl1_exact":
             return True
         reps = [self.a] if self.b is None else [self.a, self.b]
         # the product model is exact whenever no ramified prime can occur
@@ -284,16 +270,6 @@ class _LocalEngine:
         if e == 0:
             return 1 + 0j
         kind = self.kind
-        if self.psi is not None:
-            p = pid[0]
-            v = self.psi.value(p)
-            if kind == "lambda":
-                return v**e
-            if kind == "mu":
-                return -v if e == 1 else 0j
-            if kind == "biglambda":
-                return v**e * math.log(p)
-            return v**e / e  # logl
         prime = prime_ideal(self.a.field, pid)
         pa = self.a.local_at(prime)
         if self.b is None:
@@ -321,16 +297,80 @@ class _LocalEngine:
         return complex(ps / e)
 
 
+@functools.lru_cache(maxsize=65536)
+def _gl1_local(angle: int, m: int, e: int, kind: str) -> complex:
+    """The GL1 model's value at p^e where psi(p) = e(angle/m): psi(p)^e for lambda,
+    -psi(p) or 0 for mu, psi(p)^e / e for logl; biglambda's psi(p)^e awaits log p."""
+    v = chars.unit_root(angle, m)
+    if kind == "mu":
+        return -v if e == 1 else 0j
+    return v**e / e if kind == "logl" else v**e
+
+
+class _Gl1Pairs:
+    """Local values of gl1_exact engines from their members' character angles.
+
+    psi, the primitive character inducing chi_a * conj(chi_b), is never built:
+    psi(p) = e(angle/M) with angle = A_a M/M_a - A_b M/M_b mod M, M = lcm(M_a, M_b),
+    and psi(p) = 0 where the p-parts of chi_a and chi_b differ (characters.PrimeAngles).
+    """
+
+    def __init__(self, engines: list[_LocalEngine], kind: str):
+        self.kind = kind
+        # each engine as two indices into the distinct characters of its members
+        sides = [rep.character for eng in engines for rep in (eng.a, eng.b)]
+        characters = {id(chi): chi for chi in sides}
+        position = {key: n for n, key in enumerate(characters)}
+        self._angles = chars.PrimeAngles(list(characters.values()))
+        self._sides = np.array([position[id(chi)] for chi in sides], dtype=np.intp).reshape(-1, 2).T
+        denoms = np.array([chi.order_denom for chi in characters.values()], dtype=np.int64)
+        pair_denoms = denoms[self._sides]
+        self._order = np.lcm(*pair_denoms)  # M of each engine
+        self._scale = self._order // pair_denoms
+        # (M, angle) -> base + angle numbers the pairs 0 <= angle < M of every M apart
+        orders, position = np.unique(self._order, return_inverse=True)
+        self._base = (np.cumsum(orders) - orders)[position]
+
+    def block(self, factors) -> np.ndarray:
+        """The (prime powers, engines) values, with one memo lookup per distinct
+        (angle, M, exponent)."""
+        primes, column = np.unique([pid[0] for pid, _ in factors], return_inverse=True)
+        angles, parts = self._angles.at(primes)
+        a, b = self._sides
+        psi = (angles[:, a] * self._scale[0] - angles[:, b] * self._scale[1]) % self._order
+        live = (parts[:, a] == parts[:, b])[column]
+        exponents = np.array([e for _, e in factors])[:, None]
+        angle, order, base, e = (
+            np.broadcast_to(x, live.shape)[live]
+            for x in (psi[column], self._order, self._base, exponents)
+        )
+        _, first, inverse = np.unique(
+            (base + angle) * (exponents.max() + 1) + e, return_index=True, return_inverse=True
+        )
+        distinct = zip(*(x[first].tolist() for x in (angle, order, e)))
+        memo = np.array([_gl1_local(*key, self.kind) for key in distinct], dtype=np.complex128)
+        values = np.zeros(live.shape, dtype=np.complex128)
+        values[live] = memo[inverse]
+        if self.kind == "biglambda":
+            # Python's complex times float log p, part by part
+            log_p = np.array([math.log(p) for p in primes.tolist()])[column, None]
+            re, im = values.real, values.imag
+            values.real, values.imag = re * log_p - im * 0.0, re * 0.0 + im * log_p
+        return values
+
+
 class _PrimePowerArrays:
     """Values at ideals of a fixed list of engines of one kind: the one product of local values.
 
     Row r >= 2 of a growing table, zero-filled so that unused rows cost no memory,
-    holds one prime power's values over the engines, computed once by _compute; row 0
-    is 1+0j and row 1 is 0j.  rows multiplies each ideal's factor rows with the
-    explicit real/imaginary formula of Python's complex product (numpy's can differ
-    in the last bit), so each value is the Python product of the local values in
-    factor order.  Factor lists are front-padded with row 0, as (1+0j)(1+0j) is
-    exact; biglambda and logl read row 1 off prime powers; exact zeros come out as 0j.
+    holds one prime power's values over the engines; row 0 is 1+0j and row 1 is 0j.
+    Each rows call fills the rows of the prime powers new to the table in one block
+    (_fill): the gl1_exact engines through _Gl1Pairs, the others by _compute.
+    rows multiplies each ideal's factor rows with the explicit real/imaginary formula
+    of Python's complex product (numpy's can differ in the last bit), so each value is
+    the Python product of the local values in factor order.  Factor lists are
+    front-padded with row 0, as (1+0j)(1+0j) is exact; biglambda and logl read row 1
+    off prime powers; exact zeros come out as 0j.
     """
 
     def __init__(self, engines: list[_LocalEngine], kind: str):
@@ -340,21 +380,38 @@ class _PrimePowerArrays:
         self._table[0] = 1
         self._row: dict[tuple[tuple[int, int], int], int] = {}
         self._last: tuple[IdealIndex, np.ndarray] | None = None
+        gl1 = [k for k, eng in enumerate(engines) if eng.model == "gl1_exact"]
+        self._scalar = [k for k, eng in enumerate(engines) if eng.model != "gl1_exact"]
+        self._gl1 = (gl1, _Gl1Pairs([engines[k] for k in gl1], kind)) if gl1 else None
 
-    def _row_of(self, factor: tuple[tuple[int, int], int]) -> int:
-        row = self._row.get(factor)
-        if row is None:
-            row = self._row[factor] = len(self._row) + 2
-            if row == len(self._table):
-                grown = np.zeros((2 * row, len(self.engines)), dtype=np.complex128)
-                grown[:row] = self._table
-                self._table = grown
-            pid, e = factor
-            self._table[row] = [eng._compute(pid, e) for eng in self.engines]
-        return row
+    def _fill(self, factors: list[tuple[tuple[int, int], int]]) -> None:
+        """Rows for prime powers new to the table, over every engine at once."""
+        first = len(self._row) + 2
+        end = first + len(factors)
+        if end > len(self._table):
+            grown = np.zeros((max(2 * len(self._table), end), len(self.engines)), dtype=np.complex128)
+            grown[:first] = self._table[:first]
+            self._table = grown
+        for row, factor in enumerate(factors, first):
+            self._row[factor] = row
+        block = self._table[first:end]
+        if self._gl1:
+            columns, pairs = self._gl1
+            block[:, columns] = pairs.block(factors)
+        if self._scalar:
+            scalar = [self.engines[k] for k in self._scalar]
+            for row, (pid, e) in zip(block, factors):
+                row[self._scalar] = [eng._compute(pid, e) for eng in scalar]
 
     def rows(self, ideals) -> np.ndarray:
         """The (engines, ideals) array of values, column j at ideals[j]."""
+        if self.kind in ("biglambda", "logl"):
+            ideals_with_rows = (i for i in ideals if len(i.factors) == 1)
+        else:
+            ideals_with_rows = ideals
+        new = dict.fromkeys(f for i in ideals_with_rows for f in i.factors if f not in self._row)
+        if new:
+            self._fill(list(new))
         size = len(self.engines)
         out = np.empty((size, len(ideals)), dtype=np.complex128)
         step = max(1, ROWS_CHUNK // max(1, size))
@@ -375,7 +432,7 @@ class _PrimePowerArrays:
         """The ideal's table rows, front-padded with row 0 to the depth."""
         if self.kind in ("biglambda", "logl") and len(ideal.factors) != 1:
             return (0,) * (depth - 1) + (1,)
-        return (0,) * (depth - len(ideal.factors)) + tuple(map(self._row_of, ideal.factors))
+        return (0,) * (depth - len(ideal.factors)) + tuple(map(self._row.__getitem__, ideal.factors))
 
     def at(self, ideal: IdealIndex) -> np.ndarray:
         """rows at one ideal; the last ideal's values are kept, so that

@@ -126,6 +126,11 @@ def split_prime(field: NumberFieldSpec, p: int) -> Splitting:
     """
     if not is_prime(p):
         raise UsageError(f"{p} is not a rational prime")
+    return _splitting(field, p)
+
+
+def _splitting(field: NumberFieldSpec, p: int) -> Splitting:
+    """split_prime for a p known to be prime."""
     if field.is_rationals:
         return Splitting("rational", (((p, 0), p),))
     D = field.discriminant
@@ -289,8 +294,8 @@ def primes_up_to(n: int) -> np.ndarray:
 def prime_ideals_up_to(field: NumberFieldSpec, bound: int) -> list[tuple[PrimeId, int]]:
     """All prime ideals of norm <= bound, sorted by (norm, p, slot)."""
     out = []
-    for p in primes_up_to(bound):
-        for pid, norm in split_prime(field, int(p)).primes:
+    for p in primes_up_to(bound).tolist():  # sieved, so no primality test
+        for pid, norm in _splitting(field, p).primes:
             if norm <= bound:
                 out.append((pid, norm))
     out.sort(key=lambda t: (t[1], t[0]))

@@ -142,7 +142,9 @@ def test_criterion_4_cover_inequalities(gl1_table, gl2_family):
     kinds = ("lambda", "mu", "logl")
     worst = {kind: math.inf for kind in kinds}
     for ideals, stack in gl1_chunks(gl1_table):
-        quad = np.einsum("ti,nij,tj->nt", battery, stack, battery.conj()).real
+        # w A w^H for every draw w, one matrix at a time: a matrix product per
+        # matrix, where a three-operand einsum over the stack is several times slower
+        quad = np.stack([((battery @ m) * battery.conj()).sum(-1).real for m in stack])
         for kind in kinds:
             vecs = np.stack([gl1_table.pi0_column(None, kind, ideal)[0] for ideal in ideals])
             lin = np.abs(vecs @ battery.T) ** 2  # (len(ideals), trials)

@@ -47,16 +47,14 @@ def oracle_multiply(a, b) -> tuple[int, int, np.ndarray]:
 
 
 def oracle_conductor(q: int, angles: np.ndarray) -> int:
-    """Scan every divisor of q against every unit."""
+    """Scan every divisor of q against every unit: the least divisor f with no
+    unit n = 1 mod f off the kernel (f = q always qualifies, as n = 1 is a unit)."""
     if q == 1:
         return 1
     units = np.nonzero(angles >= 0)[0]
-    vals = angles[units]
-    for f in divisors(q):
-        sel = units % f == 1 % f
-        if not np.any(vals[sel] != 0):
-            return f
-    return q
+    fs = np.array(divisors(q))[:, None]
+    off_kernel = ((units % fs == 1 % fs) & (angles[units] != 0)).any(axis=1)
+    return int(fs[np.argmin(off_kernel), 0])
 
 
 def oracle_primitive_part(q: int, order_denom: int, angles: np.ndarray, f: int):

@@ -363,7 +363,7 @@ class TestKernelBuildCounts:
         )
         monkeypatch.setattr(coeffs, "hom_sym_values", counted(h_calls, coeffs.hom_sym_values))
         monkeypatch.setattr(characters, "_canonical_key", counted(keyed, characters._canonical_key))
-        computed = self.record_computes(monkeypatch)
+        filled = self.record_fills(monkeypatch)
         out = tmp_path / "report.jsonl"
         argv = self.COMMANDS[command] + [
             "--family", str(spec), "--nmax", str(self.NMAX), "--out", str(out), "--format", "jsonl",
@@ -380,10 +380,11 @@ class TestKernelBuildCounts:
         # the O(q) reduction runs at most once per character object; the list
         # keeps every object alive, so no id is reused
         assert len({id(chi) for chi in keyed}) == len(keyed)
-        # each engine (a pair, a pi0-column member or the pi0 diagonal) computes
-        # each prime power once
-        assert len({(id(engine), pid, e) for engine, pid, e in computed}) == len(computed)
-        assert len({id(engine) for engine, _, _ in computed}) <= size * (size + 1) // 2 + size + 1
+        # each table (the pairs, a pi0 column or the pi0 diagonal) fills each
+        # prime power once, for all its engines at a time
+        assert len({(id(arrays), factor) for arrays, factor in filled}) == len(filled)
+        engines = {id(engine) for arrays, _ in filled for engine in arrays.engines}
+        assert len(engines) <= size * (size + 1) // 2 + size + 1
 
     SERIES_COMMANDS = {
         "residue": ["residue", "--x", "150", "--t", "1", "--d", "6"],
@@ -393,22 +394,24 @@ class TestKernelBuildCounts:
 
     @pytest.mark.parametrize("command", sorted(SERIES_COMMANDS))
     def test_series_computes_each_prime_power_once(self, command, tmp_path, monkeypatch):
-        computed = self.record_computes(monkeypatch)
+        filled = self.record_fills(monkeypatch)
         out = tmp_path / "report.csv"
         assert main(self.SERIES_COMMANDS[command] + ["--out", str(out)]) == 0
-        # one series: one engine, and each prime power computed once
-        assert len({id(engine) for engine, _, _ in computed}) == 1
-        assert len({(pid, e) for _, pid, e in computed}) == len(computed) > 100
+        # one series: one table of one engine, and each prime power filled once
+        assert len({id(arrays) for arrays, _ in filled}) == 1
+        assert len(filled[0][0].engines) == 1
+        assert len({factor for _, factor in filled}) == len(filled) > 100
 
     @staticmethod
-    def record_computes(monkeypatch) -> list:
-        """(engine, prime id, exponent) for every _LocalEngine._compute call."""
-        computed = []
-        real_compute = coeffs._LocalEngine._compute
+    def record_fills(monkeypatch) -> list:
+        """(table, (prime id, exponent)) for every prime power a _PrimePowerArrays
+        fills, whether by character angles or by _LocalEngine._compute."""
+        filled = []
+        real_fill = coeffs._PrimePowerArrays._fill
 
-        def compute(engine, pid, e):
-            computed.append((engine, pid, e))
-            return real_compute(engine, pid, e)
+        def fill(arrays, factors):
+            filled.extend((arrays, factor) for factor in factors)
+            return real_fill(arrays, factors)
 
-        monkeypatch.setattr(coeffs._LocalEngine, "_compute", compute)
-        return computed
+        monkeypatch.setattr(coeffs._PrimePowerArrays, "_fill", fill)
+        return filled

@@ -1,10 +1,12 @@
 import math
+from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lfunclab import coeffs
-from lfunclab.characters import conjugate, primitive_characters
+from lfunclab.characters import primitive_characters
 from lfunclab.coeffs import (
     SERIES_KINDS,
     _LocalEngine,
@@ -17,7 +19,6 @@ from lfunclab.coeffs import (
     mertens_sum,
     pair_model,
     partitions_of,
-    product_primitive_character,
     rankin_selberg_local,
     schur_from_h,
     unit_indicator_series,
@@ -34,6 +35,7 @@ from lfunclab.ideals import (
     enumerate_ideals,
     ideal_from_int,
     prime_ideal,
+    prime_powers_up_to,
     unit_ideal,
 )
 from lfunclab.localdata import (
@@ -47,7 +49,7 @@ from lfunclab.localdata import (
 )
 from lfunclab.sieve import family_coefficient_rows
 
-from scalar_oracle import scalar_coefficient
+from scalar_oracle import product_character, scalar_coefficient, scalar_row
 
 Q = NumberFieldSpec.rationals()
 P2 = prime_ideal(Q, (2, 0))
@@ -173,21 +175,6 @@ class TestSchurMemo:
             partitions_of(65, 4)
 
 
-class TestProductCharacterCache:
-    def test_keyed_by_value_and_bounded(self, monkeypatch):
-        monkeypatch.setattr(coeffs, "_product_primitive_cache", {})
-        monkeypatch.setattr(coeffs, "PRODUCT_CACHE_MAX", 4)
-        chi = primitive_characters(5)[1]
-        psi = product_primitive_character(chi, conjugate(chi))
-        # separately built copies, as every contragredient makes, share the entry
-        assert product_primitive_character(conjugate(conjugate(chi)), conjugate(chi)) is psi
-        assert len(coeffs._product_primitive_cache) == 1
-        for q in (3, 4, 7, 8):
-            for other in primitive_characters(q):
-                product_primitive_character(other, chi)
-        assert len(coeffs._product_primitive_cache) == 4
-
-
 class TestExpandGlobal:
     def test_classical_von_mangoldt(self, trivial_rep):
         series = expand_global(trivial_rep, trivial_rep, 200, "biglambda")
@@ -245,7 +232,7 @@ class TestExpandGlobal:
         ideals = enumerate_ideals(Q, bound)
         ns = np.array([ideal.norm for ideal in ideals])
         for a, b in pairs:
-            psi = product_primitive_character(a.character, b.character)
+            psi = product_character(_LocalEngine(a, b, kind, "gl1_exact"))
             series = expand_global(a, b, bound, kind, "gl1_exact")
             for ideal, value in zip(ideals, psi.values(ns)):
                 exponents = [e for _, e in ideal.factors]
@@ -292,10 +279,7 @@ class TestPrimePowerArraysRows:
         arrays = _PrimePowerArrays(engines, kind)
         # two calls: the second reads prime powers the first put in the table
         got = np.concatenate([arrays.rows(mix[:40]), arrays.rows(mix[40:])], axis=1)
-        want = np.array(
-            [[scalar_coefficient(eng, ideal) for ideal in mix] for eng in engines],
-            dtype=np.complex128,
-        )
+        want = np.array([scalar_row(eng, mix) for eng in engines], dtype=np.complex128)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         column = np.ascontiguousarray(want[:, 7])
         assert np.array_equal(arrays.at(mix[7]).view(np.uint64), column.view(np.uint64))
@@ -311,7 +295,7 @@ class TestPrimePowerArraysRows:
     def test_signed_zeros_match_the_scalar_product(self):
         # (-1+0j)(-1+0j) is 1-0j, and a trailing identity factor would make it 1+0j
         class Engine:
-            kind = "lambda"
+            kind, model = "lambda", "product"
             local = {3: complex(-1.0, 0.0), 5: 1j, 7: complex(-1.0, 0.0)}
 
             def _compute(self, pid, e):
@@ -330,6 +314,42 @@ class TestPrimePowerArraysRows:
         arrays = _PrimePowerArrays(engines, "lambda")
         assert arrays.rows([]).shape == (len(engines), 0)
         assert np.array_equal(arrays.rows([unit_ideal(Q)] * 2), np.ones((len(engines), 2)))
+
+
+# moduli <= 64 with primitive characters; 8, 16 and 32 have 2-parts with two
+# generators, and 9, 25 and 27 are odd prime powers past the first
+GL1_MODULI = tuple(q for q in range(1, 65) if primitive_characters(q))
+GL1_SPECIAL = (8, 16, 32, 9, 25, 27)
+gl1_member = st.tuples(
+    st.sampled_from(GL1_SPECIAL + GL1_MODULI), st.integers(0, 10**6), st.booleans()
+)
+
+
+class TestGl1AngleRows:
+    """gl1_exact rows from character angles against the product character that
+    multiply and primitive_part build, evaluated prime by prime: bit for bit."""
+
+    IDEALS = prime_powers_up_to(Q, 300) + [ideal_from_int(Q, n) for n in (1, 6, 24, 45, 200, 225)]
+
+    @pytest.mark.parametrize("kind", SERIES_KINDS)
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(draws=st.lists(gl1_member, min_size=1, max_size=4), order=st.randoms(), split=st.integers(0, 80))
+    @example(draws=[(q, 1, q % 2 == 1) for q in GL1_SPECIAL + (24, 40)], order=Random(0), split=10)
+    def test_rows_match_the_product_character(self, kind, draws, order, split):
+        members = [trivial_representation()]
+        for q, j, dual in draws:
+            group = primitive_characters(q)
+            rep = character_representation(group[j % len(group)])
+            members.append(contragredient(rep) if dual else rep)
+        # both orientations of every pair, each member against itself and the trivial one
+        engines = [_LocalEngine(a, b, kind, "gl1_exact") for a in members for b in members]
+        ideals = list(self.IDEALS)
+        order.shuffle(ideals)
+        arrays = _PrimePowerArrays(engines, kind)
+        # two calls: the second fills the prime powers the first left out
+        got = np.concatenate([arrays.rows(ideals[:split]), arrays.rows(ideals[split:])], axis=1)
+        want = np.array([scalar_row(engine, ideals) for engine in engines], dtype=np.complex128)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestNewtonConsistency:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfunclab import ideals
 from lfunclab.errors import InvariantError, ResourceLimitError, UsageError
 from lfunclab.ideals import (
     IdealIndex,
@@ -22,6 +23,7 @@ from lfunclab.ideals import (
     kronecker_symbol,
     prime_ideal,
     PRIME_SIEVE_CEILING,
+    prime_ideals_up_to,
     primes_up_to,
     split_prime,
     unit_ideal,
@@ -130,6 +132,29 @@ class TestSplitting:
     def test_nonprime_rejected(self):
         with pytest.raises(UsageError):
             split_prime(Q, 12)
+        # 7 * 13: odd, so only the trial division rejects it
+        with pytest.raises(UsageError, match="not a rational prime"):
+            split_prime(Q, 91)
+
+    FIRST_PRIME_IDEALS = {
+        "Q": [((2, 0), 2), ((3, 0), 3), ((5, 0), 5), ((7, 0), 7)],
+        "quadratic(-1)": [((2, 0), 2), ((5, 0), 5), ((5, 1), 5), ((3, 0), 9)],
+    }
+
+    @pytest.mark.parametrize("name, field", [("Q", Q), ("quadratic(-1)", GAUSS)])
+    def test_prime_ideals_without_the_primality_test(self, name, field, monkeypatch):
+        # the sieve's primes skip split_prime's trial division; the list is
+        # the checked split_prime's, over trial-divided primes
+        bound = 2000
+        want = sorted(
+            ((pid, norm) for p in range(bound + 1) if is_prime(p)
+             for pid, norm in split_prime(field, p).primes if norm <= bound),
+            key=lambda t: (t[1], t[0]),
+        )
+        split_prime.cache_clear()
+        monkeypatch.setattr(ideals, "is_prime", lambda n: pytest.fail(f"is_prime({n}) called"))
+        assert prime_ideals_up_to(field, bound) == want
+        assert prime_ideals_up_to(field, 10) == self.FIRST_PRIME_IDEALS[name]
 
 
 class TestIntegers:

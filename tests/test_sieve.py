@@ -52,7 +52,7 @@ from lfunclab.sieve import (
     smooth_sum_residue,
 )
 
-from scalar_oracle import scalar_coefficient
+from scalar_oracle import scalar_row
 
 Q = NumberFieldSpec.rationals()
 
@@ -466,7 +466,7 @@ def series_path(family, pi0, bound, kind):
     ideals = ideal_list(family.field, bound)
 
     def values(engine):
-        return {i: scalar_coefficient(engine, i) for i in ideals}
+        return dict(zip(ideals, scalar_row(engine, ideals)))
 
     return [values(e) for e in engines], None if diag is None else values(diag)
 
