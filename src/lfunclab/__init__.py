@@ -6,7 +6,6 @@ identity and inequality wired to a test.
 from .ideals import (
     IdealIndex,
     NumberFieldSpec,
-    divisors,
     enumerate_ideals,
     gcd_lcm,
     split_prime,

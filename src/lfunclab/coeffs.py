@@ -10,9 +10,10 @@ Local factors are encoded by parameter multisets.  The four series kinds:
 For a pair of members the unramified local parameter multiset is the
 product set {alpha_i * conj(beta_j)}.  At ramified primes two models are
 available: "product" keeps the same product formula with zero parameters
-included (a documented stand-in, labelled non-exact in reports), while
-"gl1_exact" replaces the pair of degree-1 members by the primitive
-Dirichlet character psi inducing chi_a * conj(chi_b), which is exact.
+included (a documented stand-in), while "gl1_exact" replaces the pair of
+degree-1 members by the primitive Dirichlet character psi inducing
+chi_a * conj(chi_b), which is exact.  default_model and pair_model choose
+the model; reports do not carry it.
 psi is never built: psi(p) is 0 where the p-parts of chi_a and chi_b
 differ, and otherwise e(angle/M) with the integer angle
 A_a M/M_a - A_b M/M_b mod M, M = lcm(M_a, M_b), from each member's angle
@@ -51,7 +52,6 @@ from .ideals import (
     ideal_mul,
     prime_ideal,
     prime_powers_up_to,
-    unit_ideal,
 )
 from .localdata import Family, LocalParameters, Representation, contragredient
 
@@ -84,7 +84,6 @@ class CoefficientSeries:
     kind: str
     bound: int
     values: dict[IdealIndex, complex]
-    exact: bool = True  # False when the ramified product model was used
 
     def value(self, ideal: IdealIndex) -> complex:
         return self.values.get(ideal, 0j)
@@ -257,14 +256,6 @@ class _LocalEngine:
                 raise UsageError("gl1_exact requires two degree-1 members with character data")
         elif model != "product":
             raise UsageError(f"unknown ramified model {model!r}")
-
-    @property
-    def exact(self) -> bool:
-        if self.model == "gl1_exact":
-            return True
-        reps = [self.a] if self.b is None else [self.a, self.b]
-        # the product model is exact whenever no ramified prime can occur
-        return all(r.conductor.is_unit for r in reps)
 
     def _compute(self, pid, e: int) -> complex:
         if e == 0:
@@ -445,19 +436,20 @@ class _PrimePowerArrays:
 
 
 def family_arrays(
-    family: Family, kind: str, pi0: Representation | None, model: str
+    family: Family, kind: str, pi0: Representation | None
 ) -> tuple[_PrimePowerArrays, _PrimePowerArrays | None]:
     """A family's coefficients of one kind, one entry per member.
 
     pi0 = None: each member's own series (product model), and no diagonal.
     pi0 given: each member against pi0 itself, that is paired with
-    contragredient(pi0), under pair_model(member, pi0, model); the second
-    array holds the one diagonal lambda_{pi0 x dual pi0}.
+    contragredient(pi0), under pair_model(member, pi0, default_model(family));
+    the second array holds the one diagonal lambda_{pi0 x dual pi0}.
     """
     if pi0 is None:
         own = [_LocalEngine(m, None, kind, "product") for m in family.members]
         return _PrimePowerArrays(own, kind), None
     dual = contragredient(pi0)
+    model = default_model(family)
     column = [_LocalEngine(m, dual, kind, pair_model(m, pi0, model)) for m in family.members]
     diagonal = _LocalEngine(pi0, pi0, "lambda", pair_model(pi0, pi0, model))
     return _PrimePowerArrays(column, kind), _PrimePowerArrays([diagonal], "lambda")
@@ -486,7 +478,7 @@ def expand_global(
     ideals = prime_powers_up_to(field, bound) if prime_powers else ideal_list(field, bound)
     row = _PrimePowerArrays([engine], kind).rows(ideals)[0].tolist()
     values = {ideal: val for ideal, val in zip(ideals, row) if val != 0 or ideal.is_unit}
-    return CoefficientSeries(field, kind, bound, values, exact=engine.exact)
+    return CoefficientSeries(field, kind, bound, values)
 
 
 class KahanAccumulator:
@@ -535,12 +527,7 @@ def dirichlet_convolve(a: CoefficientSeries, b: CoefficientSeries, bound: int) -
         f"conv({a.kind},{b.kind})",
         bound,
         {k: v.value() for k, v in acc.items()},
-        exact=a.exact and b.exact,
     )
-
-
-def unit_indicator_series(field: NumberFieldSpec, bound: int) -> CoefficientSeries:
-    return CoefficientSeries(field, "unit", bound, {unit_ideal(field): 1 + 0j})
 
 
 def diagonal_sum(rep: Representation, x: int) -> complex:

@@ -12,7 +12,6 @@ stored target series after each algebra operation.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,17 +38,8 @@ class CoefficientMatrix:
     ideal: IdealIndex
     kind: str
     entries: np.ndarray  # (|S|, |S|) complex
-    labels: tuple[str, ...]
     # magnitude of the terms before any cancellation; None: the largest entry
     scale: float | None = None
-
-
-@functools.lru_cache(maxsize=64)
-def _upper_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(size), built once per size (tables are often built per ideal)."""
-    rows, cols = np.triu_indices(size)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
 
 
 class PairCoefficientTable:
@@ -61,11 +51,11 @@ class PairCoefficientTable:
     it to every ideal.
     """
 
-    def __init__(self, family: Family, kind: str, model: str | None = None):
+    def __init__(self, family: Family, kind: str):
         self.family = family
         self.kind = kind
-        self.model = model or default_model(family)
-        self._upper = _upper_pairs(len(family.members))
+        self.model = default_model(family)
+        self._upper = np.triu_indices(len(family.members))
         self._engines: dict[tuple[int, int], _LocalEngine] = {}
         self._pairs: _PrimePowerArrays | None = None
         self._pi0_arrays: dict[tuple, tuple[_PrimePowerArrays, _PrimePowerArrays]] = {}
@@ -112,7 +102,7 @@ class PairCoefficientTable:
         key = (pi0, kind)
         if key not in self._pi0_arrays:
             base = pi0 or trivial_representation(self.family.field)
-            self._pi0_arrays[key] = family_arrays(self.family, kind, base, self.model)
+            self._pi0_arrays[key] = family_arrays(self.family, kind, base)
         column, diagonal = self._pi0_arrays[key]
         return column.at(ideal), complex(diagonal.at(ideal)[0])
 
@@ -122,7 +112,6 @@ def coefficient_matrix(
     ideal: IdealIndex,
     kind: str = "lambda",
     pi0: Representation | None = None,
-    ramified_model: str | None = None,
     table: PairCoefficientTable | None = None,
 ) -> CoefficientMatrix:
     """Family coefficient matrix at one ideal.
@@ -133,31 +122,29 @@ def coefficient_matrix(
     lambda_{i x dual j}(n) - lambda_i(n) conj(lambda_j(n)); a general pi0
     gives lambda_{pi0 x dual pi0}(n) lambda_{i x dual j}(n) -
     lambda_{i x pi0}(n) conj(lambda_{j x pi0}(n)).  A table passed in must
-    have been built for this family, the base kind and the model.
+    have been built for this family and the base kind.
     """
     if kind not in MATRIX_KINDS:
         raise UsageError(f"unknown matrix kind {kind!r}")
     if pi0 is not None and kind != "lambda_centered":
         raise UsageError("pi0 weighting only enters the lambda_centered matrix kind")
-    labels = tuple(m.label for m in family.members)
     base_kind = "lambda" if kind == "lambda_centered" else kind
-    model = ramified_model or default_model(family)
     if table is None:
-        table = PairCoefficientTable(family, base_kind, model)
-    elif (table.family, table.kind, table.model) != (family, base_kind, model):
+        table = PairCoefficientTable(family, base_kind)
+    elif (table.family, table.kind) != (family, base_kind):
         raise UsageError(
-            f"pair table built for ({table.family.label}, {table.kind}, {table.model}) "
-            f"cannot serve ({family.label}, {base_kind}, {model})"
+            f"pair table built for ({table.family.label}, {table.kind}) "
+            f"cannot serve ({family.label}, {base_kind})"
         )
     m = table.matrix(ideal)
     if kind != "lambda_centered":
-        return CoefficientMatrix(ideal, kind, m, labels)
+        return CoefficientMatrix(ideal, kind, m)
     vec, w00 = table.pi0_column(pi0, "lambda", ideal)
     # the two terms cancel (exactly, at squarefree ideals for characters):
     # rounding is measured against their own size, not the difference's
     scale = abs(w00) * float(np.abs(m).max()) + float(np.abs(vec).max()) ** 2
     m = w00 * m - np.outer(vec, np.conj(vec))
-    return CoefficientMatrix(ideal, kind, m, labels, scale)
+    return CoefficientMatrix(ideal, kind, m, scale)
 
 
 def psd_check_full(m: CoefficientMatrix, tol: float = 1e-9) -> tuple[float, float, bool]:
@@ -217,14 +204,14 @@ def bilinear_inequality_check(
     lambda_{i x dual j}(n) - |sum_i w_i lambda^o_{i x pi0}(n)|^2, where
     lambda^o is the kind-selected coefficient (lambda, mu, or logl), all
     covered by lambda.  Nonnegative up to rounding for every weight vector.
-    A table passed in must be a lambda table of this family; its model is used.
+    A table passed in must be a lambda table of this family.
     """
     if kind not in ("lambda", "mu", "logl"):
         raise UsageError("coverable kinds are lambda, mu, logl")
     if trials < 1:
         raise UsageError("trials must be >= 1")
     table = table or PairCoefficientTable(family, "lambda")
-    cover = coefficient_matrix(family, ideal, "lambda", ramified_model=table.model, table=table)
+    cover = coefficient_matrix(family, ideal, "lambda", table=table)
     vec, w00 = table.pi0_column(pi0, kind, ideal)
     ws = weight_battery(len(family.members), trials, seed)
     quad = np.einsum("ti,ij,tj->t", ws, cover.entries, ws.conj()).real

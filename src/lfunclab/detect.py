@@ -149,7 +149,6 @@ class DetectionConfig:
 
     eta: float
     tau: float
-    t_range: float
     log_scale: float
     c_linnik: float
     c_dirichlet_upper: float
@@ -160,10 +159,6 @@ class DetectionConfig:
     k_min: int
     k_max: int
     flags: tuple[str, ...]
-
-    @property
-    def s0(self) -> complex:
-        return complex(1.0 + self.eta, self.tau)
 
 
 def build_detection_config(
@@ -208,7 +203,6 @@ def build_detection_config(
     return DetectionConfig(
         eta=eta,
         tau=tau,
-        t_range=t_range,
         log_scale=log_scale,
         c_linnik=c_linnik,
         c_dirichlet_upper=c_dirichlet_upper,
@@ -363,12 +357,12 @@ def high_derivative(
 ) -> HighDerivResult:
     """eta * sum of Lambda(n) N(n)^(-1-i tau) j_k(eta log N(n)) to a cutoff.
 
-    This equals the weighted k-th derivative eta^(k+1)/k! (L'/L)^(k)(s0)
-    in absolute value.  The attached tail bound covers the discarded range
-    via the Chebyshev psi slope and an incomplete-gamma integral, for a
-    series over Q with |coefficient| <= Lambda(n) (degree factor 1, growth
-    exponent 0): the -zeta'/zeta series that the detect command evaluates,
-    or any GL1 pair series over Q.
+    This equals, in absolute value, the weighted k-th derivative
+    eta^(k+1)/k! (L'/L)^(k)(s0) at s0 = 1 + eta + i tau.  The attached tail
+    bound covers the discarded range via the Chebyshev psi slope and an
+    incomplete-gamma integral, for a series over Q with |coefficient| <=
+    Lambda(n) (degree factor 1, growth exponent 0): the -zeta'/zeta series
+    that the detect command evaluates, or any GL1 pair series over Q.
 
     A truncation below N_eta is refused when log_n_eta is supplied,
     because the window integrand then dominates everything retained.
@@ -452,7 +446,6 @@ def _log_gamma_upper(k: int, x: float) -> float:
 @dataclass
 class ZeroList:
     zeros: tuple[complex, ...]
-    source: str
     paired: bool  # True when only positive ordinates were supplied
 
     def __len__(self):
@@ -495,7 +488,7 @@ def parse_zeros_file(path: str) -> ZeroList:
         if not 0.0 < rho.real < 1.0:
             raise DataIntegrityError(f"zero {rho} outside the critical strip")
     zeros.sort(key=lambda z: (abs(z.imag), z.imag, z.real))
-    return ZeroList(tuple(zeros), path, paired=not two_column)
+    return ZeroList(tuple(zeros), paired=not two_column)
 
 
 def hadamard_zero_sum(zeros: ZeroList, s: complex, k: int = 0) -> tuple[complex, int]:
@@ -522,9 +515,6 @@ class DetectionReport:
     hd_value: float
     hd_tail: float
     integral: float
-    integral_points: int
-    integral_refinement_moved: float
-    near_zero_sum: complex | None
     near_zero_count: int | None
     near_zero_triggered: bool | None
     residual_weight_log10: float  # log10 of k / V^k
@@ -549,6 +539,8 @@ def detection_bounds(
     a Dirichlet-upper constant is configured; otherwise the constant is
     reported as measured, never asserted.
     """
+    if series.bound < 1:
+        raise UsageError(f"detection needs a series truncation >= 1, not {series.bound}")
     flags: list[str] = list(config.flags)
     eta, tau = config.eta, config.tau
     cs = config.constants
@@ -561,24 +553,18 @@ def detection_bounds(
             "only the reachable range"
         )
 
-    integral, npts = _window_integral(series, config, WINDOW_POINTS_PER_OCTAVE)
-    refined, _ = _window_integral(series, config, 2 * WINDOW_POINTS_PER_OCTAVE)
+    integral = _window_integral(series, config, WINDOW_POINTS_PER_OCTAVE)
+    refined = _window_integral(series, config, 2 * WINDOW_POINTS_PER_OCTAVE)
     moved = abs(refined - integral) / max(abs(refined), 1e-300)
     if moved > 0.01:
         flags.append(f"window integral moved {moved:.2%} under refinement")
 
-    near_sum = None
     near_count = None
     triggered = None
     if zeros is not None:
-        near_sum = 0j
-        near_count = 0
         center = complex(1.0, tau)
         radius = cs.a_weight * eta
-        for rho in zeros.expanded():
-            if abs(center - rho) <= radius:
-                near_sum += (eta / (config.s0 - rho)) ** (kk + 1)
-                near_count += 1
+        near_count = sum(abs(center - rho) <= radius for rho in zeros.expanded())
         triggered = near_count > 0
 
     log10_weight = (math.log(kk) - kk * math.log(cs.v_decay)) / math.log(10.0) if kk else -math.inf
@@ -599,9 +585,6 @@ def detection_bounds(
         hd_value=lhs,
         hd_tail=hd.tail,
         integral=integral,
-        integral_points=npts,
-        integral_refinement_moved=moved,
-        near_zero_sum=near_sum,
         near_zero_count=near_count,
         near_zero_triggered=triggered,
         residual_weight_log10=log10_weight,
@@ -612,16 +595,14 @@ def detection_bounds(
     )
 
 
-def _window_integral(
-    series: CoefficientSeries, config: DetectionConfig, per_octave: int
-) -> tuple[float, int]:
+def _window_integral(series: CoefficientSeries, config: DetectionConfig, per_octave: int) -> float:
     """eta^2 int |sum_{N_eta < N(n) <= u} Lambda(n) N(n)^(-1-i tau)| du/u
     over the reachable part of the window, on a geometric u-grid."""
     eta, tau = config.eta, config.tau
     log_lo = config.log_n_eta
     log_hi = min(config.log_n_eta_star, math.log(series.bound))
     if log_hi <= log_lo:
-        return 0.0, 0
+        return 0.0
     n_steps = max(2, int(math.ceil((log_hi - log_lo) / math.log(2.0) * per_octave)))
     grid = np.linspace(log_lo, log_hi, n_steps + 1)
     items = [
@@ -643,7 +624,7 @@ def _window_integral(
     integrand = np.abs(partial)
     # trapezoid in w = log u gives int |S(u)| du/u
     value = float(np.trapezoid(integrand, grid))
-    return eta**2 * value, len(grid)
+    return eta**2 * value
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +750,8 @@ def family_count_bound(
     field: NumberFieldSpec, n: int, q_bound: float, epsilon: float
 ) -> FamilyCountResult:
     """Exact GL1/Q member count next to the D_F^(-n^2) Q^(2n+eps) shape."""
+    if not q_bound > 0:
+        raise UsageError(f"the conductor bound Q must be positive, not {q_bound:g}")
     shape = abs(field.discriminant) ** (-(n**2)) * q_bound ** (2 * n + epsilon)
     flags = []
     if n == 1 and field.is_rationals:
@@ -815,7 +798,7 @@ def selftest() -> list[tuple[str, bool, str]]:
         ("j_k window bounds", ok, f"slacks {rep.min_slack_below:.3g}, {rep.min_slack_above:.3g}")
     )
 
-    zl = ZeroList((complex(0.5, 0.0),), "inline", paired=False)
+    zl = ZeroList((complex(0.5, 0.0),), paired=False)
     val, _ = hadamard_zero_sum(zl, complex(1.5, 0.0), 0)
     results.append(("hadamard single zero", abs(val - 1.0) < 1e-14, ""))
 

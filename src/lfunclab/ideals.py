@@ -8,11 +8,10 @@ and for split/ramified primes of a quadratic field, and p^2 for inert
 primes.  No generators are ever stored, so class-number-one is not
 assumed anywhere.
 
-Slot convention for a split odd prime p: slot 0 is the prime ideal
-associated with the smallest nonnegative root r of x^2 = D (mod p), slot 1
-with p - r.  For p = 2 (split, D = 1 mod 8) slot order is arbitrary but
-fixed.  Nothing numerical depends on the choice; it only pins labels so
-runs are reproducible.
+Slots of a split prime are fixed labels: _splitting names the two primes
+above p as slots 0 and 1, attached to no particular root of x^2 = D (mod p).
+Nothing numerical depends on which prime is slot 0; the fixed labels only
+make runs reproducible.
 """
 
 from __future__ import annotations
@@ -142,19 +141,6 @@ def _splitting(field: NumberFieldSpec, p: int) -> Splitting:
     return Splitting("inert", (((p, 0), p * p),))
 
 
-def canonical_split_roots(field: NumberFieldSpec, p: int) -> tuple[int, int]:
-    """The ordered roots (r, p-r) of x^2 = D_F mod p attached to slots 0, 1."""
-    if split_prime(field, p).kind != "split":
-        raise UsageError(f"{p} does not split in {field.describe()}")
-    D = field.discriminant % p
-    if p == 2:
-        return (1, 1)
-    for r in range((p + 1) // 2):
-        if (r * r - D) % p == 0:
-            return (r, p - r)
-    raise InvariantError(f"no square root of {D} mod {p} despite split type")
-
-
 def prime_norm(field: NumberFieldSpec, pid: PrimeId) -> int:
     p, slot = pid
     for cand, norm in split_prime(field, p).primes:
@@ -246,26 +232,6 @@ def gcd_lcm(a: IdealIndex, b: IdealIndex) -> tuple[IdealIndex, IdealIndex]:
 def divides(d: IdealIndex, n: IdealIndex) -> bool:
     en = dict(n.factors)
     return all(en.get(pid, 0) >= e for pid, e in d.factors)
-
-
-def divisors(a: IdealIndex, norm_bound: int | None = None, squarefree: bool = False) -> list[IdealIndex]:
-    """All divisors of a with norm <= norm_bound, unit ideal included."""
-    out = [unit_ideal(a.field)]
-    for pid, emax in a.factors:
-        pn = prime_norm(a.field, pid)
-        cap = 1 if squarefree else emax
-        new = []
-        for base in out:
-            new.append(base)
-            acc = base
-            for _ in range(cap):
-                acc = ideal_mul(acc, prime_ideal(a.field, pid))
-                if norm_bound is not None and acc.norm > norm_bound:
-                    break
-                new.append(acc)
-        out = new
-    out.sort(key=IdealIndex.sort_key)
-    return out
 
 
 def is_squarefree_ideal(a: IdealIndex) -> bool:

@@ -24,7 +24,6 @@ import numpy as np
 
 from .coeffs import (
     KahanAccumulator,
-    default_model,
     diagonal_sum,
     expand_global,
     family_arrays,
@@ -34,7 +33,6 @@ from .errors import ResourceLimitError, UsageError
 from .ideals import (
     IdealIndex,
     divides,
-    divisors,
     ideal_mul,
     is_squarefree_ideal,
     min_prime_norm,
@@ -144,7 +142,7 @@ def family_coefficient_rows(
     lambda_{pi0 x dual pi0}(n) used for the weighted norm.
     """
     ideals = ideal_list(family.field, n_bound)
-    column, diagonal = family_arrays(family, kind, pi0, default_model(family))
+    column, diagonal = family_arrays(family, kind, pi0)
     weights = None if diagonal is None else diagonal.rows(ideals)[0].real
     return column.rows(ideals), ideals, weights
 
@@ -176,24 +174,6 @@ def _gram_constant(a: np.ndarray, weights: np.ndarray | None) -> SieveConstantRe
     gram = a @ a.conj().T
     eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
     return SieveConstantResult(float(eigs[-1]), False, a.shape[0], a.shape[1])
-
-
-def power_iteration_max_eig(gram: np.ndarray) -> float:
-    """Deterministic power iteration for the largest eigenvalue, to relative 1e-10."""
-    v = np.ones(gram.shape[0], dtype=np.complex128)
-    v /= np.linalg.norm(v)
-    last = 0.0
-    for _ in range(100_000):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            return 0.0
-        v = w / norm
-        val = float(np.real(np.vdot(v, gram @ v)))
-        if abs(val - last) <= 1e-10 * max(1.0, abs(val)):
-            return val
-        last = val
-    return last
 
 
 def family_grc_exponent(family: Family) -> float:
@@ -302,10 +282,6 @@ class SieveWeights:
 
     def rho_value(self, d: IdealIndex) -> float:
         return self.rho.get(d, 0.0)
-
-    def inclusion_sum(self, ideal: IdealIndex) -> float:
-        """sum over d | n of rho(d); equals 1 when n has no small prime factor."""
-        return sum(self.rho_value(d) for d in divisors(ideal))
 
     def brute_force_diagonal(self) -> float:
         """sum over all pairs a, b of the support of rho(a) rho(b) g(lcm(a, b)).
@@ -584,7 +560,7 @@ def sifted_sum_check(
         for i in ideal_list(fld, max(hi, 1))
         if i.norm > x and ((mp := min_prime_norm(i)) is None or mp > z) and not i.is_unit
     ]
-    column, diagonal = family_arrays(family, kind, pi0, default_model(family))
+    column, diagonal = family_arrays(family, kind, pi0)
     diag0 = diagonal.rows(window)[0].real.tolist()
     wvals = weights.values if weights is not None else {i: 1 + 0j for i in window}
     ws = [wvals.get(i, 0j) for i in window]
@@ -660,6 +636,8 @@ def mvt_mu(
     flags: list[str] = []
     if x_bound < math.e:
         raise UsageError("X must be at least e")
+    if not t_range > 0:
+        raise UsageError(f"T must be positive, not {t_range:g}")
     if variant == "low":
         lo, hi = 1, int(x_bound)
         sigma = 0.5
@@ -679,7 +657,7 @@ def mvt_mu(
     vs = np.linspace(-t_range, t_range, points)
     ideals = [i for i in ideal_list(family.field, hi) if i.norm >= lo]
     all_norms = np.array([i.norm for i in ideals], dtype=np.float64)
-    column, _ = family_arrays(family, "mu", pi0, default_model(family))
+    column, _ = family_arrays(family, "mu", pi0)
     total = 0.0
     for row in column.rows(ideals):
         nonzero = row != 0

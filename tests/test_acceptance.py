@@ -394,9 +394,23 @@ def test_criterion_11_jk_tails_and_derivative_oracle(trivial_rep):
         oracle = float(-mpmath.zeta(1 + eta, 1, 1) / mpmath.zeta(1 + eta))
         diff = abs(r.value.real - eta * oracle)
         assert diff <= r.tail, f"eta={eta}: diff {diff} > tail {r.tail}"
+    # higher k at the golden detect run's eta and truncation: the retained sum is
+    # (-1)^(k+1) eta^(k+1)/k! (zeta'/zeta)^(k)(1 + eta) up to the tail bound
+    eta = 0.05
+    series = expand_global(trivial_rep, trivial_rep, 2000, "biglambda", "gl1_exact")
+    slacks = []
+    with mpmath.workdps(40):
+        s0 = 1 + mpmath.mpf(eta)
+        for k in (1, 5, 12):
+            r = high_derivative(series, k, eta, 0.0)
+            derivative = mpmath.diff(lambda s: mpmath.log(mpmath.zeta(s)), s0, k + 1)
+            oracle = complex((-1) ** (k + 1) * mpmath.mpf(eta) ** (k + 1) / mpmath.factorial(k) * derivative)
+            diff = abs(oracle - r.value)
+            assert diff <= r.tail, f"k={k}: diff {diff} > tail {r.tail}"
+            slacks.append(1 - diff / r.tail)
     report(11, f"window bounds hold (min slacks {worst_below:.3f}, {worst_above:.3f}); "
-               f"k = 0 derivative within tails for eta in (0.1, 0.05); "
-               f"{time.perf_counter() - t0:.1f} s")
+               f"k = 0 derivative within tails for eta in (0.1, 0.05), k = 1, 5, 12 at "
+               f"eta = 0.05 (min slack {min(slacks):.1%}); {time.perf_counter() - t0:.1f} s")
 
 
 def test_criterion_12_determinism(tmp_path):

@@ -178,6 +178,10 @@ class TestExitCodes:
             ["large-sieve", "--n", "abc"],
             ["large-sieve", "--n", ","],
             ["psd", "--nmax", "10", "--tol=-1e-9"],
+            ["detect", "--eta", "0.05", "--log-scale", "40", "--truncation", "0"],
+            ["count", "--q", "0"],
+            ["mvt", "--x", "30", "--t", "0"],
+            ["mvt", "--x", "30", "--t=-1"],
         ],
     )
     def test_bad_flag_value_exits_two_before_any_report(self, argv, tmp_path, capsys):

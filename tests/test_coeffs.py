@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lfunclab.characters import primitive_characters
 from lfunclab.coeffs import (
     SERIES_KINDS,
+    CoefficientSeries,
     _LocalEngine,
     _PrimePowerArrays,
     default_model,
@@ -21,7 +22,6 @@ from lfunclab.coeffs import (
     partitions_of,
     rankin_selberg_local,
     schur_from_h,
-    unit_indicator_series,
 )
 from lfunclab.covers import (
     PairCoefficientTable,
@@ -32,6 +32,7 @@ from lfunclab.covers import (
 from lfunclab.errors import UsageError
 from lfunclab.ideals import (
     NumberFieldSpec,
+    divides,
     enumerate_ideals,
     ideal_from_int,
     prime_ideal,
@@ -409,15 +410,15 @@ class TestConvolution:
 
     def test_field_mismatch_rejected(self, trivial_rep):
         lam = expand_global(trivial_rep, None, 20, "lambda")
-        other = unit_indicator_series(NumberFieldSpec.quadratic(-1), 20)
+        gauss = NumberFieldSpec.quadratic(-1)
+        other = CoefficientSeries(gauss, "unit", 20, {unit_ideal(gauss): 1 + 0j})
         with pytest.raises(UsageError):
             dirichlet_convolve(lam, other, 20)
 
 
 def _divisor_ideals(n):
-    from lfunclab.ideals import divisors
-
-    return divisors(ideal_from_int(Q, n))
+    ideal = ideal_from_int(Q, n)
+    return [d for d in enumerate_ideals(Q, n) if divides(d, ideal)]
 
 
 class TestMertens:

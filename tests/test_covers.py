@@ -67,7 +67,7 @@ class TestCoefficientMatrix:
 
 class TestPsdCheck:
     def test_identity(self):
-        m = CoefficientMatrix(unit_ideal(Q), "lambda", np.eye(3, dtype=complex), ("a", "b", "c"))
+        m = CoefficientMatrix(unit_ideal(Q), "lambda", np.eye(3, dtype=complex))
         min_eig, _, verdict = psd_check_full(m)
         assert verdict and min_eig == pytest.approx(1.0)
 
@@ -119,7 +119,7 @@ class TestPsdCheck:
 
     def test_non_hermitian_raises(self):
         bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-        m = CoefficientMatrix(unit_ideal(Q), "lambda", bad, ("a", "b"))
+        m = CoefficientMatrix(unit_ideal(Q), "lambda", bad)
         with pytest.raises(DataIntegrityError):
             psd_check_full(m)
 
@@ -210,14 +210,17 @@ class TestTableMismatch:
         with pytest.raises(UsageError, match="pair table"):
             coefficient_matrix(small_char_family, ideal_from_int(Q, 6), "lambda", table=table)
 
-    def test_other_model_rejected(self, small_char_family):
-        table = PairCoefficientTable(small_char_family, "lambda", "product")
+    def test_table_model_follows_the_family(self, small_char_family, gl2_family):
+        mixed = make_family(list(small_char_family.members) + [gl2_family.members[0]])
         ideal = ideal_from_int(Q, 6)
+        for fam, model in ((small_char_family, "gl1_exact"), (mixed, "product")):
+            table = PairCoefficientTable(fam, "lambda")
+            assert table.model == model
+            got = coefficient_matrix(fam, ideal, "lambda", table=table)
+            assert np.array_equal(got.entries, coefficient_matrix(fam, ideal, "lambda").entries)
+        # a mixed family's product-model table cannot serve its character members
         with pytest.raises(UsageError, match="pair table"):
             coefficient_matrix(small_char_family, ideal, "lambda", table=table)
-        got = coefficient_matrix(small_char_family, ideal, "lambda", ramified_model="product", table=table)
-        want = coefficient_matrix(small_char_family, ideal, "lambda", ramified_model="product")
-        assert np.array_equal(got.entries, want.entries)
 
 
 class PerEntryAssembly:
@@ -260,28 +263,32 @@ class PerEntryAssembly:
 class TestPerEntryDifferential:
     """coefficient_matrix equals the per-entry assembly bit for bit."""
 
-    # (family, ramified model, norm bound); characters exist over Q only
+    # (family, norm bound), named by the family's ramified model and field;
+    # characters exist over Q only, and a GL2 member puts them under the product model
     CASES = {
-        "gl1_exact-Q": (lambda: dirichlet_family_by_modulus(8), None, 60),
-        "product-Q": (lambda: dirichlet_family_by_modulus(8), "product", 60),
-        "product-quadratic(-1)": (MODEL_FAMILIES["product"], None, 130),
+        "gl1_exact-Q": (lambda: dirichlet_family_by_modulus(8), 60),
+        "product-Q": (
+            lambda: make_family(
+                list(dirichlet_family_by_modulus(8).members)
+                + list(synthetic_family(2, 1, seed=17).members)
+            ),
+            60,
+        ),
+        "product-quadratic(-1)": (MODEL_FAMILIES["product"], 130),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("kind", MATRIX_KINDS)
     def test_bitwise_equal(self, case, kind):
-        make, model, bound = self.CASES[case]
+        make, bound = self.CASES[case]
         fam = make()
-        model = model or default_model(fam)
         base = "lambda" if kind == "lambda_centered" else kind
-        table = PairCoefficientTable(fam, base, model)
-        reference = PerEntryAssembly(fam, base, model)
+        table = PairCoefficientTable(fam, base)
+        reference = PerEntryAssembly(fam, base, default_model(fam))
         factor_counts, zeros = set(), 0
         for ideal in enumerate_ideals(fam.field, bound):
             for pi0 in (None, fam.members[1]) if kind == "lambda_centered" else (None,):
-                got = coefficient_matrix(
-                    fam, ideal, kind, pi0=pi0, ramified_model=model, table=table
-                ).entries
+                got = coefficient_matrix(fam, ideal, kind, pi0=pi0, table=table).entries
                 want = reference.matrix(ideal, kind, pi0)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), ideal
                 zeros += int(np.count_nonzero(got == 0))

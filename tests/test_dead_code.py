@@ -1,5 +1,6 @@
 """Every function, class and method in the package is used somewhere,
-and every option it declares is set somewhere.
+every option it declares is set somewhere, and src/ holds only what a
+subcommand runs.
 
 A definition counts as used when its name appears as a name, an
 attribute or an imported name anywhere in src/, tests/ or bench/ other
@@ -10,6 +11,13 @@ belongs in a constant.  Nested functions are exempt, because their
 defaults bind local values.  Dunder methods are called by the
 interpreter and are exempt from both rules, except that __init__ is
 called through its class name.
+
+Reachability walks by name: from the CLI's entry code, its COMMANDS
+handlers, every module's selftest() and bench/traced.py, each referenced
+name reaches every package definition of that name.  A reached class
+reaches its class body and its dunder methods.  Code that runs at import
+(module-level statements other than imports and definitions) is walked
+too; the package's re-exports are not, as importing a name runs nothing.
 """
 
 import ast
@@ -18,6 +26,9 @@ import os
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "lfunclab")
 SEARCHED = [os.path.join(ROOT, d) for d in ("src", "tests", "bench")]
+TESTS = os.path.join(ROOT, "tests")
+TRACED = os.path.join(ROOT, "bench", "traced.py")
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def python_files(top: str):
@@ -32,17 +43,24 @@ def parse(path: str) -> ast.AST:
         return ast.parse(fh.read(), filename=path)
 
 
+def names_in(tree: ast.AST) -> set[str]:
+    """Every name, attribute and imported name referenced in the tree."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
 def referenced_names() -> set[str]:
     names: set[str] = set()
     for top in SEARCHED:
         for path in python_files(top):
-            for node in ast.walk(parse(path)):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    names.add(node.name.split(".")[-1])
+            names |= names_in(parse(path))
     return names
 
 
@@ -51,7 +69,7 @@ def package_definitions() -> dict[str, str]:
     defs: dict[str, str] = {}
     for path in python_files(PACKAGE):
         for node in ast.walk(parse(path)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
                 if not is_dunder(node.name):
                     defs.setdefault(node.name, f"{os.path.basename(path)}:{node.lineno}")
     return defs
@@ -89,12 +107,12 @@ def package_options() -> list[tuple[str, str, int | None, str]]:
     for path in python_files(PACKAGE):
         module = os.path.basename(path)
         for node in parse(path).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, FUNCTIONS):
                 for param, index in defaulted(node, 0):
                     options.append((node.name, param, index, f"{module}:{node.lineno}"))
             elif isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if not isinstance(item, FUNCTIONS):
                         continue
                     if is_dunder(item.name) and item.name != "__init__":
                         continue
@@ -108,9 +126,9 @@ def package_options() -> list[tuple[str, str, int | None, str]]:
     return options
 
 
-def calls_by_name() -> dict[str, list[ast.Call]]:
+def calls_by_name(tops=SEARCHED) -> dict[str, list[ast.Call]]:
     calls: dict[str, list[ast.Call]] = {}
-    for top in SEARCHED:
+    for top in tops:
         for path in python_files(top):
             for node in ast.walk(parse(path)):
                 if isinstance(node, ast.Call):
@@ -138,3 +156,84 @@ def test_every_option_is_set_by_a_caller():
         if not any(sets(call, param, index) for call in calls.get(name, []))
     )
     assert never_set == []
+
+
+def test_options_set_only_by_the_tests():
+    """Defaulted parameters that only tests/ set, and why they stay.
+
+    The pi0 options carry the paper's L(s, pi x pi0) families, which no
+    CLI flag reaches yet.  sieve_constant(kind) and cover_ops(b, z) serve
+    what only the tests run: other series kinds, and the add, mul and scale
+    operations.  The rest let the tests plant what the pipelines fix:
+    weights, a k range, an ideal ceiling, the N_eta window edge and a
+    tolerance.  A new option that only the tests set fails here until it
+    is recorded.
+    """
+    program_calls = calls_by_name([top for top in SEARCHED if top != TESTS])
+    test_only = {
+        f"{where.split(':')[0]} {name}({param})"
+        for name, param, index, where in package_options()
+        if not any(sets(call, param, index) for call in program_calls.get(name, []))
+    }
+    assert test_only == {
+        "covers.py coefficient_matrix(pi0)",
+        "sieve.py sieve_constant(pi0)",
+        "sieve.py sieve_constant(kind)",
+        "sieve.py bound_table(pi0)",
+        "sieve.py sifted_sum_check(weights)",
+        "detect.py high_derivative(log_n_eta)",
+        "ideals.py enumerate_ideals(max_count)",
+        "detect.py jk_tail_bounds_check(k_values)",
+        "covers.py cover_ops(b)",
+        "covers.py cover_ops(z)",
+        "covers.py verify(tol)",
+        "sieve.py verify(tol)",
+    }
+
+
+def package_index() -> tuple[dict[str, list[ast.AST]], list[tuple[str, ast.AST]], list[ast.AST]]:
+    """(name -> the nodes a reference to that name reaches; (qualified name,
+    node) of every top-level function and non-dunder method; the module-level
+    statements that run at import)."""
+    index: dict[str, list[ast.AST]] = {}
+    functions: list[tuple[str, ast.AST]] = []
+    at_import: list[ast.AST] = []
+    for path in python_files(PACKAGE):
+        module = os.path.splitext(os.path.basename(path))[0]
+        for node in parse(path).body:
+            if isinstance(node, FUNCTIONS):
+                index.setdefault(node.name, []).append(node)
+                functions.append((f"{module}.{node.name}", node))
+            elif isinstance(node, ast.ClassDef):
+                shell = index.setdefault(node.name, [])
+                shell += node.decorator_list + node.bases + node.keywords
+                for item in node.body:
+                    if not isinstance(item, FUNCTIONS) or is_dunder(item.name):
+                        shell.append(item)
+                    else:
+                        index.setdefault(item.name, []).append(item)
+                        functions.append((f"{module}.{node.name}.{item.name}", item))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                at_import.append(node)
+    return index, functions, at_import
+
+
+def unreached_functions() -> list[str]:
+    from lfunclab import cli
+
+    index, functions, at_import = package_index()
+    roots = at_import + [parse(TRACED)]
+    roots += index["selftest"]
+    roots += [node for handler, _ in cli.COMMANDS.values() for node in index[handler.__name__]]
+    seen: set[int] = set()
+    while roots:
+        node = roots.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            for name in names_in(node):
+                roots.extend(index.get(name, ()))
+    return sorted(name for name, node in functions if id(node) not in seen)
+
+
+def test_every_function_is_reached_from_a_subcommand():
+    assert unreached_functions() == []

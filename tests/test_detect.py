@@ -223,23 +223,23 @@ class TestHighDerivative:
 
 class TestHadamard:
     def test_empty(self):
-        zl = ZeroList((), "inline", paired=False)
+        zl = ZeroList((), paired=False)
         val, count = hadamard_zero_sum(zl, 2.0 + 0j, 0)
         assert val == 0j and count == 0
 
     def test_single_real_zero(self):
-        zl = ZeroList((complex(0.5, 0.0),), "inline", paired=False)
+        zl = ZeroList((complex(0.5, 0.0),), paired=False)
         val, _ = hadamard_zero_sum(zl, complex(1.5, 0.0), 0)
         assert val == pytest.approx(1.0, abs=1e-14)
 
     def test_pole_guard(self):
-        zl = ZeroList((complex(0.5, 1.0),), "inline", paired=False)
+        zl = ZeroList((complex(0.5, 1.0),), paired=False)
         with pytest.raises(UsageError):
             hadamard_zero_sum(zl, complex(0.5, 1.0), 0)
 
     def test_truncation_within_tail_estimate(self, zeta_zeros_path):
         full = parse_zeros_file(zeta_zeros_path)
-        head = ZeroList(full.zeros[:100], "head", paired=True)
+        head = ZeroList(full.zeros[:100], paired=True)
         s = complex(2.0, 0.0)
         v100, _ = hadamard_zero_sum(head, s, 1)
         v200, _ = hadamard_zero_sum(full, s, 1)
@@ -339,7 +339,7 @@ class TestDetectionBounds:
             }
         )
         series = expand_global(trivial_rep, trivial_rep, 2000, "biglambda", "gl1_exact")
-        got, _ = _window_integral(series, small, 256)
+        got = _window_integral(series, small, 256)
         items = [
             (i.norm, v.real)
             for i, v in series.items_sorted()

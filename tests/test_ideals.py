@@ -10,9 +10,7 @@ from lfunclab.errors import InvariantError, ResourceLimitError, UsageError
 from lfunclab.ideals import (
     IdealIndex,
     NumberFieldSpec,
-    canonical_split_roots,
     dedekind_zeta_ideal_counts,
-    divisors,
     enumerate_ideals,
     factor_int,
     gcd_lcm,
@@ -125,10 +123,6 @@ class TestSplitting:
             expect = {1: "split", -1: "inert"}[kronecker_symbol(field.discriminant, p)]
             assert split_prime(field, p).kind == expect
 
-    def test_canonical_root_is_smallest(self):
-        r0, r1 = canonical_split_roots(GAUSS, 13)
-        assert r0 < r1 and (r0 * r0 + 4) % 13 == 0
-
     def test_nonprime_rejected(self):
         with pytest.raises(UsageError):
             split_prime(Q, 12)
@@ -216,23 +210,6 @@ class TestGcdLcm:
         assert g_ab_c == g_a_bc
         for ideal in (gab, lab):
             validate_ideal(ideal)
-
-
-class TestDivisors:
-    def test_prime_square(self):
-        p2 = ideal_from_factors(Q, [((2, 0), 2)])
-        assert norms(divisors(p2)) == [1, 2, 4]
-
-    def test_squarefree_flag(self):
-        p2 = ideal_from_factors(Q, [((2, 0), 2)])
-        assert norms(divisors(p2, squarefree=True)) == [1, 2]
-
-    def test_unit(self):
-        assert divisors(unit_ideal(Q)) == [unit_ideal(Q)]
-
-    def test_norm_bound(self):
-        n = ideal_from_int(Q, 36)
-        assert norms(divisors(n, norm_bound=6)) == [1, 2, 3, 4, 6]
 
 
 class TestValidation:

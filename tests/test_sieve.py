@@ -45,7 +45,6 @@ from lfunclab.sieve import (
     g_factor,
     mvt_mu,
     phi_hat,
-    power_iteration_max_eig,
     selberg_weights,
     sieve_constant,
     sifted_sum_check,
@@ -89,8 +88,9 @@ class TestSieveConstant:
             v /= np.linalg.norm(v)
             sup = max(sup, float(np.real(np.vdot(v, gram @ v))))
         assert sup <= c * (1 + 1e-12)
-        pi = power_iteration_max_eig(gram)
-        assert abs(pi - c) <= 1e-6 * c
+        # the largest singular value of A by SVD, independent of the library's eigvalsh
+        top = np.linalg.norm(a, 2) ** 2
+        assert abs(top - c) <= 1e-6 * c
 
     def test_weighted_columns_with_pi0(self, small_char_family):
         pi0 = small_char_family.members[1]
@@ -181,11 +181,6 @@ class TestSelbergWeights:
         assert w.diagonal_value == pytest.approx(0.4, abs=1e-15)
         checks = w.verify()
         assert all(v for k, v in checks.items() if k != "brute_force_value")
-
-    def test_inclusion_sum_on_rough_ideals(self, trivial_rep):
-        w = selberg_weights(trivial_rep, 10.0)
-        for n in (11, 13, 11 * 13, 17 * 19):
-            assert w.inclusion_sum(ideal_from_int(Q, n)) == pytest.approx(1.0, abs=1e-12)
 
     def test_brute_force_on_characters(self):
         for q in (3, 5):
