@@ -35,7 +35,10 @@ from .covers import (
     CoverDecomposition,
     bilinear_inequality_check,
     coefficient_matrix,
-    cover_ops,
+    cover_add,
+    cover_exp,
+    cover_mul,
+    cover_scale,
     gl1_log_decomposition,
 )
 from .sieve import (

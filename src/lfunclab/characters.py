@@ -118,15 +118,13 @@ class DirichletCharacter:
         return 0 if a == 0 else 1
 
     def canonical_key(self):
-        """(modulus, reduced order, reduced angles): equal exactly for equal characters.
-
-        Computed on first use and kept, since the angle table never changes.
-        """
-        key = self.__dict__.get("_canonical_key")
-        if key is None:
-            key = _canonical_key(self)
-            object.__setattr__(self, "_canonical_key", key)
-        return key
+        """(modulus, reduced order, reduced angles): equal exactly for equal characters."""
+        g = self.order_denom
+        for a in self.angles:
+            if a > 0:
+                g = math.gcd(g, int(a))
+        red = tuple(int(a) // g if a >= 0 else -1 for a in self.angles)
+        return (self.modulus, self.order_denom // g, red)
 
     def value(self, n: int) -> complex:
         q = self.modulus
@@ -147,10 +145,6 @@ class DirichletCharacter:
         out[a < 0] = 0
         return out
 
-    def table(self) -> np.ndarray:
-        """Residue-class value table chi(0), ..., chi(q-1)."""
-        return self.values(np.arange(max(self.modulus, 1)))
-
     def __repr__(self):
         return f"chi(mod {self.modulus}, #{self.index}, cond {self.conductor})"
 
@@ -158,16 +152,6 @@ class DirichletCharacter:
 def unit_root(a: int, m: int) -> complex:
     """e(a/m) = exp(2 pi i a/m) for integers a and m: the one scalar evaluation of an angle."""
     return complex(np.exp(2j * np.pi * a / m))
-
-
-def _canonical_key(chi: DirichletCharacter):
-    """The O(q) reduction behind DirichletCharacter.canonical_key."""
-    g = chi.order_denom
-    for a in chi.angles:
-        if a > 0:
-            g = math.gcd(g, int(a))
-    red = tuple(int(a) // g if a >= 0 else -1 for a in chi.angles)
-    return (chi.modulus, chi.order_denom // g, red)
 
 
 @functools.lru_cache(maxsize=4096)

@@ -7,7 +7,9 @@ Covers cannot be certified abstractly from coefficients alone, so this
 module verifies their checkable consequences instead: Hermitian
 coefficient matrices with nonnegative spectra, bilinear Cauchy-Schwarz
 inequalities over random weights, and coefficientwise reconstruction of
-stored target series after each algebra operation.
+stored target series after each algebra operation.  The algebra has four
+operations: cover_scale, cover_add, cover_mul, and cover_exp, which sums
+the powers A^k / k! that the other three build.
 """
 
 from __future__ import annotations
@@ -278,7 +280,7 @@ class CoverDecomposition:
     def support(self) -> list[IdealIndex]:
         return sorted({t.ideal for t in self.terms}, key=IdealIndex.sort_key)
 
-    def verify(self, tol: float = RECONSTRUCTION_TOL) -> float:
+    def verify(self) -> float:
         """Max reconstruction residual against stored targets; also checks |d| <= 1."""
         for t in self.terms:
             if abs(t.d) > 1 + D_MODULUS_TOL:
@@ -299,9 +301,9 @@ class CoverDecomposition:
                     want = np.zeros((self.size(), self.size()), dtype=np.complex128)
                 got = rebuild(ideal)
                 worst = max(worst, float(np.abs(got - want).max()))
-        if worst > tol:
+        if worst > RECONSTRUCTION_TOL:
             raise DataIntegrityError(
-                f"cover reconstruction residual {worst:.3e} exceeds {tol:.1e}"
+                f"cover reconstruction residual {worst:.3e} exceeds {RECONSTRUCTION_TOL:.1e}"
             )
         return worst
 
@@ -327,145 +329,101 @@ def _convolve_targets(
     return out
 
 
-def cover_ops(
-    a: CoverDecomposition,
-    b: CoverDecomposition | None = None,
-    op: str = "add",
-    z: complex | None = None,
-    truncation: int | None = None,
-) -> CoverDecomposition:
-    """Algebra on decompositions: scale(z), add, mul, exp.
+def _merge_targets(
+    ta: dict[IdealIndex, np.ndarray] | None,
+    tb: dict[IdealIndex, np.ndarray] | None,
+):
+    if ta is None or tb is None:
+        return None
+    out = {k: v.copy() for k, v in ta.items()}
+    for k, v in tb.items():
+        out[k] = out[k] + v if k in out else v.copy()
+    return out
 
-    mul and exp truncate to the given ideal-norm bound.  exp requires the
-    covered series to have no unit-ideal term; strip constants first.
-    Every result re-runs the reconstruction invariant before returning.
-    """
-    bound = truncation if truncation is not None else a.norm_bound
-    if bound < 1:
-        raise UsageError("truncation too small to represent any term")
 
-    def trim(terms):
-        return [t for t in terms if t.ideal.norm <= bound]
-
-    if op == "scale":
-        if z is None:
-            raise UsageError("scale needs z")
-        mag = abs(z)
-        phase = z / mag if mag > 0 else 0j
-        terms = [
-            CoverTerm(t.d * phase, t.ideal, t.u * math.sqrt(mag)) for t in trim(a.terms)
-        ]
-        tc = {k: z * v for k, v in a.target_covered.items()} if a.target_covered else None
-        tp = {k: mag * v for k, v in a.target_cover.items()} if a.target_cover else None
-        out = CoverDecomposition(
-            terms, a.labels, a.field, bound, tc, tp, a.restricted_coprime_to,
-            f"scale({z}) of {a.description}",
-        )
-    elif op == "add":
-        if b is None:
-            raise UsageError("add needs two decompositions")
-        if a.labels != b.labels:
-            raise UsageError("decompositions index different families")
-        terms = trim(a.terms) + trim(b.terms)
-
-        def merge(ta, tb):
-            if ta is None or tb is None:
-                return None
-            out = {k: v.copy() for k, v in ta.items()}
-            for k, v in tb.items():
-                out[k] = out[k] + v if k in out else v.copy()
-            return out
-
-        out = CoverDecomposition(
-            terms, a.labels, a.field, bound,
-            merge(a.target_covered, b.target_covered),
-            merge(a.target_cover, b.target_cover),
-            max(a.restricted_coprime_to, b.restricted_coprime_to),
-            f"({a.description}) + ({b.description})",
-        )
-    elif op == "mul":
-        if b is None:
-            raise UsageError("mul needs two decompositions")
-        if a.labels != b.labels:
-            raise UsageError("decompositions index different families")
-        terms = []
-        for ta in trim(a.terms):
-            for tb in trim(b.terms):
-                if ta.ideal.norm * tb.ideal.norm > bound:
-                    continue
-                terms.append(
-                    CoverTerm(ta.d * tb.d, ideal_mul(ta.ideal, tb.ideal), ta.u * tb.u)
-                )
-        if not terms:
-            raise UsageError("truncation too small to represent any product term")
-        out = CoverDecomposition(
-            terms, a.labels, a.field, bound,
-            _convolve_targets(a.target_covered, b.target_covered, bound),
-            _convolve_targets(a.target_cover, b.target_cover, bound),
-            max(a.restricted_coprime_to, b.restricted_coprime_to),
-            f"({a.description}) * ({b.description})",
-        )
-    elif op == "exp":
-        if any(t.ideal.is_unit for t in a.terms):
-            raise UsageError(
-                "exp needs a covered series with zero unit-ideal coefficient; "
-                "strip the constant term first"
-            )
-        unit = unit_ideal(a.field)
-        size = len(a.labels)
-        ones = np.ones(size, dtype=np.complex128)
-        terms = [CoverTerm(1 + 0j, unit, ones.copy())]
-        # power-series exponential: sum_k A^k / k!, each power truncated.
-        # `power` carries A^k/k! with the 1/sqrt(k!) folded into u.
-        base = trim(a.terms)
-        power = list(base)
-        k = 1
-        while power:
-            terms.extend(power)
-            k += 1
-            scale = 1.0 / math.sqrt(k)
-            nxt = []
-            for ta in power:
-                for tb in base:
-                    if ta.ideal.norm * tb.ideal.norm > bound:
-                        continue
-                    nxt.append(
-                        CoverTerm(
-                            ta.d * tb.d,
-                            ideal_mul(ta.ideal, tb.ideal),
-                            ta.u * tb.u * scale,
-                        )
-                    )
-            power = nxt
-        exp_covered = _exp_target(a.target_covered, a.labels, a.field, bound)
-        exp_cover = _exp_target(a.target_cover, a.labels, a.field, bound)
-        out = CoverDecomposition(
-            terms, a.labels, a.field, bound, exp_covered, exp_cover,
-            a.restricted_coprime_to, f"exp({a.description})",
-        )
-    else:
-        raise UsageError(f"unknown cover op {op!r}")
+def cover_scale(a: CoverDecomposition, z: complex) -> CoverDecomposition:
+    """z times the covered series: the phase of z enters d, sqrt|z| enters u."""
+    mag = abs(z)
+    phase = z / mag if mag > 0 else 0j
+    terms = [CoverTerm(t.d * phase, t.ideal, t.u * math.sqrt(mag)) for t in a.terms]
+    tc = {k: z * v for k, v in a.target_covered.items()} if a.target_covered else None
+    tp = {k: mag * v for k, v in a.target_cover.items()} if a.target_cover else None
+    out = CoverDecomposition(
+        terms, a.labels, a.field, a.norm_bound, tc, tp, a.restricted_coprime_to,
+        f"scale({z}) of {a.description}",
+    )
     out.verify()
     return out
 
 
-def _exp_target(target, labels, fld, bound):
-    if target is None:
-        return None
-    size = len(labels)
-    unit = unit_ideal(fld)
-    out = {unit: np.ones((size, size), dtype=np.complex128)}
-    base = {k: v for k, v in target.items() if k.norm <= bound and not k.is_unit}
-    power = {k: v.copy() for k, v in base.items()}  # holds target^k, unscaled
-    k = 1
-    while power:
-        fk = math.factorial(k)
-        for key, mat in power.items():
-            add = mat / fk
-            out[key] = out[key] + add if key in out else add
-        power = _convolve_targets(power, base, bound) or {}
-        k += 1
+def cover_add(a: CoverDecomposition, b: CoverDecomposition) -> CoverDecomposition:
+    """The sum, known up to the smaller of the two norm bounds."""
+    if a.labels != b.labels:
+        raise UsageError("decompositions index different families")
+    bound = min(a.norm_bound, b.norm_bound)
+    out = CoverDecomposition(
+        [t for t in a.terms + b.terms if t.ideal.norm <= bound],
+        a.labels, a.field, bound,
+        _merge_targets(a.target_covered, b.target_covered),
+        _merge_targets(a.target_cover, b.target_cover),
+        max(a.restricted_coprime_to, b.restricted_coprime_to),
+        f"({a.description}) + ({b.description})",
+    )
+    out.verify()
     return out
+
+
+def cover_mul(a: CoverDecomposition, b: CoverDecomposition, truncation: int) -> CoverDecomposition:
+    """The Dirichlet product, truncated to ideal norms <= truncation."""
+    if a.labels != b.labels:
+        raise UsageError("decompositions index different families")
+    terms = [
+        CoverTerm(ta.d * tb.d, ideal_mul(ta.ideal, tb.ideal), ta.u * tb.u)
+        for ta in a.terms
+        for tb in b.terms
+        if ta.ideal.norm * tb.ideal.norm <= truncation
+    ]
+    if not terms:
+        raise UsageError("truncation too small to represent any product term")
+    out = CoverDecomposition(
+        terms, a.labels, a.field, truncation,
+        _convolve_targets(a.target_covered, b.target_covered, truncation),
+        _convolve_targets(a.target_cover, b.target_cover, truncation),
+        max(a.restricted_coprime_to, b.restricted_coprime_to),
+        f"({a.description}) * ({b.description})",
+    )
+    out.verify()
+    return out
+
+
+def cover_exp(a: CoverDecomposition, truncation: int) -> CoverDecomposition:
+    """sum_k A^k / k! to ideal norms <= truncation, from cover_mul, cover_scale
+    and cover_add; A must have no unit-ideal term (strip constants first)."""
+    if truncation < 1:
+        raise UsageError("truncation too small to represent any term")
+    if any(t.ideal.is_unit for t in a.terms):
+        raise UsageError(
+            "exp needs a covered series with zero unit-ideal coefficient; "
+            "strip the constant term first"
+        )
+    size = len(a.labels)
+    unit = unit_ideal(a.field)
+    ones = np.ones((size, size), dtype=np.complex128)
+    total = CoverDecomposition(
+        [CoverTerm(1 + 0j, unit, np.ones(size, dtype=np.complex128))],
+        a.labels, a.field, truncation, {unit: ones}, {unit: ones.copy()},
+        a.restricted_coprime_to,
+    )
+    lowest = min((t.ideal.norm for t in a.terms), default=math.inf)
+    power, k = a, 1  # power = A^k
+    while True:
+        total = cover_add(total, cover_scale(power, 1.0 / math.factorial(k)))
+        # no product of A^k with A fits under the truncation: every later power is empty
+        if min((t.ideal.norm for t in power.terms), default=math.inf) * lowest > truncation:
+            break
+        power, k = cover_mul(power, a, truncation), k + 1
+    total.description = f"exp({a.description})"
+    return total
 
 
 def gl1_log_decomposition(family: Family, norm_bound: int) -> CoverDecomposition:
@@ -541,7 +499,7 @@ def selftest() -> list[tuple[str, bool, str]]:
     resid = dec.verify()
     results.append(("log decomposition reconstructs", resid <= 1e-9, f"residual {resid:.2e}"))
 
-    expd = cover_ops(dec, op="exp", truncation=60)
+    expd = cover_exp(dec, 60)
     lam_table = PairCoefficientTable(fam, "lambda")
     worst = 0.0
     for ideal in expd.support():

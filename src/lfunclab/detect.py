@@ -353,7 +353,6 @@ def high_derivative(
     eta: float,
     tau: float,
     truncation: int | None = None,
-    log_n_eta: float | None = None,
 ) -> HighDerivResult:
     """eta * sum of Lambda(n) N(n)^(-1-i tau) j_k(eta log N(n)) to a cutoff.
 
@@ -363,19 +362,11 @@ def high_derivative(
     incomplete-gamma integral, for a series over Q with |coefficient| <=
     Lambda(n) (degree factor 1, growth exponent 0): the -zeta'/zeta series
     that the detect command evaluates, or any GL1 pair series over Q.
-
-    A truncation below N_eta is refused when log_n_eta is supplied,
-    because the window integrand then dominates everything retained.
     """
     if eta <= 0:
         raise UsageError("eta must be positive")
     trunc = truncation if truncation is not None else series.bound
     trunc = min(trunc, series.bound)
-    if log_n_eta is not None and math.log(max(trunc, 1)) < log_n_eta:
-        raise UsageError(
-            f"truncation {trunc} sits below N_eta = exp({log_n_eta:.3g}); "
-            "the tail dominates the retained sum"
-        )
     flags: list[str] = []
     acc = KahanAccumulator()
     for ideal, val in series.items_sorted():
@@ -752,6 +743,8 @@ def family_count_bound(
     """Exact GL1/Q member count next to the D_F^(-n^2) Q^(2n+eps) shape."""
     if not q_bound > 0:
         raise UsageError(f"the conductor bound Q must be positive, not {q_bound:g}")
+    if n < 1:
+        raise UsageError(f"the degree n must be at least 1, not {n}")
     shape = abs(field.discriminant) ** (-(n**2)) * q_bound ** (2 * n + epsilon)
     flags = []
     if n == 1 and field.is_rationals:

@@ -268,6 +268,7 @@ def g_factor(rep: Representation, d: IdealIndex) -> tuple[float, list[str]]:
 _BRUTE_FORCE_BLOCK = 256  # support rows per block of the brute-force diagonal
 # over Q the support has at most z ideals; the brute-force diagonal costs |support|^2
 SELBERG_MAX_Z = 100_000
+DIAGONAL_TOL = 1e-10  # relative: the closed-form diagonal against its brute-force pair sum
 
 
 @dataclass
@@ -313,7 +314,7 @@ class SieveWeights:
             parts.append(float(rho[start:stop] @ (g_lcm @ rho)))
         return math.fsum(parts)
 
-    def verify(self, tol: float = 1e-10) -> dict:
+    def verify(self) -> dict:
         unit = unit_ideal(self.rep.field)
         checks = {
             "rho_unit_is_one": abs(self.rho_value(unit) - 1.0) < 1e-14,
@@ -323,9 +324,8 @@ class SieveWeights:
             ),
         }
         brute = self.brute_force_diagonal()
-        checks["diagonal_matches_brute_force"] = abs(brute - self.diagonal_value) <= tol * max(
-            1.0, abs(self.diagonal_value)
-        )
+        allowed = DIAGONAL_TOL * max(1.0, abs(self.diagonal_value))
+        checks["diagonal_matches_brute_force"] = abs(brute - self.diagonal_value) <= allowed
         checks["brute_force_value"] = brute
         return checks
 
@@ -646,6 +646,11 @@ def mvt_mu(
             raise UsageError("the tail variant needs Y >= e")
         truncation = truncation if truncation is not None else math.exp(4.0) * x_bound
         lo, hi = int(x_bound) + 1, int(truncation)
+        if hi < lo:
+            raise UsageError(
+                f"the tail truncation {truncation:g} must pass X = {x_bound:g}: "
+                "no norm lies in (X, truncation]"
+            )
         sigma = 1.0 + 1.0 / math.log(y_scale)
         flags.append(f"tail truncated at N(n) <= {hi}")
     density = max(8.0, math.log(max(hi, 3)))

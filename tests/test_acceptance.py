@@ -300,7 +300,7 @@ def test_criterion_8_selberg_weights(trivial_rep):
     for rep in members:
         for z in (10.0, 100.0, 1000.0):
             w = selberg_weights(rep, z)
-            checks = w.verify(tol=1e-10)
+            checks = w.verify()
             assert checks["rho_unit_is_one"], rep.label
             assert checks["rho_bounded_by_one"], rep.label
             assert checks["support_in_range"], rep.label

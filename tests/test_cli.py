@@ -180,8 +180,11 @@ class TestExitCodes:
             ["psd", "--nmax", "10", "--tol=-1e-9"],
             ["detect", "--eta", "0.05", "--log-scale", "40", "--truncation", "0"],
             ["count", "--q", "0"],
+            ["count", "--q", "12", "--n", "0"],
+            ["count", "--q", "12", "--n", "-1"],
             ["mvt", "--x", "30", "--t", "0"],
             ["mvt", "--x", "30", "--t=-1"],
+            ["mvt", "--x", "30", "--variant", "tail", "--y", "10", "--truncation", "5"],
         ],
     )
     def test_bad_flag_value_exits_two_before_any_report(self, argv, tmp_path, capsys):
@@ -219,6 +222,14 @@ class TestSelftest:
         *lines, last = capsys.readouterr().out.splitlines()
         assert last == "selftest: all checks passed"
         assert [line.split()[1].rstrip(":") for line in lines] == SELFTEST_MODULES[command]
+
+    @pytest.mark.parametrize(
+        "module", [characters, coeffs, covers, detect, ideals, localdata, sieve],
+        ids=lambda module: module.__name__.split(".")[-1],
+    )
+    def test_module_checks_pass(self, module):
+        failed = [(name, detail) for name, ok, detail in module.selftest() if not ok]
+        assert failed == []
 
     def test_required_flags_still_required_without_selftest(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -353,7 +364,7 @@ class TestKernelBuildCounts:
     def test_one_table_and_per_member_kernels(self, family, command, tmp_path, monkeypatch):
         spec = tmp_path / "family.spec"
         spec.write_text(self.SPECS[family])
-        tables, h_calls, keyed = [], [], []
+        tables, h_calls = [], []
 
         def counted(record, real):
             def wrapper(*args, **kwargs):
@@ -366,7 +377,6 @@ class TestKernelBuildCounts:
             counted(tables, covers.PairCoefficientTable.__init__),
         )
         monkeypatch.setattr(coeffs, "hom_sym_values", counted(h_calls, coeffs.hom_sym_values))
-        monkeypatch.setattr(characters, "_canonical_key", counted(keyed, characters._canonical_key))
         filled = self.record_fills(monkeypatch)
         out = tmp_path / "report.jsonl"
         argv = self.COMMANDS[command] + [
@@ -381,9 +391,6 @@ class TestKernelBuildCounts:
         # one h-vector per parameter set and prime power: the members, pi0
         # and its contragredient; a per-pair kernel needs two per pair
         assert len(h_calls) <= (size + 2) * prime_powers < size * (size + 1) * prime_powers
-        # the O(q) reduction runs at most once per character object; the list
-        # keeps every object alive, so no id is reused
-        assert len({id(chi) for chi in keyed}) == len(keyed)
         # each table (the pairs, a pi0 column or the pi0 diagonal) fills each
         # prime power once, for all its engines at a time
         assert len({(id(arrays), factor) for arrays, factor in filled}) == len(filled)

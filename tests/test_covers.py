@@ -11,7 +11,10 @@ from lfunclab.covers import (
     PairCoefficientTable,
     bilinear_inequality_check,
     coefficient_matrix,
-    cover_ops,
+    cover_add,
+    cover_exp,
+    cover_mul,
+    cover_scale,
     gl1_log_decomposition,
     psd_check_full,
 )
@@ -328,7 +331,7 @@ class TestCoverOps:
     def test_scale_unit_modulus_preserves_d(self, conductor_family_20):
         dec = gl1_log_decomposition(conductor_family_20, 50)
         z = complex(math.cos(1.1), math.sin(1.1))
-        scaled = cover_ops(dec, op="scale", z=z)
+        scaled = cover_scale(dec, z)
         for before, after in zip(dec.terms, scaled.terms):
             assert abs(abs(after.d) - abs(before.d)) < 1e-14
 
@@ -338,7 +341,7 @@ class TestCoverOps:
             [], dec.labels, dec.field, dec.norm_bound,
             target_covered={}, target_cover={}, restricted_coprime_to=dec.restricted_coprime_to,
         )
-        total = cover_ops(dec, zero, op="add")
+        total = cover_add(dec, zero)
         assert {t.ideal for t in total.terms} == {t.ideal for t in dec.terms}
         for ideal in dec.support():
             assert np.allclose(
@@ -347,7 +350,7 @@ class TestCoverOps:
 
     def test_exp_reconstructs_lambda_to_100(self, conductor_family_20):
         dec = gl1_log_decomposition(conductor_family_20, 100)
-        expd = cover_ops(dec, op="exp", truncation=100)
+        expd = cover_exp(dec, 100)
         table = PairCoefficientTable(conductor_family_20, "lambda")
         size = len(conductor_family_20.members)
         for ideal in expd.support():
@@ -365,12 +368,12 @@ class TestCoverOps:
 
         dec.terms.append(CoverTerm(1 + 0j, unit_ideal(Q), ones))
         with pytest.raises(UsageError, match="unit-ideal"):
-            cover_ops(dec, op="exp", truncation=30)
+            cover_exp(dec, 30)
 
     def test_mul_truncation_too_small(self, conductor_family_20):
         dec = gl1_log_decomposition(conductor_family_20, 30)
         with pytest.raises(UsageError):
-            cover_ops(dec, dec, op="mul", truncation=1)
+            cover_mul(dec, dec, 1)
 
 
 class TestGl1LogDecomposition:

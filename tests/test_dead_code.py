@@ -161,13 +161,11 @@ def test_every_option_is_set_by_a_caller():
 def test_options_set_only_by_the_tests():
     """Defaulted parameters that only tests/ set, and why they stay.
 
-    The pi0 options carry the paper's L(s, pi x pi0) families, which no
-    CLI flag reaches yet.  sieve_constant(kind) and cover_ops(b, z) serve
-    what only the tests run: other series kinds, and the add, mul and scale
-    operations.  The rest let the tests plant what the pipelines fix:
-    weights, a k range, an ideal ceiling, the N_eta window edge and a
-    tolerance.  A new option that only the tests set fails here until it
-    is recorded.
+    The pi0 options carry the paper's L(s, pi x pi0) families, and
+    sieve_constant(kind) its other series kinds; no CLI flag reaches them
+    yet.  sifted_sum_check(weights) and jk_tail_bounds_check(k_values) let
+    the tests plant what the pipelines fix: the sieve weights and a k range.
+    A new option that only the tests set fails here until it is recorded.
     """
     program_calls = calls_by_name([top for top in SEARCHED if top != TESTS])
     test_only = {
@@ -181,13 +179,7 @@ def test_options_set_only_by_the_tests():
         "sieve.py sieve_constant(kind)",
         "sieve.py bound_table(pi0)",
         "sieve.py sifted_sum_check(weights)",
-        "detect.py high_derivative(log_n_eta)",
-        "ideals.py enumerate_ideals(max_count)",
         "detect.py jk_tail_bounds_check(k_values)",
-        "covers.py cover_ops(b)",
-        "covers.py cover_ops(z)",
-        "covers.py verify(tol)",
-        "sieve.py verify(tol)",
     }
 
 

@@ -215,11 +215,6 @@ class TestHighDerivative:
         half = high_derivative(series, k, eta, 0.3, truncation=10_000)
         assert abs(full.value - half.value) <= half.tail
 
-    def test_refusal_below_window(self, trivial_rep):
-        series = expand_global(trivial_rep, trivial_rep, 1000, "biglambda", "gl1_exact")
-        with pytest.raises(UsageError, match="N_eta"):
-            high_derivative(series, 5, 0.1, 0.0, truncation=1000, log_n_eta=math.log(10_000))
-
 
 class TestHadamard:
     def test_empty(self):

@@ -73,19 +73,37 @@ class TestEnumeration:
         # among split and ramified primes in the norm-sorted prime list
         per_norm = np.bincount(norms(ideals), minlength=bound + 1)
         assert per_norm.tolist() == counts.tolist()
-        # the ceiling trips at the same count: the last ideal fits, one fewer does not
-        assert len(enumerate_ideals(field, bound, max_count=len(ideals))) == len(ideals)
-        with pytest.raises(ResourceLimitError, match=str(len(ideals) - 1)):
-            enumerate_ideals(field, bound, max_count=len(ideals) - 1)
+        # the premise of the ideal ceiling: at most d(n) ideals of norm n
+        divisor_counts = np.zeros(bound + 1, dtype=np.int64)
+        for k in range(1, bound + 1):
+            divisor_counts[k::k] += 1
+        assert (counts[1:] <= divisor_counts[1:]).all()
 
     def test_every_ideal_validates(self):
         for field in (Q, GAUSS, NumberFieldSpec.quadratic(7)):
             for ideal in enumerate_ideals(field, 200):
                 validate_ideal(ideal)
 
-    def test_memory_ceiling_error_names_the_ceiling(self):
-        with pytest.raises(ResourceLimitError, match="50"):
-            enumerate_ideals(Q, 1000, max_count=50)
+    def test_memory_ceiling_error_names_the_ceiling(self, monkeypatch):
+        monkeypatch.setattr(ideals, "IDEAL_BYTES_CEILING", 50 * ideals.BYTES_PER_IDEAL)
+        assert len(enumerate_ideals(Q, 50)) == 50
+        with pytest.raises(ResourceLimitError, match="exceeds the ceiling of 20600 bytes"):
+            enumerate_ideals(Q, 51)
+
+    def test_ideal_ceiling_before_the_prime_sieve(self, refuse_large_arrays, monkeypatch):
+        class Sieved(Exception):
+            pass
+
+        def sieve(*args):
+            raise Sieved
+
+        monkeypatch.setattr(ideals, "prime_ideals_up_to", sieve)
+        # the largest bounds 1 GiB admits: B ideals over Q, B (1 + ln B) over Q(i)
+        for field, largest in ((Q, 2_606_169), (GAUSS, 197_532)):
+            with pytest.raises(Sieved):
+                enumerate_ideals(field, largest)
+            with pytest.raises(ResourceLimitError, match="exceeds the ceiling of 1073741824 bytes"):
+                enumerate_ideals(field, largest + 1)
 
     def test_prime_sieve_ceiling_before_allocating(self, refuse_large_arrays, monkeypatch):
         with pytest.raises(ResourceLimitError, match=f"exceeds the ceiling {PRIME_SIEVE_CEILING}"):

@@ -186,7 +186,7 @@ class TestSelbergWeights:
         for q in (3, 5):
             rep = character_representation(primitive_characters(q)[0])
             w = selberg_weights(rep, 50.0)
-            checks = w.verify(tol=1e-10)
+            checks = w.verify()
             assert checks["diagonal_matches_brute_force"]
             assert checks["rho_bounded_by_one"]
 
