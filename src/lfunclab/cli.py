@@ -8,19 +8,25 @@ the file alone.  No environment variables are consulted.
 
 Each handler only computes and returns an `Outcome`; `_finish` writes the
 report, prints the summary line and raises a recorded invariant failure.
-`COMMANDS` maps each subcommand to its handler and its selftest modules.
+`COMMANDS` maps each subcommand to its handler and the names of its selftest
+modules.  Each handler imports the modules it runs, so that importing this
+module loads no numpy and a subcommand loads only what it needs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from . import characters, coeffs, covers, detect, ideals, localdata, sieve
 from .errors import InvariantError, LfuncLabError, ReportIOError, UsageError
 from .report import emit_report
+
+if TYPE_CHECKING:
+    from .localdata import Family, Representation
 
 
 class _SelftestRequested(Exception):
@@ -183,18 +189,22 @@ def _fields(result, names: str, **given) -> dict:
     return record
 
 
-def _trivial_family() -> localdata.Family:
+def _trivial_family() -> Family:
+    from . import localdata
+
     return localdata.make_family([localdata.trivial_representation()], label="trivial")
 
 
-def _load_family(path: str | None, default=_trivial_family) -> localdata.Family:
+def _load_family(path: str | None, default=_trivial_family) -> Family:
     """The family in the spec file at path, or default() when no path is given."""
+    from . import localdata
+
     if path is not None:
         return localdata.parse_family_spec(path)
     return default()
 
 
-def _member(family: localdata.Family, index: int, flag: str) -> localdata.Representation:
+def _member(family: Family, index: int, flag: str) -> Representation:
     size = len(family.members)
     if not 0 <= index < size:
         raise UsageError(f"{flag} {index} is not a member index of {family.label} (0..{size - 1})")
@@ -204,9 +214,9 @@ def _member(family: localdata.Family, index: int, flag: str) -> localdata.Repres
 def _run_selftest(modules) -> int:
     failures = 0
     for module in modules:
-        for name, ok, detail in module.selftest():
-            print(f"{'PASS' if ok else 'FAIL'} {module.__name__.split('.')[-1]}: {name}"
-                  + (f" ({detail})" if detail else ""))
+        checks = importlib.import_module(f"{__package__}.{module}").selftest()
+        for name, ok, detail in checks:
+            print(f"{'PASS' if ok else 'FAIL'} {module}: {name}" + (f" ({detail})" if detail else ""))
             failures += 0 if ok else 1
     if failures:
         print(f"selftest: {failures} failure(s)")
@@ -216,6 +226,8 @@ def _run_selftest(modules) -> int:
 
 
 def cmd_constants(args) -> Outcome:
+    from . import detect
+
     cs = detect.solve_constants()
     records = [{"name": name, "value": value} for name, value in cs.as_dict().items()]
     records += [{"name": f"residual_{name}", "value": value}
@@ -227,6 +239,8 @@ def cmd_constants(args) -> Outcome:
 
 
 def cmd_large_sieve(args) -> Outcome:
+    from . import localdata, sieve
+
     try:
         n_list = [int(s) for s in str(args.n).split(",") if s]
     except ValueError:
@@ -246,6 +260,8 @@ def cmd_large_sieve(args) -> Outcome:
 
 
 def cmd_psd(args) -> Outcome:
+    from . import covers, ideals, localdata
+
     if not args.tol >= 0:
         raise UsageError(f"--tol must be >= 0, not {args.tol}")
     family = _load_family(args.family, lambda: localdata.dirichlet_character_family(20))
@@ -273,6 +289,8 @@ def cmd_psd(args) -> Outcome:
 
 
 def cmd_covers(args) -> Outcome:
+    from . import covers, ideals, localdata
+
     family = _load_family(args.family, lambda: localdata.dirichlet_character_family(20))
     table = covers.PairCoefficientTable(family, "lambda")
     records = []
@@ -294,6 +312,8 @@ def cmd_covers(args) -> Outcome:
 
 
 def cmd_sieve_weights(args) -> Outcome:
+    from . import sieve
+
     family = _load_family(args.family)
     rep = _member(family, args.member, "--member")
     weights = sieve.selberg_weights(rep, args.z)
@@ -311,6 +331,8 @@ def cmd_sieve_weights(args) -> Outcome:
 
 
 def cmd_sifted(args) -> Outcome:
+    from . import sieve
+
     family = _load_family(args.family)
     res = sieve.sifted_sum_check(family, None, args.x, args.t, args.z, kind=args.kind)
     record = _fields(res, "lhs rhs_shape weighted_norm_sq sifted_count single_rep_sum "
@@ -321,6 +343,8 @@ def cmd_sifted(args) -> Outcome:
 
 
 def cmd_residue(args) -> Outcome:
+    from . import ideals, sieve
+
     family = _load_family(args.family)
     rep_a = _member(family, args.a, "--a")
     rep_b = _member(family, args.b, "--b") if args.b is not None else rep_a
@@ -334,6 +358,8 @@ def cmd_residue(args) -> Outcome:
 
 
 def cmd_mvt(args) -> Outcome:
+    from . import sieve
+
     family = _load_family(args.family)
     res = sieve.mvt_mu(
         family, None, args.x, args.t, y_scale=args.y, variant=args.variant,
@@ -346,6 +372,8 @@ def cmd_mvt(args) -> Outcome:
 
 
 def cmd_detect(args) -> Outcome:
+    from . import coeffs, detect, localdata
+
     config_obj = detect.build_detection_config(
         eta=args.eta, tau=args.tau, t_range=args.big_t, log_scale=args.log_scale,
         c_linnik=args.c_linnik, c_dirichlet_upper=args.c_upper,
@@ -368,6 +396,8 @@ def cmd_detect(args) -> Outcome:
 
 
 def cmd_density(args) -> Outcome:
+    from . import detect, ideals, localdata
+
     family = _load_family(args.family, lambda: localdata.synthetic_family(
         2, 4, seed=args.seed, model=("planted", args.p, args.theta)))
     n = max(m.degree for m in family.members)
@@ -384,6 +414,8 @@ def cmd_density(args) -> Outcome:
 
 
 def cmd_count(args) -> Outcome:
+    from . import detect, ideals
+
     res = detect.family_count_bound(ideals.NumberFieldSpec.rationals(), args.n, args.q, args.epsilon)
     shown = "n/a" if res.enumerated is None else str(res.enumerated)
     summary = f"count: enumerated {shown} members, shape {res.bound_shape:.6g}"
@@ -391,6 +423,8 @@ def cmd_count(args) -> Outcome:
 
 
 def cmd_ingest(args) -> Outcome:
+    from . import detect, ideals, localdata
+
     if args.hecke is None and args.zeros is None:
         raise UsageError("ingest needs --hecke or --zeros")
     if args.hecke:
@@ -416,18 +450,18 @@ def cmd_ingest(args) -> Outcome:
 
 # subcommand -> (handler, modules whose selftest() runs under --selftest, in order)
 COMMANDS = {
-    "constants": (cmd_constants, (detect,)),
-    "large-sieve": (cmd_large_sieve, (sieve, ideals)),
-    "psd": (cmd_psd, (covers, coeffs)),
-    "covers": (cmd_covers, (covers, coeffs)),
-    "sieve-weights": (cmd_sieve_weights, (sieve,)),
-    "sifted": (cmd_sifted, (sieve,)),
-    "residue": (cmd_residue, (sieve,)),
-    "mvt": (cmd_mvt, (sieve,)),
-    "detect": (cmd_detect, (detect,)),
-    "density": (cmd_density, (detect, localdata)),
-    "count": (cmd_count, (detect, localdata)),
-    "ingest": (cmd_ingest, (localdata, characters)),
+    "constants": (cmd_constants, ("detect",)),
+    "large-sieve": (cmd_large_sieve, ("sieve", "ideals")),
+    "psd": (cmd_psd, ("covers", "coeffs")),
+    "covers": (cmd_covers, ("covers", "coeffs")),
+    "sieve-weights": (cmd_sieve_weights, ("sieve",)),
+    "sifted": (cmd_sifted, ("sieve",)),
+    "residue": (cmd_residue, ("sieve",)),
+    "mvt": (cmd_mvt, ("sieve",)),
+    "detect": (cmd_detect, ("detect",)),
+    "density": (cmd_density, ("detect", "localdata")),
+    "count": (cmd_count, ("detect", "localdata")),
+    "ingest": (cmd_ingest, ("localdata", "characters")),
 }
 
 

@@ -28,10 +28,12 @@ stays finite at repeated parameters, where quotient-of-alternants fails.
 
 _PrimePowerArrays keeps one table row per prime power, filled once for all
 its engines in one block per rows call: gl1_exact engines by the angle rule,
-with one memo lookup per distinct (angle, M, exponent), the others through
-_LocalEngine._compute.  rows alone multiplies the rows out over an ideal's
-factors, for one series (expand_global) and for a family (family_arrays and
-the pair tables of covers).
+with one memo lookup per distinct (angle, M, exponent), product engines from
+each member's own values at the prime power (Schur values, power sum, h_k or
+e_k), combined over the engines by array operations that repeat the scalar
+arithmetic part by part, so that no bit moves.  rows alone multiplies the
+rows out over an ideal's factors, for one series (expand_global) and for a
+family (family_arrays and the pair tables of covers).
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import characters as chars
-from .errors import UsageError
+from .errors import ResourceLimitError, UsageError
 from .ideals import (
+    IDEAL_BYTES_CEILING,
     IdealIndex,
     NumberFieldSpec,
     enumerate_ideals,
@@ -58,7 +61,19 @@ from .localdata import Family, LocalParameters, Representation, contragredient
 SERIES_KINDS = ("lambda", "mu", "biglambda", "logl")
 PARTITION_SIZE_CAP = 64
 ROWS_CHUNK = 1 << 14  # values per step of _PrimePowerArrays.rows, which bounds its working arrays
+TABLE_ROWS = 64  # prime-power rows of a new _PrimePowerArrays table
+TABLE_BYTES_CEILING = IDEAL_BYTES_CEILING  # a table or a rows output may hold what an enumeration may
 _IDEAL_CACHE_MAX_BOUND = 200_000
+
+
+def check_table_bytes(rows: int, columns: int, what: str) -> None:
+    """Refuse a (rows, columns) complex array past TABLE_BYTES_CEILING, before it is allocated."""
+    held = 16 * rows * columns
+    if held > TABLE_BYTES_CEILING:
+        raise ResourceLimitError(
+            f"{what} of {rows} x {columns} complex values would take {held} bytes, "
+            f"which exceeds the ceiling of {TABLE_BYTES_CEILING} bytes"
+        )
 
 
 @functools.lru_cache(maxsize=8)
@@ -177,8 +192,7 @@ def rankin_selberg_local(a: LocalParameters, b: LocalParameters, k: int) -> comp
     """x^k coefficient of the local pair factor at a common prime.
 
     Cauchy identity: the sum over partitions of k of
-    s_lam(alpha) * conj(s_lam(beta)), the product model.  _LocalEngine
-    applies the gl1_exact model itself.
+    s_lam(alpha) * conj(s_lam(beta)), the product model.
     """
     if a.prime != b.prime:
         raise UsageError("local pair coefficients need a common prime")
@@ -238,11 +252,11 @@ def pair_model(a: Representation, b: Representation, model: str) -> str:
 
 
 class _LocalEngine:
-    """Local coefficients at (prime, exponent) for a member or a pair a x conj(b).
-
-    _compute is the product model's value at one prime power.  A gl1_exact
-    engine has no scalar rule: _PrimePowerArrays fills its rows from the
-    members' character angles.
+    """One series of local coefficients, a member's own (b None) or a pair
+    a x conj(b), of one kind under one ramified model.  It holds no rule:
+    _PrimePowerArrays fills gl1_exact engines from their members' character
+    angles (_Gl1Pairs) and product engines from their members' own values
+    (_ProductEngines).
     """
 
     def __init__(self, a: Representation, b: Representation | None, kind: str, model: str):
@@ -256,36 +270,6 @@ class _LocalEngine:
                 raise UsageError("gl1_exact requires two degree-1 members with character data")
         elif model != "product":
             raise UsageError(f"unknown ramified model {model!r}")
-
-    def _compute(self, pid, e: int) -> complex:
-        if e == 0:
-            return 1 + 0j
-        kind = self.kind
-        prime = prime_ideal(self.a.field, pid)
-        pa = self.a.local_at(prime)
-        if self.b is None:
-            if kind == "lambda":
-                return local_lambda(pa, e)
-            if kind == "mu":
-                c = poly_from_roots(pa.alphas)
-                return complex(c[e]) if e < len(c) else 0j
-            ps = power_sum(pa.alphas, e)
-            if kind == "biglambda":
-                return ps * math.log(prime.norm)
-            return ps / e
-        pb = self.b.local_at(prime)
-        if kind == "lambda":
-            return rankin_selberg_local(pa, pb, e)
-        if kind == "mu":
-            prod_poly = np.ones(1, dtype=np.complex128)
-            for x in pa.alphas:
-                for y in pb.alphas:
-                    prod_poly = np.convolve(prod_poly, [1.0, -x * np.conj(y)])
-            return complex(prod_poly[e]) if e < len(prod_poly) else 0j
-        ps = power_sum(pa.alphas, e) * np.conj(power_sum(pb.alphas, e))
-        if kind == "biglambda":
-            return complex(ps * math.log(prime.norm))
-        return complex(ps / e)
 
 
 @functools.lru_cache(maxsize=65536)
@@ -343,11 +327,168 @@ class _Gl1Pairs:
         values = np.zeros(live.shape, dtype=np.complex128)
         values[live] = memo[inverse]
         if self.kind == "biglambda":
-            # Python's complex times float log p, part by part
-            log_p = np.array([math.log(p) for p in primes.tolist()])[column, None]
-            re, im = values.real, values.imag
-            values.real, values.imag = re * log_p - im * 0.0, re * 0.0 + im * log_p
+            values = _times_log(values, np.array([math.log(p) for p in primes.tolist()])[column, None])
         return values
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
+def _times_log(values: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+    """values times the float log p, part by part, as a scalar complex (Python's or
+    numpy's) times a float: (re log p - im 0, re 0 + im log p)."""
+    re, im = values.real, values.imag
+    return _complex(re * log_p - im * 0.0, re * 0.0 + im * log_p)
+
+
+def _times_conj(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The parts of x * conj(y), formed as numpy's scalar product forms them;
+    its array product can differ in the last bit."""
+    xr, xi, yr, yi = x.real, x.imag, y.real, -y.imag
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+def _own_mu(params: LocalParameters, e: int) -> complex:
+    """(-1)^e e_e of the parameters: the x^e coefficient of prod (1 - alpha x)."""
+    c = poly_from_roots(params.alphas)
+    return c[e] if e < len(c) else 0j
+
+
+def _own_power_sum(params: LocalParameters, e: int) -> complex:
+    return power_sum(params.alphas, e)
+
+
+def _pair_mu_poly(pa: LocalParameters, pb: LocalParameters) -> np.ndarray:
+    """prod over i, j of (1 - alpha_i conj(beta_j) x), one factor at a time.
+
+    np.convolve sums with a dot product, whose rounding no elementwise
+    formula reproduces, so pair mu keeps this chain, once per pair and prime.
+    """
+    prod_poly = np.ones(1, dtype=np.complex128)
+    for x in pa.alphas:
+        for y in pb.alphas:
+            prod_poly = np.convolve(prod_poly, [1.0, -x * np.conj(y)])
+    return prod_poly
+
+
+class _ProductEngines:
+    """Local values of product-model engines from their members' own values.
+
+    A member is a Representation on some engine's side.  Per block it reads
+    its parameters once per prime and computes its own values once per prime
+    power: h_k or (-1)^k e_k for its own lambda or mu series, the power sum
+    for biglambda and logl, the _schur_values tuple for pair lambda.  Each
+    engine's value then comes from array operations over the engines' member
+    indices, part by part, in the order of the scalar rule: Python's complex
+    arithmetic for a member's own series, numpy's scalar arithmetic for a
+    pair.  Pair lambda is the Cauchy sum over partitions_of(k, min(n, n'))
+    in that order; pair mu reads _pair_mu_poly.
+    """
+
+    def __init__(self, engines: list[_LocalEngine], kind: str):
+        self.kind = kind
+        members = {id(rep): rep for eng in engines for rep in (eng.a, eng.b) if rep is not None}
+        position = {key: n for n, key in enumerate(members)}
+        self._members = list(members.values())
+        self._degree = max(rep.degree for rep in self._members)
+        self._size = len(engines)
+        self._own = [k for k, eng in enumerate(engines) if eng.b is None]
+        self._pair = [k for k, eng in enumerate(engines) if eng.b is not None]
+        self._own_side = np.array([position[id(engines[k].a)] for k in self._own], dtype=np.intp)
+        sides = [position[id(rep)] for k in self._pair for rep in (engines[k].a, engines[k].b)]
+        self._sides = np.array(sides, dtype=np.intp).reshape(-1, 2).T
+
+    def block(self, factors) -> np.ndarray:
+        """The (prime powers, engines) values."""
+        field = self._members[0].field
+        primes = {pid: prime_ideal(field, pid) for pid, _ in factors}
+        local = {pid: [rep.local_at(prime) for rep in self._members] for pid, prime in primes.items()}
+        rows = [(local[pid], e) for pid, e in factors]
+        exponents = np.array([e for _, e in factors], dtype=np.float64)[:, None]
+        log_p = np.array([math.log(primes[pid].norm) for pid, _ in factors])[:, None]
+        values = np.empty((len(factors), self._size), dtype=np.complex128)
+        if self._own:
+            values[:, self._own] = self._own_values(rows, exponents, log_p)
+        if self._pair:
+            values[:, self._pair] = self._pair_values(rows, exponents, log_p)
+        return values
+
+    def _member_values(self, rows, own) -> np.ndarray:
+        """(rows, members) array of own(parameters, exponent)."""
+        flat = [own(pa, e) for params, e in rows for pa in params]
+        return np.array(flat, dtype=np.complex128).reshape(len(rows), len(self._members))
+
+    def _own_values(self, rows, exponents, log_p) -> np.ndarray:
+        kind = self.kind
+        if kind == "lambda":
+            return self._member_values(rows, local_lambda)[:, self._own_side]
+        if kind == "mu":
+            return self._member_values(rows, _own_mu)[:, self._own_side]
+        sums = self._member_values(rows, _own_power_sum)[:, self._own_side]
+        if kind == "biglambda":
+            return _times_log(sums, log_p)
+        # Python's complex over an int e: (re + im * (0/e)) / (e + 0 * (0/e))
+        re, im = sums.real, sums.imag
+        return _complex((re + im * 0.0) / exponents, (im - re * 0.0) / exponents)
+
+    def _pair_values(self, rows, exponents, log_p) -> np.ndarray:
+        kind = self.kind
+        if kind == "lambda":
+            return self._cauchy(rows)
+        if kind == "mu":
+            polys = {}
+            out = np.empty((len(rows), len(self._pair)), dtype=np.complex128)
+            for row, (params, e) in zip(out, rows):
+                key = params[0].prime
+                if key not in polys:
+                    polys[key] = [_pair_mu_poly(params[i], params[j]) for i, j in self._sides.T.tolist()]
+                row[:] = [c[e] if e < len(c) else 0j for c in polys[key]]
+            return out
+        sums = self._member_values(rows, _own_power_sum)
+        a, b = self._sides
+        re, im = _times_conj(sums[:, a], sums[:, b])
+        if kind == "biglambda":
+            return _times_log(_complex(re, im), log_p)
+        # numpy's complex over an int e: (re + im * (0/e)) * (1 / (e + 0 * (0/e)))
+        return _complex((re + im * 0.0) * (1.0 / exponents), (im - re * 0.0) * (1.0 / exponents))
+
+    def _cauchy(self, rows) -> np.ndarray:
+        """Pair lambda: sum over partitions lam of s_lam(alpha) * conj(s_lam(beta)),
+        accumulated from 0j in partitions_of order, one exponent at a time.
+
+        Every pair sums over the partitions with at most the largest degree
+        of parts.  A member has Schur value 0j at a partition with more parts
+        than its degree, so a pair's partitions with more than min(n, n')
+        parts add products that are +-0, and a sum that starts at 0j and so
+        never is -0.0 keeps its bits under them: each value is the scalar
+        sum over partitions_of(k, min(n, n')).
+        """
+        out = np.empty((len(rows), len(self._pair)), dtype=np.complex128)
+        exponents = np.array([e for _, e in rows])
+        a, b = self._sides
+        for e in np.unique(exponents).tolist():
+            at = np.flatnonzero(exponents == e)
+            lams = partitions_of(e, self._degree)
+            flat = [self._schur_row(pa, e, lams) for r in at.tolist() for pa in rows[r][0]]
+            schur = np.array(flat, dtype=np.complex128).reshape(len(at), len(self._members), len(lams))
+            re, im = np.zeros((len(at), len(a))), np.zeros((len(at), len(a)))
+            for j in range(len(lams)):
+                x_re, x_im = _times_conj(schur[:, a, j], schur[:, b, j])
+                re, im = re + x_re, im + x_im
+            out[at] = _complex(re, im)
+        return out
+
+    def _schur_row(self, params: LocalParameters, e: int, lams) -> list:
+        """The member's Schur values at the partitions lams, 0j past its degree."""
+        degree = len(params.alphas)
+        values = _schur_values(params, e, degree)
+        if degree == self._degree:
+            return list(values)
+        at = dict(zip(partitions_of(e, degree), values))
+        return [at.get(lam, 0j) for lam in lams]
 
 
 class _PrimePowerArrays:
@@ -356,46 +497,49 @@ class _PrimePowerArrays:
     Row r >= 2 of a growing table, zero-filled so that unused rows cost no memory,
     holds one prime power's values over the engines; row 0 is 1+0j and row 1 is 0j.
     Each rows call fills the rows of the prime powers new to the table in one block
-    (_fill): the gl1_exact engines through _Gl1Pairs, the others by _compute.
+    (_fill): the gl1_exact engines through _Gl1Pairs, the product engines through
+    _ProductEngines.
     rows multiplies each ideal's factor rows with the explicit real/imaginary formula
     of Python's complex product (numpy's can differ in the last bit), so each value is
     the Python product of the local values in factor order.  Factor lists are
     front-padded with row 0, as (1+0j)(1+0j) is exact; biglambda and logl read row 1
-    off prime powers; exact zeros come out as 0j.
+    off prime powers; exact zeros come out as 0j.  The table and rows' output are
+    checked against TABLE_BYTES_CEILING before they are allocated.
     """
 
     def __init__(self, engines: list[_LocalEngine], kind: str):
+        check_table_bytes(TABLE_ROWS, len(engines), "a coefficient table")
         self.engines = engines
         self.kind = kind
-        self._table = np.zeros((64, len(engines)), dtype=np.complex128)
+        self._table = np.zeros((TABLE_ROWS, len(engines)), dtype=np.complex128)
         self._table[0] = 1
         self._row: dict[tuple[tuple[int, int], int], int] = {}
         self._last: tuple[IdealIndex, np.ndarray] | None = None
-        gl1 = [k for k, eng in enumerate(engines) if eng.model == "gl1_exact"]
-        self._scalar = [k for k, eng in enumerate(engines) if eng.model != "gl1_exact"]
-        self._gl1 = (gl1, _Gl1Pairs([engines[k] for k in gl1], kind)) if gl1 else None
+        self._sources = []
+        for model, source in (("gl1_exact", _Gl1Pairs), ("product", _ProductEngines)):
+            columns = [k for k, eng in enumerate(engines) if eng.model == model]
+            if columns:
+                self._sources.append((columns, source([engines[k] for k in columns], kind)))
 
     def _fill(self, factors: list[tuple[tuple[int, int], int]]) -> None:
         """Rows for prime powers new to the table, over every engine at once."""
         first = len(self._row) + 2
         end = first + len(factors)
         if end > len(self._table):
-            grown = np.zeros((max(2 * len(self._table), end), len(self.engines)), dtype=np.complex128)
+            size = max(2 * len(self._table), end)
+            check_table_bytes(size, len(self.engines), "a coefficient table")
+            grown = np.zeros((size, len(self.engines)), dtype=np.complex128)
             grown[:first] = self._table[:first]
             self._table = grown
         for row, factor in enumerate(factors, first):
             self._row[factor] = row
         block = self._table[first:end]
-        if self._gl1:
-            columns, pairs = self._gl1
-            block[:, columns] = pairs.block(factors)
-        if self._scalar:
-            scalar = [self.engines[k] for k in self._scalar]
-            for row, (pid, e) in zip(block, factors):
-                row[self._scalar] = [eng._compute(pid, e) for eng in scalar]
+        for columns, source in self._sources:
+            block[:, columns] = source.block(factors)
 
     def rows(self, ideals) -> np.ndarray:
         """The (engines, ideals) array of values, column j at ideals[j]."""
+        check_table_bytes(len(self.engines), len(ideals), "coefficient rows")
         if self.kind in ("biglambda", "logl"):
             ideals_with_rows = (i for i in ideals if len(i.factors) == 1)
         else:

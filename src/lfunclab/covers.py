@@ -19,7 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import _LocalEngine, _PrimePowerArrays, default_model, family_arrays
+from .coeffs import (
+    TABLE_ROWS,
+    _LocalEngine,
+    _PrimePowerArrays,
+    check_table_bytes,
+    default_model,
+    family_arrays,
+)
 from .errors import DataIntegrityError, UnsupportedCaseError, UsageError
 from .ideals import (
     IdealIndex,
@@ -50,14 +57,17 @@ class PairCoefficientTable:
 
     Each prime power's values over the upper-triangle pairs (np.triu_indices
     order) form one array, computed once; build one table per run and pass
-    it to every ideal.
+    it to every ideal.  A family whose pair table would pass the table
+    ceiling is refused before any engine is built.
     """
 
     def __init__(self, family: Family, kind: str):
+        size = len(family.members)
+        check_table_bytes(TABLE_ROWS, size * (size + 1) // 2, f"the pair table of {family.label}")
         self.family = family
         self.kind = kind
         self.model = default_model(family)
-        self._upper = np.triu_indices(len(family.members))
+        self._upper = np.triu_indices(size)
         self._engines: dict[tuple[int, int], _LocalEngine] = {}
         self._pairs: _PrimePowerArrays | None = None
         self._pi0_arrays: dict[tuple, tuple[_PrimePowerArrays, _PrimePowerArrays]] = {}
@@ -374,21 +384,24 @@ def cover_add(a: CoverDecomposition, b: CoverDecomposition) -> CoverDecompositio
 
 
 def cover_mul(a: CoverDecomposition, b: CoverDecomposition, truncation: int) -> CoverDecomposition:
-    """The Dirichlet product, truncated to ideal norms <= truncation."""
+    """The Dirichlet product, truncated to ideal norms <= truncation and known
+    up to the smallest of the truncation and the two norm bounds: a divisor of
+    an ideal has at most its norm, but a factor knows no term past its bound."""
     if a.labels != b.labels:
         raise UsageError("decompositions index different families")
+    bound = min(truncation, a.norm_bound, b.norm_bound)
     terms = [
         CoverTerm(ta.d * tb.d, ideal_mul(ta.ideal, tb.ideal), ta.u * tb.u)
         for ta in a.terms
         for tb in b.terms
-        if ta.ideal.norm * tb.ideal.norm <= truncation
+        if ta.ideal.norm * tb.ideal.norm <= bound
     ]
     if not terms:
         raise UsageError("truncation too small to represent any product term")
     out = CoverDecomposition(
-        terms, a.labels, a.field, truncation,
-        _convolve_targets(a.target_covered, b.target_covered, truncation),
-        _convolve_targets(a.target_cover, b.target_cover, truncation),
+        terms, a.labels, a.field, bound,
+        _convolve_targets(a.target_covered, b.target_covered, bound),
+        _convolve_targets(a.target_cover, b.target_cover, bound),
         max(a.restricted_coprime_to, b.restricted_coprime_to),
         f"({a.description}) * ({b.description})",
     )
@@ -397,10 +410,12 @@ def cover_mul(a: CoverDecomposition, b: CoverDecomposition, truncation: int) -> 
 
 
 def cover_exp(a: CoverDecomposition, truncation: int) -> CoverDecomposition:
-    """sum_k A^k / k! to ideal norms <= truncation, from cover_mul, cover_scale
-    and cover_add; A must have no unit-ideal term (strip constants first)."""
+    """sum_k A^k / k! to ideal norms <= min(truncation, A's norm bound), from
+    cover_mul, cover_scale and cover_add; A must have no unit-ideal term
+    (strip constants first)."""
     if truncation < 1:
         raise UsageError("truncation too small to represent any term")
+    truncation = min(truncation, a.norm_bound)
     if any(t.ideal.is_unit for t in a.terms):
         raise UsageError(
             "exp needs a covered series with zero unit-ideal coefficient; "

@@ -81,9 +81,9 @@ def conductor_family_20():
 
 @pytest.fixture
 def refuse_large_arrays(monkeypatch):
-    """np.ones and np.linspace fail past LARGE_ARRAY elements, so a ceiling
-    test whose check comes after the allocation fails instead of exhausting
-    memory."""
+    """np.ones, np.zeros, np.empty and np.linspace fail past LARGE_ARRAY
+    elements, so a ceiling test whose check comes after the allocation fails
+    instead of exhausting memory."""
 
     def guarded(real, size):
         def wrapper(*args, **kwargs):
@@ -94,5 +94,6 @@ def refuse_large_arrays(monkeypatch):
 
     ones_size = lambda shape, *args, **kwargs: math.prod(np.atleast_1d(shape))
     linspace_size = lambda start, stop, num=50, *args, **kwargs: num
-    monkeypatch.setattr(np, "ones", guarded(np.ones, ones_size))
+    for name in ("ones", "zeros", "empty"):
+        monkeypatch.setattr(np, name, guarded(getattr(np, name), ones_size))
     monkeypatch.setattr(np, "linspace", guarded(np.linspace, linspace_size))

@@ -1,12 +1,52 @@
 """The scalar rules, kept in the tests as the oracle for
 `_PrimePowerArrays.rows`: a Python complex product of one engine's local
-values over the ideal's factors, with no table and no padding.  A
-gl1_exact engine's local values come from the product character itself,
-built by `multiply` and `primitive_part` and evaluated prime by prime."""
+values over the ideal's factors, with no table and no padding.  A product
+engine's local value is computed on its own, one prime power at a time,
+from the members' parameters (`product_local`).  A gl1_exact engine's
+local values come from the product character itself, built by `multiply`
+and `primitive_part` and evaluated prime by prime."""
 
 import math
 
+import numpy as np
+
 from lfunclab.characters import conjugate, multiply, primitive_part
+from lfunclab.coeffs import local_lambda, poly_from_roots, power_sum, rankin_selberg_local
+from lfunclab.ideals import prime_ideal
+
+
+def product_local(engine, pid, e: int) -> complex:
+    """The product model's value at p^e for one engine: a member's own h_e,
+    (-1)^e e_e or power sum, or a pair's Cauchy sum, np.convolve product
+    polynomial or product of power sums."""
+    if e == 0:
+        return 1 + 0j
+    kind = engine.kind
+    prime = prime_ideal(engine.a.field, pid)
+    pa = engine.a.local_at(prime)
+    if engine.b is None:
+        if kind == "lambda":
+            return local_lambda(pa, e)
+        if kind == "mu":
+            c = poly_from_roots(pa.alphas)
+            return complex(c[e]) if e < len(c) else 0j
+        ps = power_sum(pa.alphas, e)
+        if kind == "biglambda":
+            return ps * math.log(prime.norm)
+        return ps / e
+    pb = engine.b.local_at(prime)
+    if kind == "lambda":
+        return rankin_selberg_local(pa, pb, e)
+    if kind == "mu":
+        prod_poly = np.ones(1, dtype=np.complex128)
+        for x in pa.alphas:
+            for y in pb.alphas:
+                prod_poly = np.convolve(prod_poly, [1.0, -x * np.conj(y)])
+        return complex(prod_poly[e]) if e < len(prod_poly) else 0j
+    ps = power_sum(pa.alphas, e) * np.conj(power_sum(pb.alphas, e))
+    if kind == "biglambda":
+        return complex(ps * math.log(prime.norm))
+    return complex(ps / e)
 
 
 def product_character(engine):
@@ -43,7 +83,7 @@ def scalar_row(engine, ideals) -> list[complex]:
         psi = product_character(engine)
         local = lambda pid, e: gl1_local(psi, engine.kind, pid, e)
     else:
-        local = engine._compute
+        local = lambda pid, e: product_local(engine, pid, e)
     return [product_over_factors(local, engine.kind, ideal) for ideal in ideals]
 
 

@@ -40,6 +40,8 @@ class TestEmitReport:
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
+MODULUS_100_SPEC = os.path.join(os.path.dirname(SRC_DIR), "tests", "data", "dirichlet_modulus_100.spec")
+
 SCIPY_MODULES = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]"
 
 
@@ -62,6 +64,25 @@ class TestStartup:
     def test_import_loads_no_scipy(self, module):
         loaded = fresh_python(f"import json, sys, {module}; print(json.dumps({SCIPY_MODULES}))")
         assert loaded == []
+
+    def test_cli_import_loads_no_numpy(self):
+        loaded = fresh_python(
+            "import json, sys, lfunclab.cli\n"
+            "print(json.dumps([m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')]))"
+        )
+        assert loaded == []
+
+    def test_a_subcommand_loads_only_what_it_runs(self, tmp_path):
+        code = (
+            "import contextlib, json, sys\n"
+            "from lfunclab.cli import main\n"
+            "with contextlib.redirect_stdout(sys.stderr):\n"
+            f"    assert main(['constants', '--out', {str(tmp_path / 'c.csv')!r}]) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('lfunclab.'))))"
+        )
+        loaded = fresh_python(code)
+        assert "lfunclab.detect" in loaded
+        assert "lfunclab.covers" not in loaded and "lfunclab.sieve" not in loaded
 
     def test_deferred_scipy_values(self):
         """The two numerical kernels that once imported scipy load none of it."""
@@ -134,6 +155,10 @@ class TestExitCodes:
             ["detect", "--eta", "0.05", "--log-scale", "40", "--truncation", "10000000000"],
             ["sieve-weights", "--z", "1e12"],
             ["mvt", "--x", "30", "--t", "1e12"],
+            # 1,649,836 pairs x 64 table rows x 16 bytes = 1.69 GB; refused in about 0.2 s
+            ["psd", "--family", MODULUS_100_SPEC, "--nmax", "2000"],
+            # 1,816 members x 200,000 ideals x 16 bytes = 5.8 GB of rows; refused in about 2 s
+            ["large-sieve", "--gl1", "--qmax", "100", "--n", "200000"],
         ],
     )
     def test_past_a_ceiling_exits_two_before_allocating(

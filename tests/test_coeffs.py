@@ -15,6 +15,7 @@ from lfunclab.coeffs import (
     default_model,
     dirichlet_convolve,
     expand_global,
+    family_arrays,
     hom_sym_values,
     local_lambda,
     mertens_sum,
@@ -29,7 +30,8 @@ from lfunclab.covers import (
     coefficient_matrix,
     weight_battery,
 )
-from lfunclab.errors import UsageError
+from lfunclab import coeffs
+from lfunclab.errors import ResourceLimitError, UsageError
 from lfunclab.ideals import (
     NumberFieldSpec,
     divides,
@@ -40,10 +42,14 @@ from lfunclab.ideals import (
     unit_ideal,
 )
 from lfunclab.localdata import (
+    ArchimedeanParameters,
+    ArchPlace,
     LocalParameters,
+    Representation,
     character_representation,
     contragredient,
     dirichlet_family_by_modulus,
+    ingest_hecke_eigenvalues,
     make_family,
     synthetic_family,
     trivial_representation,
@@ -294,20 +300,21 @@ class TestPrimePowerArraysRows:
             assert off and not got[:, off].any()
 
     def test_signed_zeros_match_the_scalar_product(self):
-        # (-1+0j)(-1+0j) is 1-0j, and a trailing identity factor would make it 1+0j
-        class Engine:
-            kind, model = "lambda", "product"
-            local = {3: complex(-1.0, 0.0), 5: 1j, 7: complex(-1.0, 0.0)}
-
-            def _compute(self, pid, e):
-                return self.local.get(pid[0], 1 + 0j) ** e
-
-        engine = Engine()
+        # (-1+0j)(-1+0j) is 1-0j, and a trailing identity factor would make it 1+0j:
+        # pair mu of a unitary member with itself is -1+0j at every prime, and a
+        # degree-1 member's own lambda at alpha = -1, 1j, -1 carries signed zeros
+        local = {3: complex(-1.0, 0.0), 5: 1j, 7: complex(-1.0, 0.0)}
+        member = Representation(
+            1, Q, unit_ideal(Q), ArchimedeanParameters((ArchPlace(1, (0j,)),)), "synthetic",
+            lambda prime: (local.get(prime.norm, 1 + 0j),),
+        )
         mix = [ideal_from_int(Q, n) for n in (21, 2, 105, 3, 15, 1, 35, 210, 9, 7)]
-        got = _PrimePowerArrays([engine], "lambda").rows(mix)[0]
-        want = np.array([scalar_coefficient(engine, i) for i in mix])
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert np.signbit(want.imag[want.imag == 0]).any()
+        for kind, partner in (("lambda", None), ("mu", member)):
+            engine = _LocalEngine(member, partner, kind, "product")
+            got = _PrimePowerArrays([engine], kind).rows(mix)[0]
+            want = np.array([scalar_coefficient(engine, i) for i in mix])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), kind
+            assert np.signbit(want.imag[want.imag == 0]).any(), kind
 
     def test_empty_and_unit_only(self):
         fam = dirichlet_family_by_modulus(5)
@@ -315,6 +322,45 @@ class TestPrimePowerArraysRows:
         arrays = _PrimePowerArrays(engines, "lambda")
         assert arrays.rows([]).shape == (len(engines), 0)
         assert np.array_equal(arrays.rows([unit_ideal(Q)] * 2), np.ones((len(engines), 2)))
+
+
+class TestTableCeilings:
+    """A family table, its growth and rows' output are refused past the
+    ceiling before anything is built, filled or allocated."""
+
+    def test_pair_table_before_any_engine(self, monkeypatch):
+        fam = dirichlet_family_by_modulus(8)
+        size = len(fam.members)
+        monkeypatch.setattr(coeffs, "TABLE_BYTES_CEILING", 16 * coeffs.TABLE_ROWS * size * (size + 1) // 2 - 1)
+        monkeypatch.setattr(coeffs._LocalEngine, "__init__", None)
+        with pytest.raises(ResourceLimitError, match="pair table"):
+            PairCoefficientTable(fam, "lambda")
+
+    def test_rows_before_any_row_is_filled(self, monkeypatch):
+        engine = _LocalEngine(trivial_representation(), None, "lambda", "product")
+        arrays = _PrimePowerArrays([engine], "lambda")
+        ideals = enumerate_ideals(Q, 100)
+        monkeypatch.setattr(coeffs, "TABLE_BYTES_CEILING", 16 * len(ideals) - 1)
+        monkeypatch.setattr(arrays, "_fill", None)
+        with pytest.raises(ResourceLimitError, match="rows"):
+            arrays.rows(ideals)
+
+    def test_table_growth_before_allocating(self, monkeypatch):
+        engine = _LocalEngine(trivial_representation(), None, "lambda", "product")
+        arrays = _PrimePowerArrays([engine], "lambda")
+        # 100 prime powers need 102 rows: the table of 64 doubles to 128
+        ideals = prime_powers_up_to(Q, 1000)[:100]
+        monkeypatch.setattr(coeffs, "TABLE_BYTES_CEILING", 16 * 127)
+        zeros = np.zeros
+
+        def small_zeros(shape, *args, **kwargs):
+            assert math.prod(np.atleast_1d(shape)) <= 127, "allocated past the ceiling"
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", small_zeros)
+        with pytest.raises(ResourceLimitError, match="128 x 1"):
+            arrays.rows(ideals)
+        assert len(arrays._table) == 64
 
 
 # moduli <= 64 with primitive characters; 8, 16 and 32 have 2-parts with two
@@ -351,6 +397,65 @@ class TestGl1AngleRows:
         got = np.concatenate([arrays.rows(ideals[:split]), arrays.rows(ideals[split:])], axis=1)
         want = np.array([scalar_row(engine, ideals) for engine in engines], dtype=np.complex128)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# a product-model member: (source, size, index, dual).  synthetic: degree size
+# (index odd plants N(p)^theta magnitudes at 3 when size >= 2); character: a
+# primitive character mod size, zero at its ramified primes; hecke: the Delta
+# eigenvalues at level size, with a zero parameter at each p | size
+product_member = st.one_of(
+    st.tuples(st.just("synthetic"), st.integers(1, 3), st.integers(0, 10**6), st.booleans()),
+    st.tuples(st.just("character"), st.sampled_from(GL1_MODULI), st.integers(0, 10**6), st.booleans()),
+    st.tuples(st.just("hecke"), st.sampled_from((1, 2, 6, 35)), st.just(0), st.booleans()),
+)
+
+
+def build_product_member(field, draw, delta_csv):
+    source, size, index, dual = draw
+    if source == "synthetic":
+        model = ("planted", 3, 0.2) if size >= 2 and index % 2 else "grc"
+        rep = synthetic_family(size, 1, seed=index, model=model, field=field).members[0]
+    elif not field.is_rationals:
+        rep = trivial_representation(field)
+    elif source == "character":
+        group = primitive_characters(size)
+        rep = character_representation(group[index % len(group)])
+    else:
+        rep = ingest_hecke_eigenvalues(delta_csv, 12, size)
+    return contragredient(rep) if dual else rep
+
+
+class TestProductRows:
+    """Product-model rows from each member's own values against the scalar rule
+    of scalar_oracle, one engine and prime power at a time: bit for bit."""
+
+    FIELDS = {"Q": Q, "quadratic(-1)": NumberFieldSpec.quadratic(-1)}
+
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    @pytest.mark.parametrize("kind", SERIES_KINDS)
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(draws=st.lists(product_member, min_size=1, max_size=3), order=st.randoms(), split=st.integers(0, 60))
+    @example(  # GL1 x GL3, max_parts below the degree; ramified zeros at 2, 3, 5 and 7
+        draws=[("synthetic", 3, 1, False), ("character", 12, 1, True), ("hecke", 35, 0, False),
+               ("synthetic", 1, 4, False)],
+        order=Random(0),
+        split=20,
+    )
+    def test_rows_match_the_scalar_rule(self, field, kind, draws, order, split, delta_csv):
+        fld = self.FIELDS[field]
+        members = [build_product_member(fld, draw, delta_csv) for draw in draws]
+        ideals = list(enumerate_ideals(fld, 120))
+        order.shuffle(ideals)
+        # both orientations of every pair, each member against itself, and each member's own series
+        engines = [_LocalEngine(a, b, kind, "product") for a in members for b in members]
+        engines += [_LocalEngine(m, None, kind, "product") for m in members]
+        # the pi0 column and diagonal of the family against its first member
+        column, diagonal = family_arrays(make_family(members), kind, members[0])
+        for arrays in (_PrimePowerArrays(engines, kind), column, diagonal):
+            # two calls: the second fills the prime powers the first left out
+            got = np.concatenate([arrays.rows(ideals[:split]), arrays.rows(ideals[split:])], axis=1)
+            want = np.array([scalar_row(eng, ideals) for eng in arrays.engines], dtype=np.complex128)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestNewtonConsistency:

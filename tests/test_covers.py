@@ -23,6 +23,7 @@ from lfunclab.ideals import NumberFieldSpec, enumerate_ideals, ideal_from_int, u
 from lfunclab.localdata import (
     character_representation,
     contragredient,
+    dirichlet_character_family,
     dirichlet_family_by_modulus,
     make_family,
     synthetic_family,
@@ -369,6 +370,14 @@ class TestCoverOps:
         dec.terms.append(CoverTerm(1 + 0j, unit_ideal(Q), ones))
         with pytest.raises(UsageError, match="unit-ideal"):
             cover_exp(dec, 30)
+
+    def test_mul_and_exp_claim_no_norm_past_their_factors(self):
+        # the true product at 91 = 7 * 13 is 2, but a knows no term at 13
+        a = gl1_log_decomposition(dirichlet_character_family(5), 12)
+        product = cover_mul(a, a, 100)
+        assert product.norm_bound == 12
+        assert all(t.ideal.norm <= 12 for t in product.terms)
+        assert cover_exp(a, 100).norm_bound == 12
 
     def test_mul_truncation_too_small(self, conductor_family_20):
         dec = gl1_log_decomposition(conductor_family_20, 30)
