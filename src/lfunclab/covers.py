@@ -1,24 +1,25 @@
 """Positive-semi-definite cover calculus for families of Dirichlet series.
 
-A cover decomposition is a list of rank-one terms (d_j, n_j, u_j) with
-|d_j| <= 1.  The covered series has coefficient matrix
-sum_{n_j = n} d_j u_j u_j^* at each ideal n, the cover drops the d_j.
-Covers cannot be certified abstractly from coefficients alone, so this
-module verifies their checkable consequences instead: Hermitian
-coefficient matrices with nonnegative spectra, bilinear Cauchy-Schwarz
-inequalities over random weights, and coefficientwise reconstruction of
-stored target series after each algebra operation.  The algebra has four
-operations: cover_scale, cover_add, cover_mul, and cover_exp, which sums
-the powers A^k / k! that the other three build.
+A cover decomposition holds one block (d, U) per ideal n: weights |d| <= 1
+and a term matrix U with a column per member.  The covered series has
+coefficient matrix U^T diag(d) conj(U) at n, the cover U^T conj(U).
+log_decomposition writes log L so for every family, at every prime power;
+cover_exp, from cover_scale, cover_add and cover_mul, then gives L and 1/L
+as exp(+-log L), the duality behind the large sieve.  Each operation checks
+its blocks against targets computed independently.  Covers cannot be
+certified from coefficients alone, so this module also checks their
+consequences: Hermitian coefficient matrices with nonnegative spectra and
+bilinear Cauchy-Schwarz inequalities over random weights.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import characters as chars
 from .coeffs import (
     TABLE_ROWS,
     _LocalEngine,
@@ -26,11 +27,13 @@ from .coeffs import (
     check_table_bytes,
     default_model,
     family_arrays,
+    power_sum,
 )
-from .errors import DataIntegrityError, UnsupportedCaseError, UsageError
+from .errors import DataIntegrityError, UsageError
 from .ideals import (
     IdealIndex,
     ideal_mul,
+    prime_ideal,
     prime_powers_up_to,
     unit_ideal,
 )
@@ -240,77 +243,51 @@ def bilinear_inequality_check(
 
 
 @dataclass
-class CoverTerm:
-    d: complex
-    ideal: IdealIndex
-    u: np.ndarray  # one complex entry per family member
-
-
-@dataclass
 class CoverDecomposition:
-    """Rank-one-term realization of a covered series and its cover."""
+    """A covered series and its cover, as one block (d, U) per ideal.
 
-    terms: list[CoverTerm]
+    At the ideal n, d holds one weight per term, |d| <= 1, and U one row per
+    term with an entry per family member: the covered coefficient matrix is
+    U^T diag(d) conj(U) and the cover U^T conj(U).  The targets are the two
+    series computed independently, known up to norm_bound.
+    """
+
+    blocks: dict[IdealIndex, tuple[np.ndarray, np.ndarray]]
     labels: tuple[str, ...]
     field: object
     norm_bound: int
-    target_covered: dict[IdealIndex, np.ndarray] | None = None
-    target_cover: dict[IdealIndex, np.ndarray] | None = None
-    restricted_coprime_to: int = 1  # reconstruction defined away from this modulus
-    description: str = ""
+    target_covered: dict[IdealIndex, np.ndarray]
+    target_cover: dict[IdealIndex, np.ndarray]
 
-    def size(self) -> int:
-        return len(self.labels)
-
-    def _check_support(self, ideal: IdealIndex):
-        if self.restricted_coprime_to > 1:
-            for (p, _), _e in ideal.factors:
-                if self.restricted_coprime_to % p == 0:
-                    raise UnsupportedCaseError(
-                        f"terms at {ideal} are not defined: the decomposition is "
-                        f"restricted to ideals coprime to {self.restricted_coprime_to}"
-                    )
+    def _block(self, ideal: IdealIndex) -> tuple[np.ndarray, np.ndarray]:
+        return self.blocks.get(ideal, (np.zeros(0), np.zeros((0, len(self.labels)))))
 
     def reconstruct_covered(self, ideal: IdealIndex) -> np.ndarray:
-        self._check_support(ideal)
-        acc = np.zeros((self.size(), self.size()), dtype=np.complex128)
-        for t in self.terms:
-            if t.ideal == ideal:
-                acc += t.d * np.outer(t.u, np.conj(t.u))
-        return acc
+        d, u = self._block(ideal)
+        return u.T @ (d[:, None] * u.conj())
 
     def reconstruct_cover(self, ideal: IdealIndex) -> np.ndarray:
-        self._check_support(ideal)
-        acc = np.zeros((self.size(), self.size()), dtype=np.complex128)
-        for t in self.terms:
-            if t.ideal == ideal:
-                acc += np.outer(t.u, np.conj(t.u))
-        return acc
-
-    def support(self) -> list[IdealIndex]:
-        return sorted({t.ideal for t in self.terms}, key=IdealIndex.sort_key)
+        _, u = self._block(ideal)
+        return u.T @ u.conj()
 
     def verify(self) -> float:
-        """Max reconstruction residual against stored targets; also checks |d| <= 1."""
-        for t in self.terms:
-            if abs(t.d) > 1 + D_MODULUS_TOL:
-                raise DataIntegrityError(f"|d| = {abs(t.d)} exceeds 1 at term {t.ideal}")
+        """Max reconstruction residual against the targets, at each ideal relative
+        to max(1, the largest entry of the cover there), as psd_check_full
+        scales its test; also checks |d| <= 1."""
+        for ideal, (d, _) in self.blocks.items():
+            if np.abs(d).max(initial=0.0) > 1 + D_MODULUS_TOL:
+                raise DataIntegrityError(f"|d| = {np.abs(d).max()} exceeds 1 at {ideal}")
+        size = len(self.labels)
+        zero = np.zeros((size, size), dtype=np.complex128)
         worst = 0.0
-        for target, rebuild in (
-            (self.target_covered, self.reconstruct_covered),
-            (self.target_cover, self.reconstruct_cover),
-        ):
-            if target is None:
-                continue
-            keys = set(target) | {t.ideal for t in self.terms}
-            for ideal in keys:
-                if ideal.norm > self.norm_bound:
-                    continue
-                want = target.get(ideal)
-                if want is None:
-                    want = np.zeros((self.size(), self.size()), dtype=np.complex128)
-                got = rebuild(ideal)
-                worst = max(worst, float(np.abs(got - want).max()))
+        for ideal in self.blocks.keys() | self.target_covered.keys() | self.target_cover.keys():
+            cover = self.reconstruct_cover(ideal)
+            scale = max(1.0, float(np.abs(cover).max()))
+            for got, target in (
+                (self.reconstruct_covered(ideal), self.target_covered),
+                (cover, self.target_cover),
+            ):
+                worst = max(worst, float(np.abs(got - target.get(ideal, zero)).max()) / scale)
         if worst > RECONSTRUCTION_TOL:
             raise DataIntegrityError(
                 f"cover reconstruction residual {worst:.3e} exceeds {RECONSTRUCTION_TOL:.1e}"
@@ -318,66 +295,58 @@ class CoverDecomposition:
         return worst
 
 
-def _convolve_targets(
-    ta: dict[IdealIndex, np.ndarray] | None,
-    tb: dict[IdealIndex, np.ndarray] | None,
-    bound: int,
-):
-    if ta is None or tb is None:
-        return None
-    out: dict[IdealIndex, np.ndarray] = {}
-    for ia, ma in ta.items():
-        for ib, mb in tb.items():
-            if ia.norm * ib.norm > bound:
-                continue
-            key = ideal_mul(ia, ib)
-            prod = ma * mb  # Hadamard: series multiply pointwise in (x, y)
-            if key in out:
-                out[key] = out[key] + prod
-            else:
-                out[key] = prod.copy()
-    return out
+def _gather(items, join) -> dict:
+    """ideal -> join(the values listed for it), from (ideal, value) items."""
+    lists: dict[IdealIndex, list] = {}
+    for ideal, value in items:
+        lists.setdefault(ideal, []).append(value)
+    return {ideal: join(values) for ideal, values in lists.items()}
 
 
-def _merge_targets(
-    ta: dict[IdealIndex, np.ndarray] | None,
-    tb: dict[IdealIndex, np.ndarray] | None,
-):
-    if ta is None or tb is None:
-        return None
-    out = {k: v.copy() for k, v in ta.items()}
-    for k, v in tb.items():
-        out[k] = out[k] + v if k in out else v.copy()
-    return out
+def _stack(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """One block of the blocks' terms, in order."""
+    return np.concatenate([d for d, _ in blocks]), np.concatenate([u for _, u in blocks])
+
+
+def _products(ta: dict, tb: dict, bound: int) -> list:
+    """(ia * ib, ta[ia], tb[ib]) over the pairs of ideals with N(ia) N(ib) <= bound."""
+    return [
+        (ideal_mul(ia, ib), x, y)
+        for ia, x in ta.items()
+        for ib, y in tb.items()
+        if ia.norm * ib.norm <= bound
+    ]
 
 
 def cover_scale(a: CoverDecomposition, z: complex) -> CoverDecomposition:
-    """z times the covered series: the phase of z enters d, sqrt|z| enters u."""
+    """z times the covered series: the phase of z enters d, sqrt|z| enters U."""
     mag = abs(z)
     phase = z / mag if mag > 0 else 0j
-    terms = [CoverTerm(t.d * phase, t.ideal, t.u * math.sqrt(mag)) for t in a.terms]
-    tc = {k: z * v for k, v in a.target_covered.items()} if a.target_covered else None
-    tp = {k: mag * v for k, v in a.target_cover.items()} if a.target_cover else None
+    root = math.sqrt(mag)
     out = CoverDecomposition(
-        terms, a.labels, a.field, a.norm_bound, tc, tp, a.restricted_coprime_to,
-        f"scale({z}) of {a.description}",
+        {k: (d * phase, u * root) for k, (d, u) in a.blocks.items()},
+        a.labels, a.field, a.norm_bound,
+        {k: z * v for k, v in a.target_covered.items()},
+        {k: mag * v for k, v in a.target_cover.items()},
     )
     out.verify()
     return out
 
 
 def cover_add(a: CoverDecomposition, b: CoverDecomposition) -> CoverDecomposition:
-    """The sum, known up to the smaller of the two norm bounds."""
+    """The sum, known up to the smaller of the two norm bounds: each ideal's
+    terms are a's followed by b's."""
     if a.labels != b.labels:
         raise UsageError("decompositions index different families")
     bound = min(a.norm_bound, b.norm_bound)
+
+    def join(ta, tb, how):
+        return _gather(((n, v) for t in (ta, tb) for n, v in t.items() if n.norm <= bound), how)
+
     out = CoverDecomposition(
-        [t for t in a.terms + b.terms if t.ideal.norm <= bound],
-        a.labels, a.field, bound,
-        _merge_targets(a.target_covered, b.target_covered),
-        _merge_targets(a.target_cover, b.target_cover),
-        max(a.restricted_coprime_to, b.restricted_coprime_to),
-        f"({a.description}) + ({b.description})",
+        join(a.blocks, b.blocks, _stack), a.labels, a.field, bound,
+        join(a.target_covered, b.target_covered, sum),
+        join(a.target_cover, b.target_cover, sum),
     )
     out.verify()
     return out
@@ -386,24 +355,33 @@ def cover_add(a: CoverDecomposition, b: CoverDecomposition) -> CoverDecompositio
 def cover_mul(a: CoverDecomposition, b: CoverDecomposition, truncation: int) -> CoverDecomposition:
     """The Dirichlet product, truncated to ideal norms <= truncation and known
     up to the smallest of the truncation and the two norm bounds: a divisor of
-    an ideal has at most its norm, but a factor knows no term past its bound."""
+    an ideal has at most its norm, but a factor knows no term past its bound.
+
+    A pair of blocks multiplies as one face-splitting product: d = outer(d_a,
+    d_b), U the row-wise Kronecker product of U_a and U_b.  The terms are
+    checked against the table ceiling before any is built; the targets
+    multiply entrywise, as the series do in each entry.
+    """
     if a.labels != b.labels:
         raise UsageError("decompositions index different families")
     bound = min(truncation, a.norm_bound, b.norm_bound)
-    terms = [
-        CoverTerm(ta.d * tb.d, ideal_mul(ta.ideal, tb.ideal), ta.u * tb.u)
-        for ta in a.terms
-        for tb in b.terms
-        if ta.ideal.norm * tb.ideal.norm <= bound
-    ]
-    if not terms:
+    pairs = _products(a.blocks, b.blocks, bound)
+    if not pairs:
         raise UsageError("truncation too small to represent any product term")
+    terms = sum(len(x[0]) * len(y[0]) for _, x, y in pairs)
+    check_table_bytes(terms, len(a.labels), "the terms of a cover product")
+
+    def face_split(da, ua, db, ub):
+        return np.outer(da, db).ravel(), (ua[:, None] * ub[None]).reshape(-1, ua.shape[1])
+
+    def targets(ta, tb):
+        return _gather(((n, x * y) for n, x, y in _products(ta, tb, bound)), sum)
+
     out = CoverDecomposition(
-        terms, a.labels, a.field, bound,
-        _convolve_targets(a.target_covered, b.target_covered, bound),
-        _convolve_targets(a.target_cover, b.target_cover, bound),
-        max(a.restricted_coprime_to, b.restricted_coprime_to),
-        f"({a.description}) * ({b.description})",
+        _gather(((n, face_split(*x, *y)) for n, x, y in pairs), _stack),
+        a.labels, a.field, bound,
+        targets(a.target_covered, b.target_covered),
+        targets(a.target_cover, b.target_cover),
     )
     out.verify()
     return out
@@ -416,7 +394,7 @@ def cover_exp(a: CoverDecomposition, truncation: int) -> CoverDecomposition:
     if truncation < 1:
         raise UsageError("truncation too small to represent any term")
     truncation = min(truncation, a.norm_bound)
-    if any(t.ideal.is_unit for t in a.terms):
+    if any(ideal.is_unit for ideal in a.blocks):
         raise UsageError(
             "exp needs a covered series with zero unit-ideal coefficient; "
             "strip the constant term first"
@@ -425,58 +403,49 @@ def cover_exp(a: CoverDecomposition, truncation: int) -> CoverDecomposition:
     unit = unit_ideal(a.field)
     ones = np.ones((size, size), dtype=np.complex128)
     total = CoverDecomposition(
-        [CoverTerm(1 + 0j, unit, np.ones(size, dtype=np.complex128))],
-        a.labels, a.field, truncation, {unit: ones}, {unit: ones.copy()},
-        a.restricted_coprime_to,
+        {unit: (np.ones(1, dtype=np.complex128), np.ones((1, size), dtype=np.complex128))},
+        a.labels, a.field, truncation, {unit: ones}, {unit: ones},
     )
-    lowest = min((t.ideal.norm for t in a.terms), default=math.inf)
+    lowest = min((ideal.norm for ideal in a.blocks), default=math.inf)
     power, k = a, 1  # power = A^k
     while True:
         total = cover_add(total, cover_scale(power, 1.0 / math.factorial(k)))
         # no product of A^k with A fits under the truncation: every later power is empty
-        if min((t.ideal.norm for t in power.terms), default=math.inf) * lowest > truncation:
+        if min((ideal.norm for ideal in power.blocks), default=math.inf) * lowest > truncation:
             break
         power, k = cover_mul(power, a, truncation), k + 1
-    total.description = f"exp({a.description})"
     return total
 
 
-def gl1_log_decomposition(family: Family, norm_bound: int) -> CoverDecomposition:
-    """Explicit rank-one terms for the log-L family of GL1 characters.
+def log_decomposition(family: Family, bound: int) -> CoverDecomposition:
+    """log L at every prime power p^f of norm <= bound, ramified ones included,
+    under default_model(family), every d = 1; both targets are the logl pair
+    table's matrices.
 
-    Term (p, f) lives at the ideal (p^f) with u(chi) = chi(p^f)/sqrt(f)
-    and d = 1, for p coprime to every conductor in the family.  The
-    covered series and the cover coincide, so log L is verified to be a
-    positive semi-definite cover of itself on this support.  Ramified
-    ideals are outside the decomposition's domain and raise.
+    gl1_exact: a term per p-part class c (characters.PrimeAngles), u_i =
+    [part_i = c] e(A_i/M_i)^f / sqrt(f), so different p-parts pair to 0.
+    product: one term, u_i = p_f(alpha_i(p)) / sqrt(f), a power sum.
     """
-    members = family.members
-    if any(m.degree != 1 or m.character is None for m in members):
-        raise UsageError("the log decomposition needs an all-GL1 character family")
-    cond_prod = 1
-    for m in members:
-        for (p, _), _e in m.conductor.factors:
-            if cond_prod % p:
-                cond_prod *= p
-    terms = []
-    target: dict[IdealIndex, np.ndarray] = {}
-    for ideal in prime_powers_up_to(family.field, norm_bound):
-        [((p, _), f)] = ideal.factors
-        if cond_prod % p == 0:
-            continue
-        u = np.array([m.character.value(p) ** f for m in members]) / math.sqrt(f)
-        terms.append(CoverTerm(1 + 0j, ideal, u))
-        target[ideal] = np.outer(u, np.conj(u))
-    out = CoverDecomposition(
-        terms,
-        tuple(m.label for m in members),
-        family.field,
-        norm_bound,
-        target_covered=target,
-        target_cover={k: v.copy() for k, v in target.items()},
-        restricted_coprime_to=cond_prod,
-        description=f"log-L terms for {family.label}",
-    )
+    members, field = family.members, family.field
+    ideals = prime_powers_up_to(field, bound)
+    factors = [factor for ideal in ideals for factor in ideal.factors]
+    blocks = {}
+    if default_model(family) == "gl1_exact":
+        characters = [m.character for m in members]
+        angles, parts = chars.PrimeAngles(characters).at(np.array([pid[0] for pid, _ in factors]))
+        roots = np.exp(2j * np.pi * angles / np.array([chi.order_denom for chi in characters]))
+        for ideal, (_, f), root, part in zip(ideals, factors, roots, parts):
+            classes = np.unique(part)[:, None]
+            u = np.where(part == classes, root**f, 0) / math.sqrt(f)
+            blocks[ideal] = np.ones(len(classes), dtype=np.complex128), u
+    else:
+        for ideal, (pid, f) in zip(ideals, factors):
+            prime = prime_ideal(field, pid)
+            sums = [power_sum(m.local_at(prime).alphas, f) for m in members]
+            blocks[ideal] = np.ones(1, dtype=np.complex128), np.array([sums]) / math.sqrt(f)
+    table = PairCoefficientTable(family, "logl")
+    target = {ideal: table.matrix(ideal) for ideal in ideals}
+    out = CoverDecomposition(blocks, tuple(m.label for m in members), field, bound, target, target)
     out.verify()
     return out
 
@@ -510,22 +479,21 @@ def selftest() -> list[tuple[str, bool, str]]:
         worst = min(worst, res.worst_margin)
     results.append(("bilinear mu margins", worst > -1e-9, f"worst {worst:.2e}"))
 
-    dec = gl1_log_decomposition(fam, 100)
+    dec = log_decomposition(fam, 100)
     resid = dec.verify()
     results.append(("log decomposition reconstructs", resid <= 1e-9, f"residual {resid:.2e}"))
 
-    expd = cover_exp(dec, 60)
-    lam_table = PairCoefficientTable(fam, "lambda")
-    worst = 0.0
-    for ideal in expd.support():
-        got = expd.reconstruct_covered(ideal)
-        size = len(fam.members)
-        want = np.zeros((size, size), dtype=np.complex128)
-        for i in range(size):
-            for j in range(size):
-                want[i, j] = lam_table.entry(i, j, ideal)
-        worst = max(worst, float(np.abs(got - want).max()))
-    results.append(("exp(log) rebuilds lambda", worst < 1e-9, f"max dev {worst:.2e}"))
+    # exp(+-log) against the lambda and mu pair tables at every ideal, ramified ones included
+    for name, sign, kind in (("exp(log) rebuilds lambda", 1, "lambda"), ("exp(-log) rebuilds mu", -1, "mu")):
+        expd = cover_exp(cover_scale(dec, sign), 60)
+        table = PairCoefficientTable(fam, kind)
+        worst = 0.0
+        for n in range(1, 61):
+            ideal = ideal_from_int(field, n)
+            want = table.matrix(ideal)
+            dev = np.abs(expd.reconstruct_covered(ideal) - want).max() / max(1.0, np.abs(want).max())
+            worst = max(worst, float(dev))
+        results.append((name, worst < 1e-9, f"max dev {worst:.2e}"))
 
     gl2 = synthetic_family(2, 3, seed=9)
     m = coefficient_matrix(gl2, ideal_from_int(field, 7), "lambda_centered")

@@ -22,18 +22,21 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .coeffs import CoefficientSeries, KahanAccumulator
 from .errors import (
     DataIntegrityError,
     InvariantError,
     SpecParseError,
     UsageError,
 )
-from .ideals import NumberFieldSpec, prime_ideal
-from .localdata import Family
+
+if TYPE_CHECKING:
+    from .coeffs import CoefficientSeries
+    from .ideals import NumberFieldSpec
+    from .localdata import Family
 
 CONSTRAINT_LEVEL = 1.0 - 1e-8
 CHEBYSHEV_PSI_SLOPE = 1.03883  # psi(x) < 1.03883 x for all x > 0
@@ -352,9 +355,8 @@ def high_derivative(
     k: int,
     eta: float,
     tau: float,
-    truncation: int | None = None,
 ) -> HighDerivResult:
-    """eta * sum of Lambda(n) N(n)^(-1-i tau) j_k(eta log N(n)) to a cutoff.
+    """eta * sum of Lambda(n) N(n)^(-1-i tau) j_k(eta log N(n)) to the series' bound.
 
     This equals, in absolute value, the weighted k-th derivative
     eta^(k+1)/k! (L'/L)^(k)(s0) at s0 = 1 + eta + i tau.  The attached tail
@@ -363,10 +365,11 @@ def high_derivative(
     Lambda(n) (degree factor 1, growth exponent 0): the -zeta'/zeta series
     that the detect command evaluates, or any GL1 pair series over Q.
     """
+    from .coeffs import KahanAccumulator
+
     if eta <= 0:
         raise UsageError("eta must be positive")
-    trunc = truncation if truncation is not None else series.bound
-    trunc = min(trunc, series.bound)
+    trunc = series.bound
     flags: list[str] = []
     acc = KahanAccumulator()
     for ideal, val in series.items_sorted():
@@ -536,7 +539,7 @@ def detection_bounds(
     eta, tau = config.eta, config.tau
     cs = config.constants
     kk = k if k is not None else config.k_min
-    hd = high_derivative(series, kk, eta, tau, truncation=series.bound)
+    hd = high_derivative(series, kk, eta, tau)
     flags.extend(hd.flags)
     if math.log(series.bound) < config.log_n_eta:
         flags.append(
@@ -795,6 +798,7 @@ def selftest() -> list[tuple[str, bool, str]]:
     val, _ = hadamard_zero_sum(zl, complex(1.5, 0.0), 0)
     results.append(("hadamard single zero", abs(val - 1.0) < 1e-14, ""))
 
+    from .ideals import prime_ideal
     from .localdata import synthetic_family
 
     fam = synthetic_family(2, 4, seed=2, model=("planted", 2, 0.3))

@@ -32,10 +32,6 @@ class ResourceLimitError(UsageError):
     """A configured resource ceiling would be exceeded (exit 2)."""
 
 
-class UnsupportedCaseError(UsageError):
-    """A documented unsupported case was requested (exit 2)."""
-
-
 class InvariantError(LfuncLabError):
     """A mathematical invariant failed; indicates a bug or bad data (exit 3)."""
 

@@ -82,7 +82,8 @@ class TestStartup:
         )
         loaded = fresh_python(code)
         assert "lfunclab.detect" in loaded
-        assert "lfunclab.covers" not in loaded and "lfunclab.sieve" not in loaded
+        for module in ("covers", "sieve", "coeffs", "characters", "ideals", "localdata"):
+            assert f"lfunclab.{module}" not in loaded
 
     def test_deferred_scipy_values(self):
         """The two numerical kernels that once imported scipy load none of it."""

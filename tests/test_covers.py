@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from lfunclab import coeffs
 from lfunclab.coeffs import _LocalEngine, default_model, expand_global, pair_model
 from lfunclab.covers import (
     MATRIX_KINDS,
+    RECONSTRUCTION_TOL,
     CoefficientMatrix,
     CoverDecomposition,
     PairCoefficientTable,
@@ -15,11 +17,17 @@ from lfunclab.covers import (
     cover_exp,
     cover_mul,
     cover_scale,
-    gl1_log_decomposition,
+    log_decomposition,
     psd_check_full,
 )
-from lfunclab.errors import DataIntegrityError, UnsupportedCaseError, UsageError
-from lfunclab.ideals import NumberFieldSpec, enumerate_ideals, ideal_from_int, unit_ideal
+from lfunclab.errors import DataIntegrityError, ResourceLimitError, UsageError
+from lfunclab.ideals import (
+    NumberFieldSpec,
+    enumerate_ideals,
+    ideal_from_int,
+    prime_powers_up_to,
+    unit_ideal,
+)
 from lfunclab.localdata import (
     character_representation,
     contragredient,
@@ -31,7 +39,7 @@ from lfunclab.localdata import (
 )
 from lfunclab.characters import primitive_characters
 
-from scalar_oracle import scalar_coefficient
+from scalar_oracle import scalar_coefficient, scalar_row
 
 Q = NumberFieldSpec.rationals()
 
@@ -328,96 +336,192 @@ class TestVanishingPropagation:
                     assert pair.value(ideal) == 0
 
 
+def log_terms(dec):
+    return sum(len(d) for d, _ in dec.blocks.values())
+
+
+def relative_deviation(got, want):
+    return float(np.abs(got - want).max()) / max(1.0, float(np.abs(want).max()))
+
+
 class TestCoverOps:
     def test_scale_unit_modulus_preserves_d(self, conductor_family_20):
-        dec = gl1_log_decomposition(conductor_family_20, 50)
+        dec = log_decomposition(conductor_family_20, 50)
         z = complex(math.cos(1.1), math.sin(1.1))
         scaled = cover_scale(dec, z)
-        for before, after in zip(dec.terms, scaled.terms):
-            assert abs(abs(after.d) - abs(before.d)) < 1e-14
+        assert scaled.blocks.keys() == dec.blocks.keys()
+        for ideal, (d, _) in dec.blocks.items():
+            assert np.abs(np.abs(scaled.blocks[ideal][0]) - np.abs(d)).max() < 1e-14
 
     def test_add_zero_is_identity(self, conductor_family_20):
-        dec = gl1_log_decomposition(conductor_family_20, 40)
-        zero = CoverDecomposition(
-            [], dec.labels, dec.field, dec.norm_bound,
-            target_covered={}, target_cover={}, restricted_coprime_to=dec.restricted_coprime_to,
-        )
+        dec = log_decomposition(conductor_family_20, 40)
+        zero = CoverDecomposition({}, dec.labels, dec.field, dec.norm_bound, {}, {})
         total = cover_add(dec, zero)
-        assert {t.ideal for t in total.terms} == {t.ideal for t in dec.terms}
-        for ideal in dec.support():
+        assert total.blocks.keys() == dec.blocks.keys()
+        for ideal in dec.blocks:
             assert np.allclose(
                 total.reconstruct_covered(ideal), dec.reconstruct_covered(ideal)
             )
 
     def test_exp_reconstructs_lambda_to_100(self, conductor_family_20):
-        dec = gl1_log_decomposition(conductor_family_20, 100)
+        dec = log_decomposition(conductor_family_20, 100)
         expd = cover_exp(dec, 100)
         table = PairCoefficientTable(conductor_family_20, "lambda")
-        size = len(conductor_family_20.members)
-        for ideal in expd.support():
-            want = np.zeros((size, size), dtype=complex)
-            for i in range(size):
-                for j in range(size):
-                    want[i, j] = table.entry(i, j, ideal)
-            got = expd.reconstruct_covered(ideal)
-            assert np.abs(got - want).max() < 1e-9
+        for ideal in enumerate_ideals(Q, 100):
+            assert np.abs(expd.reconstruct_covered(ideal) - table.matrix(ideal)).max() < 1e-9
 
     def test_exp_rejects_constant_term(self, conductor_family_20):
-        dec = gl1_log_decomposition(conductor_family_20, 30)
-        ones = np.ones(len(dec.labels), dtype=complex)
-        from lfunclab.covers import CoverTerm
-
-        dec.terms.append(CoverTerm(1 + 0j, unit_ideal(Q), ones))
+        dec = log_decomposition(conductor_family_20, 30)
+        size = len(dec.labels)
+        dec.blocks[unit_ideal(Q)] = np.ones(1, dtype=complex), np.ones((1, size), dtype=complex)
         with pytest.raises(UsageError, match="unit-ideal"):
             cover_exp(dec, 30)
 
     def test_mul_and_exp_claim_no_norm_past_their_factors(self):
         # the true product at 91 = 7 * 13 is 2, but a knows no term at 13
-        a = gl1_log_decomposition(dirichlet_character_family(5), 12)
+        a = log_decomposition(dirichlet_character_family(5), 12)
         product = cover_mul(a, a, 100)
         assert product.norm_bound == 12
-        assert all(t.ideal.norm <= 12 for t in product.terms)
+        assert all(ideal.norm <= 12 for ideal in product.blocks)
         assert cover_exp(a, 100).norm_bound == 12
 
     def test_mul_truncation_too_small(self, conductor_family_20):
-        dec = gl1_log_decomposition(conductor_family_20, 30)
+        dec = log_decomposition(conductor_family_20, 30)
         with pytest.raises(UsageError):
             cover_mul(dec, dec, 1)
+
+    def test_mul_checks_the_table_ceiling_before_it_allocates(self, monkeypatch):
+        a = log_decomposition(dirichlet_family_by_modulus(8), 40)
+        terms = sum(
+            len(da) * len(db)
+            for ia, (da, _) in a.blocks.items()
+            for ib, (db, _) in a.blocks.items()
+            if ia.norm * ib.norm <= 40
+        )
+        held = 16 * terms * len(a.labels)
+        monkeypatch.setattr(coeffs, "TABLE_BYTES_CEILING", held - 1)
+        with monkeypatch.context() as m:
+            m.setattr(np, "outer", lambda *args: pytest.fail("allocated before the check"))
+            with pytest.raises(ResourceLimitError, match="cover product"):
+                cover_mul(a, a, 40)
+        monkeypatch.setattr(coeffs, "TABLE_BYTES_CEILING", held)
+        assert log_terms(cover_mul(a, a, 40)) == terms
+
+    def test_planted_error_raises(self):
+        dec = log_decomposition(MODEL_FAMILIES["product"](), 30)
+        dec.verify()
+        _, u = dec.blocks[next(iter(dec.blocks))]
+        u[0, 0] *= 1 + 1e-6
+        with pytest.raises(DataIntegrityError, match="residual"):
+            dec.verify()
+
+    def test_residual_is_relative_to_the_cover(self):
+        # cover_exp forms A^7 at T = 150, whose entries reach about 5e6: its
+        # absolute residual passes RECONSTRUCTION_TOL, its relative one is near 1e-15
+        fam = synthetic_family(3, 24, seed=0, field=NumberFieldSpec.quadratic(-1))
+        a = cover_scale(log_decomposition(fam, 150), -1)
+        power = a
+        for _ in range(6):
+            power = cover_mul(power, a, 150)
+        absolute = max(
+            float(np.abs(power.reconstruct_covered(n) - power.target_covered[n]).max())
+            for n in power.blocks
+        )
+        assert absolute > RECONSTRUCTION_TOL
+        assert power.verify() < 1e-14
+        cover_exp(a, 150)
 
 
 class TestGl1LogDecomposition:
     def test_single_character_first_term(self):
         chi = primitive_characters(3)[0]
         fam = make_family([character_representation(chi)])
-        dec = gl1_log_decomposition(fam, 30)
-        term = next(t for t in dec.terms if t.ideal == ideal_from_int(Q, 2))
-        assert term.u[0] == pytest.approx(chi.value(2), abs=1e-14)
-        assert term.d == 1
+        dec = log_decomposition(fam, 30)
+        d, u = dec.blocks[ideal_from_int(Q, 2)]
+        assert u[0, 0] == pytest.approx(chi.value(2), abs=1e-14)
+        assert d.tolist() == [1]
 
     def test_reconstruction_matches_logl_coefficients(self, conductor_family_20):
-        dec = gl1_log_decomposition(conductor_family_20, 500)
+        dec = log_decomposition(conductor_family_20, 500)
         members = conductor_family_20.members
         for i in (0, 2, 4):
             for j in (1, 3, 5):
                 # covered entry (i, j) is the log series of member i against
                 # the dual of member j, which is what expand_global produces
                 series = expand_global(members[i], members[j], 500, "logl", "gl1_exact")
-                for ideal in dec.support():
+                for ideal in dec.blocks:
                     got = dec.reconstruct_covered(ideal)[i, j]
                     assert got == pytest.approx(series.value(ideal), abs=1e-9)
 
     def test_trivial_character_weights(self, trivial_rep):
         fam = make_family([trivial_rep])
-        dec = gl1_log_decomposition(fam, 40)
-        for t in dec.terms:
-            _, f = t.ideal.factors[0]
-            assert t.u[0] == pytest.approx(1.0 / math.sqrt(f), abs=1e-14)
+        dec = log_decomposition(fam, 40)
+        for ideal, (_, u) in dec.blocks.items():
+            _, f = ideal.factors[0]
+            assert u.tolist() == [[pytest.approx(1.0 / math.sqrt(f), abs=1e-14)]]
 
-    def test_ramified_ideal_raises(self, conductor_family_20):
-        dec = gl1_log_decomposition(conductor_family_20, 100)
-        with pytest.raises(UnsupportedCaseError):
-            dec.reconstruct_covered(ideal_from_int(Q, 3))
 
-    def test_non_gl1_family_rejected(self, gl2_family):
-        with pytest.raises(UsageError):
-            gl1_log_decomposition(gl2_family, 50)
+class TestLogDecomposition:
+    """log L as blocks at every prime power, ramified ones included, under each
+    model; exp(log) is L and exp(-log) is 1/L."""
+
+    # (family, T): characters (gl1_exact), GL3 over Q(i) and characters with
+    # a GL2 member (both product)
+    CASES = {
+        "gl1_exact-Q": (MODEL_FAMILIES["gl1_exact"], 40),
+        "product-quadratic(-1)": (MODEL_FAMILIES["product"], 60),
+        "product-Q": (TestPerEntryDifferential.CASES["product-Q"][0], 40),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_blocks_are_the_logl_table(self, case):
+        make, bound = self.CASES[case]
+        fam = make()
+        dec = log_decomposition(fam, bound)
+        table = PairCoefficientTable(fam, "logl")
+        assert set(dec.blocks) == set(prime_powers_up_to(fam.field, bound))
+        for ideal in enumerate_ideals(fam.field, bound):
+            got = dec.reconstruct_covered(ideal)
+            assert relative_deviation(got, table.matrix(ideal)) < 1e-9, ideal
+            assert np.array_equal(got, dec.reconstruct_cover(ideal))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("sign, kind", [(1, "lambda"), (-1, "mu")])
+    def test_exp_rebuilds_the_pair_table(self, case, sign, kind):
+        make, bound = self.CASES[case]
+        fam = make()
+        expd = cover_exp(cover_scale(log_decomposition(fam, bound), sign), bound)
+        table = PairCoefficientTable(fam, kind)
+        for ideal in enumerate_ideals(fam.field, bound):
+            want = table.matrix(ideal)
+            assert relative_deviation(expd.reconstruct_covered(ideal), want) < 1e-9, ideal
+
+    def test_term_counts(self):
+        for make, bound, log_count, exp_count in (
+            (lambda: dirichlet_family_by_modulus(8), 40, 48, 7045),
+            (lambda: synthetic_family(3, 24, seed=0, field=NumberFieldSpec.quadratic(-1)), 60, 23, 141),
+        ):
+            dec = log_decomposition(make(), bound)
+            assert (log_terms(dec), log_terms(cover_exp(dec, bound))) == (log_count, exp_count)
+
+    @pytest.mark.parametrize("model", sorted(MODEL_FAMILIES))
+    def test_against_the_scalar_oracle(self, model, small_char_family, gl2_family):
+        fam = {
+            "gl1_exact": small_char_family,
+            "product": make_family(small_char_family.members[:3] + gl2_family.members[:1]),
+        }[model]
+        bound = 30
+        ideals = enumerate_ideals(Q, bound)
+        log = log_decomposition(fam, bound)
+        series = {
+            "logl": log,
+            "lambda": cover_exp(log, bound),
+            "mu": cover_exp(cover_scale(log, -1), bound),
+        }
+        members = fam.members
+        for kind, dec in series.items():
+            got = np.array([dec.reconstruct_covered(ideal) for ideal in ideals])
+            for i, j in zip(*np.triu_indices(len(members))):
+                engine = _LocalEngine(members[i], members[j], kind, model)
+                want = np.array(scalar_row(engine, ideals))
+                assert np.abs(got[:, i, j] - want).max() < 1e-9 * max(1.0, np.abs(want).max())

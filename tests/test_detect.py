@@ -209,10 +209,13 @@ class TestHighDerivative:
             assert abs(r.value.imag) < 1e-12
 
     def test_truncation_self_consistency(self, trivial_rep):
-        series = expand_global(trivial_rep, trivial_rep, 20_000, "biglambda", "gl1_exact")
         eta, k = 0.25, 2
-        full = high_derivative(series, k, eta, 0.3, truncation=20_000)
-        half = high_derivative(series, k, eta, 0.3, truncation=10_000)
+        full, half = (
+            high_derivative(
+                expand_global(trivial_rep, trivial_rep, bound, "biglambda", "gl1_exact"), k, eta, 0.3
+            )
+            for bound in (20_000, 10_000)
+        )
         assert abs(full.value - half.value) <= half.tail
 
 
