@@ -47,6 +47,10 @@ RUNS = {
     "large-sieve-gl1": ("csv", ["large-sieve", "--gl1", "--qmax", "6", "--n", "50,100"]),
     "large-sieve-quadratic": ("csv", ["large-sieve", "--family", "quadratic.spec",
                                       "--n", "40,80"]),
+    "large-sieve-quadratic-mu": ("csv", ["large-sieve", "--family", "quadratic.spec",
+                                         "--kind", "mu", "--n", "40,80"]),
+    "large-sieve-gl1-logl": ("csv", ["large-sieve", "--gl1", "--qmax", "6", "--kind", "logl",
+                                     "--n", "50,100"]),
     "psd-csv": ("csv", ["psd", "--family", "chars.spec", "--nmax", "30", "--format", "csv"]),
     "psd-lambda": ("jsonl", ["psd", "--family", "quadratic.spec", "--nmax", "40"]),
     "psd-lambda_centered": ("jsonl", ["psd", "--nmax", "40", "--kind", "lambda_centered"]),
@@ -62,6 +66,7 @@ RUNS = {
     "sifted": ("csv", ["sifted", "--x", "200", "--z", "5"]),
     "residue": ("csv", ["residue", "--x", "150", "--d", "6"]),
     "mvt": ("csv", ["mvt", "--family", "chars.spec", "--x", "30", "--t", "1"]),
+    "mvt-quadratic": ("csv", ["mvt", "--family", "quadratic.spec", "--x", "30", "--t", "1"]),
     "detect": ("csv", ["detect", "--eta", "0.05", "--log-scale", "40",
                        "--k", "5", "--truncation", "2000", "--zeros", "zeros.txt"]),
     "density": ("csv", ["density", "--p", "2", "--theta", "0.3", "--seed", "4"]),
