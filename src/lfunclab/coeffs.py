@@ -19,21 +19,27 @@ differ, and otherwise e(angle/M) with the integer angle
 A_a M/M_a - A_b M/M_b mod M, M = lcm(M_a, M_b), from each member's angle
 A at p (characters.PrimeAngles).
 
+Every series is a pair: a member's own series is its pair with the trivial
+member pi0, whose parameters are all 1 (family_arrays pairs each member with
+the trivial member when no pi0 is given).
+
 Pair coefficients use the Cauchy identity: the x^k coefficient of
 prod_{i,j} (1 - a_i conj(b_j) x)^{-1} equals
 sum over partitions lam of k with at most min(n, n') parts of
 s_lam(a) * conj(s_lam(b)), with Schur values from the Jacobi-Trudi
 determinant in complete homogeneous polynomials.  The determinant form
 stays finite at repeated parameters, where quotient-of-alternants fails.
+Against a degree-1 partner the only partition is (k,), so s_(k) = h_k and
+no determinant is taken.
 
 _PrimePowerArrays keeps one table row per prime power, filled once for all
 its engines in one block per rows call: gl1_exact engines by the angle rule,
 with one memo lookup per distinct (angle, M, exponent), product engines from
-each member's own values at the prime power (Schur values, power sum, h_k or
-e_k), combined over the engines by array operations that repeat the scalar
-arithmetic part by part, so that no bit moves.  rows alone multiplies the
-rows out over an ideal's factors, for one series (expand_global) and for a
-family (family_arrays and the pair tables of covers).
+each member's values at the prime power (Schur values, power sum or the pair
+polynomial), combined over the engines by array operations that repeat the
+scalar arithmetic part by part, so that no bit moves.  rows alone multiplies
+the rows out over an ideal's factors, for one series (expand_global) and for
+a family (family_arrays and the pair tables of covers).
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from .ideals import (
     prime_ideal,
     prime_powers_up_to,
 )
-from .localdata import Family, LocalParameters, Representation, contragredient
+from .localdata import Family, LocalParameters, Representation, contragredient, trivial_representation
 
 SERIES_KINDS = ("lambda", "mu", "biglambda", "logl")
 PARTITION_SIZE_CAP = 64
@@ -133,15 +139,6 @@ def hom_sym_values(alphas, kmax: int) -> np.ndarray:
     return h
 
 
-def local_lambda(params: LocalParameters, k: int) -> complex:
-    """Complete homogeneous symmetric polynomial h_k of the parameters."""
-    if k < 0:
-        raise UsageError("k must be nonnegative")
-    if k == 0:
-        return 1 + 0j
-    return complex(hom_sym_values(params.alphas, k)[k])
-
-
 def power_sum(alphas, k: int) -> complex:
     return complex(sum(a**k for a in alphas)) if k else complex(len(alphas))
 
@@ -205,26 +202,34 @@ def rankin_selberg_local(a: LocalParameters, b: LocalParameters, k: int) -> comp
     return complex(acc)
 
 
-def _schur_values(params: LocalParameters, k: int, max_parts: int):
+def _schur_values(params: LocalParameters, k: int, max_parts: int) -> tuple[complex, ...]:
     """s_lam(alphas) for lam in partitions_of(k, max_parts), in that order.
 
-    Each side of a pair coefficient depends on one member only, so the
-    values over every partition of k into at most degree parts are kept on
-    the parameters, which Representation.local_at caches per prime: every
-    pair sharing the member reuses them.  A smaller max_parts (a partner of
-    lower degree) selects the partitions with at most max_parts parts,
-    which partitions_of lists in the same relative order.  One entry per k,
-    and partitions_of rejects k > PARTITION_SIZE_CAP before anything is kept.
+    Each side of a pair coefficient depends on one member only, so values
+    that take a determinant are kept on the parameters, which
+    Representation.local_at caches per prime: every pair sharing the member
+    reuses them.  One entry per (k, max_parts), computed at those partitions
+    only.  max_parts = 1, a partner of degree 1, is the one value h_k: it
+    takes no determinant and is not kept.  A request with fewer parts than a
+    kept entry selects from it, as partitions_of lists the partitions with
+    at most max_parts parts in the same relative order.  partitions_of
+    rejects k > PARTITION_SIZE_CAP before anything is kept.
     """
-    degree = len(params.alphas)
-    values = params.kernels.get(k)
-    if values is None:
-        partitions = partitions_of(k, degree)
-        h = hom_sym_values(params.alphas, k)
-        values = params.kernels[k] = tuple(schur_from_h(h, lam) for lam in partitions)
-    if max_parts == degree:
+    kept = params.kernels
+    values = kept.get((k, max_parts))
+    if values is not None:
         return values
-    return [v for lam, v in zip(partitions_of(k, degree), values) if len(lam) <= max_parts]
+    partitions = partitions_of(k, max_parts)
+    for parts in range(len(params.alphas), max_parts, -1) if kept else ():
+        wider = kept.get((k, parts))
+        if wider is not None:
+            at = dict(zip(partitions_of(k, parts), wider))
+            return tuple(at[lam] for lam in partitions)
+    h = hom_sym_values(params.alphas, k)
+    values = tuple(schur_from_h(h, lam) for lam in partitions)
+    if max_parts > 1:
+        kept[k, max_parts] = values
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -248,24 +253,22 @@ def pair_model(a: Representation, b: Representation, model: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# local coefficient table for one member or pair
+# local coefficient table for one pair
 
 
 class _LocalEngine:
-    """One series of local coefficients, a member's own (b None) or a pair
-    a x conj(b), of one kind under one ramified model.  It holds no rule:
-    _PrimePowerArrays fills gl1_exact engines from their members' character
-    angles (_Gl1Pairs) and product engines from their members' own values
-    (_ProductEngines).
+    """One series of local coefficients, the pair a x conj(b), of one kind
+    under one ramified model; a member's own series is its pair with the
+    trivial member.  It holds no rule: _PrimePowerArrays fills gl1_exact
+    engines from their members' character angles (_Gl1Pairs) and product
+    engines from their members' values (_ProductEngines).
     """
 
-    def __init__(self, a: Representation, b: Representation | None, kind: str, model: str):
+    def __init__(self, a: Representation, b: Representation, kind: str, model: str):
         if kind not in SERIES_KINDS:
             raise UsageError(f"unknown series kind {kind!r}")
         self.a, self.b, self.kind, self.model = a, b, kind, model
         if model == "gl1_exact":
-            if b is None:
-                raise UsageError("gl1_exact applies to pairs of degree-1 members")
             if not (_has_character(a) and _has_character(b)):
                 raise UsageError("gl1_exact requires two degree-1 members with character data")
         elif model != "product":
@@ -351,16 +354,6 @@ def _times_conj(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xr * yr - xi * yi, xr * yi + xi * yr
 
 
-def _own_mu(params: LocalParameters, e: int) -> complex:
-    """(-1)^e e_e of the parameters: the x^e coefficient of prod (1 - alpha x)."""
-    c = poly_from_roots(params.alphas)
-    return c[e] if e < len(c) else 0j
-
-
-def _own_power_sum(params: LocalParameters, e: int) -> complex:
-    return power_sum(params.alphas, e)
-
-
 def _pair_mu_poly(pa: LocalParameters, pb: LocalParameters) -> np.ndarray:
     """prod over i, j of (1 - alpha_i conj(beta_j) x), one factor at a time.
 
@@ -375,30 +368,24 @@ def _pair_mu_poly(pa: LocalParameters, pb: LocalParameters) -> np.ndarray:
 
 
 class _ProductEngines:
-    """Local values of product-model engines from their members' own values.
+    """Local values of product-model engines from their members' values.
 
     A member is a Representation on some engine's side.  Per block it reads
-    its parameters once per prime and computes its own values once per prime
-    power: h_k or (-1)^k e_k for its own lambda or mu series, the power sum
-    for biglambda and logl, the _schur_values tuple for pair lambda.  Each
-    engine's value then comes from array operations over the engines' member
-    indices, part by part, in the order of the scalar rule: Python's complex
-    arithmetic for a member's own series, numpy's scalar arithmetic for a
-    pair.  Pair lambda is the Cauchy sum over partitions_of(k, min(n, n'))
-    in that order; pair mu reads _pair_mu_poly.
+    its parameters once per prime and computes its values once per prime
+    power: the power sum for biglambda and logl, the _schur_values tuple for
+    lambda.  Each engine's value then comes from array operations over the
+    engines' member indices, part by part, in the order of numpy's scalar
+    arithmetic.  lambda is the Cauchy sum over partitions_of(k, min(n, n'))
+    in that order; mu reads _pair_mu_poly.
     """
 
     def __init__(self, engines: list[_LocalEngine], kind: str):
         self.kind = kind
-        members = {id(rep): rep for eng in engines for rep in (eng.a, eng.b) if rep is not None}
+        members = {id(rep): rep for eng in engines for rep in (eng.a, eng.b)}
         position = {key: n for n, key in enumerate(members)}
         self._members = list(members.values())
-        self._degree = max(rep.degree for rep in self._members)
-        self._size = len(engines)
-        self._own = [k for k, eng in enumerate(engines) if eng.b is None]
-        self._pair = [k for k, eng in enumerate(engines) if eng.b is not None]
-        self._own_side = np.array([position[id(engines[k].a)] for k in self._own], dtype=np.intp)
-        sides = [position[id(rep)] for k in self._pair for rep in (engines[k].a, engines[k].b)]
+        self._parts = max(min(eng.a.degree, eng.b.degree) for eng in engines)
+        sides = [position[id(rep)] for eng in engines for rep in (eng.a, eng.b)]
         self._sides = np.array(sides, dtype=np.intp).reshape(-1, 2).T
 
     def block(self, factors) -> np.ndarray:
@@ -407,71 +394,47 @@ class _ProductEngines:
         primes = {pid: prime_ideal(field, pid) for pid, _ in factors}
         local = {pid: [rep.local_at(prime) for rep in self._members] for pid, prime in primes.items()}
         rows = [(local[pid], e) for pid, e in factors]
-        exponents = np.array([e for _, e in factors], dtype=np.float64)[:, None]
-        log_p = np.array([math.log(primes[pid].norm) for pid, _ in factors])[:, None]
-        values = np.empty((len(factors), self._size), dtype=np.complex128)
-        if self._own:
-            values[:, self._own] = self._own_values(rows, exponents, log_p)
-        if self._pair:
-            values[:, self._pair] = self._pair_values(rows, exponents, log_p)
-        return values
-
-    def _member_values(self, rows, own) -> np.ndarray:
-        """(rows, members) array of own(parameters, exponent)."""
-        flat = [own(pa, e) for params, e in rows for pa in params]
-        return np.array(flat, dtype=np.complex128).reshape(len(rows), len(self._members))
-
-    def _own_values(self, rows, exponents, log_p) -> np.ndarray:
-        kind = self.kind
-        if kind == "lambda":
-            return self._member_values(rows, local_lambda)[:, self._own_side]
-        if kind == "mu":
-            return self._member_values(rows, _own_mu)[:, self._own_side]
-        sums = self._member_values(rows, _own_power_sum)[:, self._own_side]
-        if kind == "biglambda":
-            return _times_log(sums, log_p)
-        # Python's complex over an int e: (re + im * (0/e)) / (e + 0 * (0/e))
-        re, im = sums.real, sums.imag
-        return _complex((re + im * 0.0) / exponents, (im - re * 0.0) / exponents)
-
-    def _pair_values(self, rows, exponents, log_p) -> np.ndarray:
         kind = self.kind
         if kind == "lambda":
             return self._cauchy(rows)
         if kind == "mu":
             polys = {}
-            out = np.empty((len(rows), len(self._pair)), dtype=np.complex128)
+            out = np.empty((len(rows), self._sides.shape[1]), dtype=np.complex128)
             for row, (params, e) in zip(out, rows):
                 key = params[0].prime
                 if key not in polys:
                     polys[key] = [_pair_mu_poly(params[i], params[j]) for i, j in self._sides.T.tolist()]
                 row[:] = [c[e] if e < len(c) else 0j for c in polys[key]]
             return out
-        sums = self._member_values(rows, _own_power_sum)
+        flat = [power_sum(pa.alphas, e) for params, e in rows for pa in params]
+        sums = np.array(flat, dtype=np.complex128).reshape(len(rows), len(self._members))
         a, b = self._sides
         re, im = _times_conj(sums[:, a], sums[:, b])
         if kind == "biglambda":
+            log_p = np.array([math.log(primes[pid].norm) for pid, _ in factors])[:, None]
             return _times_log(_complex(re, im), log_p)
         # numpy's complex over an int e: (re + im * (0/e)) * (1 / (e + 0 * (0/e)))
-        return _complex((re + im * 0.0) * (1.0 / exponents), (im - re * 0.0) * (1.0 / exponents))
+        inverse = 1.0 / np.array([e for _, e in factors], dtype=np.float64)[:, None]
+        return _complex((re + im * 0.0) * inverse, (im - re * 0.0) * inverse)
 
     def _cauchy(self, rows) -> np.ndarray:
         """Pair lambda: sum over partitions lam of s_lam(alpha) * conj(s_lam(beta)),
         accumulated from 0j in partitions_of order, one exponent at a time.
 
-        Every pair sums over the partitions with at most the largest degree
-        of parts.  A member has Schur value 0j at a partition with more parts
-        than its degree, so a pair's partitions with more than min(n, n')
-        parts add products that are +-0, and a sum that starts at 0j and so
-        never is -0.0 keeps its bits under them: each value is the scalar
-        sum over partitions_of(k, min(n, n')).
+        Every pair sums over the partitions with at most self._parts parts, the
+        largest min(n, n') over the engines.  A member has Schur value 0j at a
+        partition with more parts than its degree, so a pair's partitions with
+        more than min(n, n') parts add products that are +-0, and a sum that
+        starts at 0j and so never is -0.0 keeps its bits under them: each value
+        is the scalar sum over partitions_of(k, min(n, n')).
         """
-        out = np.empty((len(rows), len(self._pair)), dtype=np.complex128)
+        out = np.empty((len(rows), self._sides.shape[1]), dtype=np.complex128)
         exponents = np.array([e for _, e in rows])
         a, b = self._sides
-        for e in np.unique(exponents).tolist():
+        # sorted(set()) rather than np.unique, which imports numpy.ma
+        for e in sorted(set(exponents.tolist())):
             at = np.flatnonzero(exponents == e)
-            lams = partitions_of(e, self._degree)
+            lams = partitions_of(e, self._parts)
             flat = [self._schur_row(pa, e, lams) for r in at.tolist() for pa in rows[r][0]]
             schur = np.array(flat, dtype=np.complex128).reshape(len(at), len(self._members), len(lams))
             re, im = np.zeros((len(at), len(a))), np.zeros((len(at), len(a)))
@@ -483,11 +446,11 @@ class _ProductEngines:
 
     def _schur_row(self, params: LocalParameters, e: int, lams) -> list:
         """The member's Schur values at the partitions lams, 0j past its degree."""
-        degree = len(params.alphas)
-        values = _schur_values(params, e, degree)
-        if degree == self._degree:
+        parts = min(len(params.alphas), self._parts)
+        values = _schur_values(params, e, parts)
+        if parts == self._parts:
             return list(values)
-        at = dict(zip(partitions_of(e, degree), values))
+        at = dict(zip(partitions_of(e, parts), values))
         return [at.get(lam, 0j) for lam in lams]
 
 
@@ -581,17 +544,16 @@ class _PrimePowerArrays:
 
 def family_arrays(
     family: Family, kind: str, pi0: Representation | None
-) -> tuple[_PrimePowerArrays, _PrimePowerArrays | None]:
+) -> tuple[_PrimePowerArrays, _PrimePowerArrays]:
     """A family's coefficients of one kind, one entry per member.
 
-    pi0 = None: each member's own series (product model), and no diagonal.
-    pi0 given: each member against pi0 itself, that is paired with
-    contragredient(pi0), under pair_model(member, pi0, default_model(family));
-    the second array holds the one diagonal lambda_{pi0 x dual pi0}.
+    Each member against pi0 itself, that is paired with contragredient(pi0),
+    under pair_model(member, pi0, default_model(family)); pi0 = None stands
+    for the trivial member of the family's field, which gives each member's
+    own series.  The second array holds the one diagonal
+    lambda_{pi0 x dual pi0}, 1.0 at every ideal for the trivial member.
     """
-    if pi0 is None:
-        own = [_LocalEngine(m, None, kind, "product") for m in family.members]
-        return _PrimePowerArrays(own, kind), None
+    pi0 = pi0 or trivial_representation(family.field)
     dual = contragredient(pi0)
     model = default_model(family)
     column = [_LocalEngine(m, dual, kind, pair_model(m, pi0, model)) for m in family.members]
@@ -601,21 +563,21 @@ def family_arrays(
 
 def expand_global(
     a: Representation,
-    b: Representation | None,
+    b: Representation,
     bound: int,
     kind: str,
     ramified_model: str = "product",
 ) -> CoefficientSeries:
     """Assemble global coefficients up to the norm bound.
 
-    With b given, the series belongs to the pairing of a against the
-    contragredient of b; pass b = contragredient(pi0) for a pairing with
-    pi0 itself.  lambda and mu are multiplicative over coprime ideals;
-    biglambda and logl are supported on prime powers only and the returned
-    series stores just that support.
+    The series belongs to the pairing of a against the contragredient of b;
+    pass b = contragredient(pi0) for a pairing with pi0 itself, and the
+    trivial member for a's own series.  lambda and mu are multiplicative
+    over coprime ideals; biglambda and logl are supported on prime powers
+    only and the returned series stores just that support.
     """
     field = a.field
-    if b is not None and b.field != field:
+    if b.field != field:
         raise UsageError("pair expansion requires a common field")
     engine = _LocalEngine(a, b, kind, ramified_model)
     prime_powers = kind in ("biglambda", "logl")
@@ -696,7 +658,7 @@ def mertens_sum(rep: Representation, x: int) -> float:
 
 
 def selftest() -> list[tuple[str, bool, str]]:
-    from .localdata import synthetic_family, trivial_representation
+    from .localdata import synthetic_family
 
     results = []
     rng = np.random.default_rng(1234)
@@ -726,8 +688,8 @@ def selftest() -> list[tuple[str, bool, str]]:
 
     # lambda * mu = unit indicator for the trivial member
     triv = trivial_representation()
-    lam = expand_global(triv, None, 200, "lambda")
-    mu = expand_global(triv, None, 200, "mu")
+    lam = expand_global(triv, triv, 200, "lambda")
+    mu = expand_global(triv, triv, 200, "mu")
     conv = dirichlet_convolve(lam, mu, 200)
     resid = max(
         abs(v - (1.0 if i.is_unit else 0.0)) for i, v in conv.values.items()

@@ -37,7 +37,7 @@ from .ideals import (
     prime_powers_up_to,
     unit_ideal,
 )
-from .localdata import Family, Representation, trivial_representation
+from .localdata import Family, Representation
 
 MATRIX_KINDS = ("lambda", "mu", "biglambda", "logl", "lambda_centered")
 HERMITIAN_HARD_TOL = 1e-6
@@ -111,13 +111,12 @@ class PairCoefficientTable:
     ) -> tuple[np.ndarray, complex]:
         """(lambda^kind_{i x pi0}(n) for every member i, lambda_{pi0 x dual pi0}(n)).
 
-        pi0 = None stands for the trivial member of the family's field.  The
-        engines are built once per (pi0 object, kind).
+        pi0 = None stands for the trivial member of the family's field, as in
+        family_arrays.  The engines are built once per (pi0 object, kind).
         """
         key = (pi0, kind)
         if key not in self._pi0_arrays:
-            base = pi0 or trivial_representation(self.family.field)
-            self._pi0_arrays[key] = family_arrays(self.family, kind, base)
+            self._pi0_arrays[key] = family_arrays(self.family, kind, pi0)
         column, diagonal = self._pi0_arrays[key]
         return column.at(ideal), complex(diagonal.at(ideal)[0])
 

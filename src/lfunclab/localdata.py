@@ -42,7 +42,8 @@ class LocalParameters:
     prime: IdealIndex
     alphas: tuple[complex, ...]
     # kernel values that coeffs derives from the alphas alone (Schur values
-    # by k), kept here so that every pair sharing this member reuses them
+    # by k and most parts), kept here so that every pair sharing this member
+    # reuses them
     kernels: dict = field(default_factory=dict, init=False, repr=False)
 
     def max_abs(self) -> float:

@@ -135,16 +135,15 @@ def family_coefficient_rows(
     n_bound: int,
     pi0: Representation | None,
     kind: str,
-) -> tuple[np.ndarray, list[IdealIndex], np.ndarray | None]:
-    """Matrix A with A[i, j] = lambda^o of member i at ideal j, plus weights.
+) -> tuple[np.ndarray, list[IdealIndex], np.ndarray]:
+    """Matrix A with A[i, j] = lambda^o of member i against pi0 at ideal j, plus weights.
 
-    With pi0 given the columns also carry the diagonal weights
-    lambda_{pi0 x dual pi0}(n) used for the weighted norm.
+    The columns carry the diagonal weights lambda_{pi0 x dual pi0}(n) used
+    for the weighted norm; pi0 = None is the trivial member, of weight 1.0.
     """
     ideals = ideal_list(family.field, n_bound)
     column, diagonal = family_arrays(family, kind, pi0)
-    weights = None if diagonal is None else diagonal.rows(ideals)[0].real
-    return column.rows(ideals), ideals, weights
+    return column.rows(ideals), ideals, diagonal.rows(ideals)[0].real
 
 
 def sieve_constant(
@@ -155,8 +154,8 @@ def sieve_constant(
 ) -> SieveConstantResult:
     """Largest eigenvalue of the self-adjoint Gram matrix of the family.
 
-    Columns are scaled by lambda_{pi0 x dual pi0}(n)^(-1/2) when pi0 is
-    given (the weighted norm), with zero-weight columns dropped.
+    Columns are scaled by lambda_{pi0 x dual pi0}(n)^(-1/2) (the weighted
+    norm; 1 for the default trivial pi0), with zero-weight columns dropped.
     """
     if len(family.members) == 0:
         raise UsageError("sieve_constant needs a nonempty family")
@@ -164,11 +163,10 @@ def sieve_constant(
     return _gram_constant(a, weights)
 
 
-def _gram_constant(a: np.ndarray, weights: np.ndarray | None) -> SieveConstantResult:
+def _gram_constant(a: np.ndarray, weights: np.ndarray) -> SieveConstantResult:
     """sieve_constant's eigen solve on given rows and column weights."""
-    if weights is not None:
-        keep = weights > 1e-14
-        a = a[:, keep] / np.sqrt(weights[keep])[None, :]
+    keep = weights > 1e-14
+    a = a[:, keep] / np.sqrt(weights[keep])[None, :]
     if not a.size or not np.abs(a).max():
         return SieveConstantResult(0.0, True, a.shape[0], a.shape[1])
     gram = a @ a.conj().T
@@ -212,9 +210,7 @@ def bound_table(
     for n_bound in n_list:
         cols = bisect.bisect_right(norms, n_bound)
         assert tuple(ideals[:cols]) == tuple(ideal_list(family.field, n_bound))
-        measured = _gram_constant(
-            np.ascontiguousarray(a[:, :cols]), None if weights is None else weights[:cols]
-        )
+        measured = _gram_constant(np.ascontiguousarray(a[:, :cols]), weights[:cols])
         rows.append(
             {
                 "N": n_bound,

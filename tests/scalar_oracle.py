@@ -4,36 +4,60 @@ values over the ideal's factors, with no table and no padding.  A product
 engine's local value is computed on its own, one prime power at a time,
 from the members' parameters (`product_local`).  A gl1_exact engine's
 local values come from the product character itself, built by `multiply`
-and `primitive_part` and evaluated prime by prime."""
+and `primitive_part` and evaluated prime by prime.
+
+`own_local` keeps the rule a member's own series had before it became the
+member's pair with the trivial member: h_e, (-1)^e e_e or the power sum of
+the member's parameters alone."""
 
 import math
 
 import numpy as np
 
 from lfunclab.characters import conjugate, multiply, primitive_part
-from lfunclab.coeffs import local_lambda, poly_from_roots, power_sum, rankin_selberg_local
+from lfunclab.coeffs import hom_sym_values, poly_from_roots, power_sum, rankin_selberg_local
 from lfunclab.ideals import prime_ideal
 
 
+def local_lambda(params, k: int) -> complex:
+    """Complete homogeneous symmetric polynomial h_k of the parameters."""
+    if k == 0:
+        return 1 + 0j
+    return complex(hom_sym_values(params.alphas, k)[k])
+
+
+def own_local(member, kind: str, pid, e: int) -> complex:
+    """The member's own value at p^e: h_e, (-1)^e e_e or the power sum (times
+    log Np for biglambda, over e for logl), in Python's complex arithmetic."""
+    if e == 0:
+        return 1 + 0j
+    prime = prime_ideal(member.field, pid)
+    pa = member.local_at(prime)
+    if kind == "lambda":
+        return local_lambda(pa, e)
+    if kind == "mu":
+        c = poly_from_roots(pa.alphas)
+        return complex(c[e]) if e < len(c) else 0j
+    ps = power_sum(pa.alphas, e)
+    if kind == "biglambda":
+        return ps * math.log(prime.norm)
+    return ps / e
+
+
+def own_row(member, kind: str, ideals) -> list[complex]:
+    """The member's own coefficients at the ideals, by own_local."""
+    local = lambda pid, e: own_local(member, kind, pid, e)
+    return [product_over_factors(local, kind, ideal) for ideal in ideals]
+
+
 def product_local(engine, pid, e: int) -> complex:
-    """The product model's value at p^e for one engine: a member's own h_e,
-    (-1)^e e_e or power sum, or a pair's Cauchy sum, np.convolve product
-    polynomial or product of power sums."""
+    """The product model's value at p^e for one engine: the pair's Cauchy sum,
+    np.convolve product polynomial or product of power sums."""
     if e == 0:
         return 1 + 0j
     kind = engine.kind
     prime = prime_ideal(engine.a.field, pid)
     pa = engine.a.local_at(prime)
-    if engine.b is None:
-        if kind == "lambda":
-            return local_lambda(pa, e)
-        if kind == "mu":
-            c = poly_from_roots(pa.alphas)
-            return complex(c[e]) if e < len(c) else 0j
-        ps = power_sum(pa.alphas, e)
-        if kind == "biglambda":
-            return ps * math.log(prime.norm)
-        return ps / e
     pb = engine.b.local_at(prime)
     if kind == "lambda":
         return rankin_selberg_local(pa, pb, e)

@@ -160,8 +160,9 @@ def test_criterion_4_cover_inequalities(gl1_table, gl2_family):
     battery2 = np.vstack([np.ones((1, size2)), np.eye(size2), w2]).astype(np.complex128)
     ideals = [i for i in enumerate_ideals(Q, N_SWEEP) if not i.is_unit]
     table = PairCoefficientTable(gl2_family, "lambda")
+    trivial = trivial_representation()
     series = {
-        kind: [expand_global(m, None, N_SWEEP, kind) for m in gl2_family.members]
+        kind: [expand_global(m, trivial, N_SWEEP, kind) for m in gl2_family.members]
         for kind in ("lambda", "mu", "logl")
     }
     for ideal in ideals:
@@ -261,8 +262,9 @@ def test_criterion_6_cauchy_identity_oracle():
 
 def test_criterion_7_convolution_identities(gl2_family, delta_csv):
     t0 = time.perf_counter()
+    trivial = trivial_representation()
     reps = [
-        trivial_representation(),
+        trivial,
         character_representation(primitive_characters(3)[0]),
         character_representation(primitive_characters(5)[1]),
         gl2_family.members[0],
@@ -271,8 +273,8 @@ def test_criterion_7_convolution_identities(gl2_family, delta_csv):
     worst_unit = worst_log = 0.0
     for rep in reps:
         bound = POINTWISE_BOUND
-        lam = expand_global(rep, None, bound, "lambda")
-        mu = expand_global(rep, None, bound, "mu")
+        lam = expand_global(rep, trivial, bound, "lambda")
+        mu = expand_global(rep, trivial, bound, "mu")
         conv = dirichlet_convolve(lam, mu, bound)
         for ideal, val in conv.values.items():
             want = 1.0 if ideal.is_unit else 0.0

@@ -85,6 +85,26 @@ class TestStartup:
         for module in ("covers", "sieve", "coeffs", "characters", "ideals", "localdata"):
             assert f"lfunclab.{module}" not in loaded
 
+    @pytest.mark.parametrize("command", [
+        ["psd", "--nmax", "20"],
+        ["covers", "--nmax", "12", "--trials", "5"],
+        ["large-sieve", "--n", "20,40"],
+    ])
+    def test_product_model_subcommands_load_no_numpy_ma(self, command, tmp_path):
+        """np.unique imports numpy.ma (milliseconds and a megabyte of RSS per
+        process); the product-model family steps do not call it."""
+        spec = tmp_path / "family.spec"
+        spec.write_text("[family]\nfield = quadratic(-1)\nkind = synthetic\nn = 3\ncount = 3\nseed = 5\n")
+        argv = command + ["--family", str(spec), "--out", str(tmp_path / "report.csv"), "--format", "csv"]
+        code = (
+            "import contextlib, json, sys\n"
+            "from lfunclab.cli import main\n"
+            "with contextlib.redirect_stdout(sys.stderr):\n"
+            f"    assert main({argv!r}) == 0\n"
+            "print(json.dumps([m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')]))"
+        )
+        assert fresh_python(code) == []
+
     def test_deferred_scipy_values(self):
         """The two numerical kernels that once imported scipy load none of it."""
         code = (

@@ -17,7 +17,6 @@ from lfunclab.coeffs import (
     expand_global,
     family_arrays,
     hom_sym_values,
-    local_lambda,
     mertens_sum,
     pair_model,
     partitions_of,
@@ -56,7 +55,7 @@ from lfunclab.localdata import (
 )
 from lfunclab.sieve import family_coefficient_rows
 
-from scalar_oracle import product_character, scalar_coefficient, scalar_row
+from scalar_oracle import local_lambda, product_character, scalar_coefficient, scalar_row
 
 Q = NumberFieldSpec.rationals()
 P2 = prime_ideal(Q, (2, 0))
@@ -169,13 +168,39 @@ class TestSchurMemo:
                     assert rankin_selberg_local(memoised[na], memoised[nb], k) == want, (na, nb, k)
 
     def test_memo_keeps_one_entry_per_k(self):
+        # one entry per k and number of parts that takes a determinant; fewer
+        # parts select from it, and one part (h_k) is not kept
         params = LocalParameters(P2, (0.5 + 0.5j, -0.3j, 0.8))
+        gl2 = LocalParameters(P2, (0.2j, 0.7))
         partner = LocalParameters(P2, (0.1 - 0.2j,))
         for k in range(1, 7):
-            rankin_selberg_local(params, params, k)
-            rankin_selberg_local(params, partner, k)
-        assert sorted(params.kernels) == list(range(1, 7))
-        assert all(len(v) == len(partitions_of(k, 3)) for k, v in params.kernels.items())
+            for _ in range(2):
+                rankin_selberg_local(params, params, k)
+                rankin_selberg_local(params, gl2, k)
+                rankin_selberg_local(params, partner, k)
+        assert sorted(params.kernels) == [(k, 3) for k in range(1, 7)]
+        assert sorted(gl2.kernels) == [(k, 2) for k in range(1, 7)]
+        assert partner.kernels == {}
+        assert all(len(v) == len(partitions_of(*key)) for key, v in params.kernels.items())
+
+    def test_degree_one_partner_takes_no_determinant(self, monkeypatch):
+        # a GL3 member against the trivial member reads one Schur value, h_e
+        det_calls = []
+        real_det = np.linalg.det
+
+        def det(m):
+            det_calls.append(m.shape)
+            return real_det(m)
+
+        monkeypatch.setattr(np.linalg, "det", det)
+        member = synthetic_family(3, 1, seed=8).members[0]
+        column, _ = family_arrays(make_family([member]), "lambda", None)
+        ideals = list(enumerate_ideals(Q, 200))
+        column.rows(ideals)
+        assert det_calls == []
+        pair = _PrimePowerArrays([_LocalEngine(member, member, "lambda", "product")], "lambda")
+        pair.rows(ideals)
+        assert det_calls  # the GL3 diagonal reads partitions with two and three parts
 
     def test_partition_cap_enforced(self):
         with pytest.raises(UsageError, match="cap"):
@@ -218,7 +243,7 @@ class TestExpandGlobal:
 
     def test_multiplicativity_of_lambda(self, gl2_family):
         rep = gl2_family.members[0]
-        series = expand_global(rep, None, 60, "lambda")
+        series = expand_global(rep, trivial_representation(), 60, "lambda")
         for m, n in [(2, 3), (4, 9), (5, 6), (2, 25)]:
             lhs = series.value(ideal_from_int(Q, m * n))
             rhs = series.value(ideal_from_int(Q, m)) * series.value(ideal_from_int(Q, n))
@@ -275,11 +300,12 @@ class TestPrimePowerArraysRows:
         make, model, bound = self.CASES[case]
         fam = make()
         members = fam.members
+        trivial = trivial_representation(fam.field)
         engines = [
             _LocalEngine(a, b, kind, pair_model(a, b, model))
             for a in members
             for b in members
-        ] + [_LocalEngine(m, None, kind, "product") for m in members]
+        ] + [_LocalEngine(m, trivial, kind, "product") for m in members]
         ideals = list(enumerate_ideals(fam.field, bound))
         mix = [ideals[k] for k in np.random.default_rng(11).permutation(len(ideals))]
         mix += mix[:5]  # repeats read the same table rows
@@ -302,14 +328,15 @@ class TestPrimePowerArraysRows:
     def test_signed_zeros_match_the_scalar_product(self):
         # (-1+0j)(-1+0j) is 1-0j, and a trailing identity factor would make it 1+0j:
         # pair mu of a unitary member with itself is -1+0j at every prime, and a
-        # degree-1 member's own lambda at alpha = -1, 1j, -1 carries signed zeros
+        # degree-1 member's lambda against the trivial member at alpha = -1, 1j, -1
+        # carries signed zeros
         local = {3: complex(-1.0, 0.0), 5: 1j, 7: complex(-1.0, 0.0)}
         member = Representation(
             1, Q, unit_ideal(Q), ArchimedeanParameters((ArchPlace(1, (0j,)),)), "synthetic",
             lambda prime: (local.get(prime.norm, 1 + 0j),),
         )
         mix = [ideal_from_int(Q, n) for n in (21, 2, 105, 3, 15, 1, 35, 210, 9, 7)]
-        for kind, partner in (("lambda", None), ("mu", member)):
+        for kind, partner in (("lambda", trivial_representation()), ("mu", member)):
             engine = _LocalEngine(member, partner, kind, "product")
             got = _PrimePowerArrays([engine], kind).rows(mix)[0]
             want = np.array([scalar_coefficient(engine, i) for i in mix])
@@ -318,7 +345,7 @@ class TestPrimePowerArraysRows:
 
     def test_empty_and_unit_only(self):
         fam = dirichlet_family_by_modulus(5)
-        engines = [_LocalEngine(m, None, "lambda", "product") for m in fam.members]
+        engines = [_LocalEngine(m, trivial_representation(), "lambda", "product") for m in fam.members]
         arrays = _PrimePowerArrays(engines, "lambda")
         assert arrays.rows([]).shape == (len(engines), 0)
         assert np.array_equal(arrays.rows([unit_ideal(Q)] * 2), np.ones((len(engines), 2)))
@@ -337,7 +364,8 @@ class TestTableCeilings:
             PairCoefficientTable(fam, "lambda")
 
     def test_rows_before_any_row_is_filled(self, monkeypatch):
-        engine = _LocalEngine(trivial_representation(), None, "lambda", "product")
+        trivial = trivial_representation()
+        engine = _LocalEngine(trivial, trivial, "lambda", "product")
         arrays = _PrimePowerArrays([engine], "lambda")
         ideals = enumerate_ideals(Q, 100)
         monkeypatch.setattr(coeffs, "TABLE_BYTES_CEILING", 16 * len(ideals) - 1)
@@ -346,7 +374,8 @@ class TestTableCeilings:
             arrays.rows(ideals)
 
     def test_table_growth_before_allocating(self, monkeypatch):
-        engine = _LocalEngine(trivial_representation(), None, "lambda", "product")
+        trivial = trivial_representation()
+        engine = _LocalEngine(trivial, trivial, "lambda", "product")
         arrays = _PrimePowerArrays([engine], "lambda")
         # 100 prime powers need 102 rows: the table of 64 doubles to 128
         ideals = prime_powers_up_to(Q, 1000)[:100]
@@ -426,7 +455,7 @@ def build_product_member(field, draw, delta_csv):
 
 
 class TestProductRows:
-    """Product-model rows from each member's own values against the scalar rule
+    """Product-model rows from each member's values against the scalar rule
     of scalar_oracle, one engine and prime power at a time: bit for bit."""
 
     FIELDS = {"Q": Q, "quadratic(-1)": NumberFieldSpec.quadratic(-1)}
@@ -446,12 +475,14 @@ class TestProductRows:
         members = [build_product_member(fld, draw, delta_csv) for draw in draws]
         ideals = list(enumerate_ideals(fld, 120))
         order.shuffle(ideals)
-        # both orientations of every pair, each member against itself, and each member's own series
+        # both orientations of every pair, each member against itself and against the trivial member
         engines = [_LocalEngine(a, b, kind, "product") for a in members for b in members]
-        engines += [_LocalEngine(m, None, kind, "product") for m in members]
-        # the pi0 column and diagonal of the family against its first member
-        column, diagonal = family_arrays(make_family(members), kind, members[0])
-        for arrays in (_PrimePowerArrays(engines, kind), column, diagonal):
+        engines += [_LocalEngine(m, trivial_representation(fld), kind, "product") for m in members]
+        # the pi0 columns and diagonals of the family against its first member and the trivial member
+        family = make_family(members)
+        tables = [_PrimePowerArrays(engines, kind)]
+        tables += family_arrays(family, kind, members[0]) + family_arrays(family, kind, None)
+        for arrays in tables:
             # two calls: the second fills the prime powers the first left out
             got = np.concatenate([arrays.rows(ideals[:split]), arrays.rows(ideals[split:])], axis=1)
             want = np.array([scalar_row(eng, ideals) for eng in arrays.engines], dtype=np.complex128)
@@ -488,8 +519,8 @@ def _multisets(items, k):
 class TestConvolution:
     def test_lambda_star_mu_is_unit(self, trivial_rep, gl2_family):
         for rep in [trivial_rep, gl2_family.members[0]]:
-            lam = expand_global(rep, None, 300, "lambda")
-            mu = expand_global(rep, None, 300, "mu")
+            lam = expand_global(rep, trivial_rep, 300, "lambda")
+            mu = expand_global(rep, trivial_rep, 300, "mu")
             conv = dirichlet_convolve(lam, mu, 300)
             for ideal, val in conv.values.items():
                 want = 1.0 if ideal.is_unit else 0.0
@@ -514,7 +545,7 @@ class TestConvolution:
             assert total == pytest.approx(math.log(n), abs=1e-12)
 
     def test_field_mismatch_rejected(self, trivial_rep):
-        lam = expand_global(trivial_rep, None, 20, "lambda")
+        lam = expand_global(trivial_rep, trivial_rep, 20, "lambda")
         gauss = NumberFieldSpec.quadratic(-1)
         other = CoefficientSeries(gauss, "unit", 20, {unit_ideal(gauss): 1 + 0j})
         with pytest.raises(UsageError):

@@ -13,6 +13,7 @@ from lfunclab.coeffs import (
     _LocalEngine,
     default_model,
     expand_global,
+    family_arrays,
     ideal_list,
     pair_model,
 )
@@ -51,7 +52,7 @@ from lfunclab.sieve import (
     smooth_sum_residue,
 )
 
-from scalar_oracle import scalar_row
+from scalar_oracle import own_row, scalar_row
 
 Q = NumberFieldSpec.rationals()
 
@@ -378,7 +379,7 @@ class TestMvt:
     def test_trivial_against_dense_quadrature(self, trivial_rep):
         fam = make_family([trivial_rep])
         r = mvt_mu(fam, None, 50.0, 1.0)
-        mu = expand_global(trivial_rep, None, 50, "mu")
+        mu = expand_global(trivial_rep, trivial_rep, 50, "mu")
         items = [(i.norm, v) for i, v in mu.items_sorted()]
 
         def integrand(v):
@@ -437,7 +438,7 @@ def pi0_case(name: str | None):
     }[name]
 
 
-# (family, pi0) pairs over a common field; pi0 None is the family's own series
+# (family, pi0) pairs over a common field; pi0 None is the trivial member
 FAMILY_CASES = [
     (fam, pi0)
     for fams, pi0s in (
@@ -450,20 +451,19 @@ FAMILY_CASES = [
 
 
 def series_path(family, pi0, bound, kind):
-    """The scalar oracle per member, {ideal: value} up to the bound, and the diagonal."""
+    """The scalar oracle per member against pi0 (None: the trivial member),
+    {ideal: value} up to the bound, and the diagonal."""
     model = default_model(family)
-    if pi0 is None:
-        engines, diag = [_LocalEngine(m, None, kind, "product") for m in family.members], None
-    else:
-        dual = contragredient(pi0)
-        engines = [_LocalEngine(m, dual, kind, pair_model(m, pi0, model)) for m in family.members]
-        diag = _LocalEngine(pi0, pi0, "lambda", pair_model(pi0, pi0, model))
+    pi0 = pi0 or trivial_representation(family.field)
+    dual = contragredient(pi0)
+    engines = [_LocalEngine(m, dual, kind, pair_model(m, pi0, model)) for m in family.members]
+    diag = _LocalEngine(pi0, pi0, "lambda", pair_model(pi0, pi0, model))
     ideals = ideal_list(family.field, bound)
 
     def values(engine):
         return dict(zip(ideals, scalar_row(engine, ideals)))
 
-    return [values(e) for e in engines], None if diag is None else values(diag)
+    return [values(e) for e in engines], values(diag)
 
 
 class TestFamilyArraysAgainstSeriesPath:
@@ -482,11 +482,22 @@ class TestFamilyArraysAgainstSeriesPath:
         series, diag = series_path(family, pi0, bound, kind)
         want = np.array([[s[i] for i in ideals] for s in series], dtype=np.complex128)
         assert np.array_equal(a.view(np.uint64), want.view(np.uint64))
+        assert weights.dtype == np.float64
+        assert np.array_equal(weights, [diag[i].real for i in ideals])
         if pi0 is None:
-            assert weights is None
-        else:
-            assert weights.dtype == np.float64
-            assert np.array_equal(weights, [diag[i].real for i in ideals])
+            assert (weights == 1.0).all()
+
+    @pytest.mark.parametrize("kind", SERIES_KINDS)
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(case=st.sampled_from(FAMILY_CASES), bound=st.integers(1, 60))
+    def test_trivial_pairs_against_the_own_rule(self, kind, case, bound):
+        # each member against the trivial member is its own series, as the
+        # member's parameters alone give it, up to rounding
+        family = family_case(case[0])
+        column, _ = family_arrays(family, kind, None)
+        ideals = ideal_list(family.field, bound)
+        for row, member in zip(column.rows(ideals).tolist(), family.members):
+            assert row == pytest.approx(own_row(member, kind, ideals), rel=1e-13)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(
@@ -511,7 +522,7 @@ class TestFamilyArraysAgainstSeriesPath:
             i for i in ideal_list(family.field, hi)
             if i.norm > x and ((mp := min_prime_norm(i)) is None or mp > z) and not i.is_unit
         ]
-        series, diag = series_path(family, pi0 or trivial_representation(family.field), hi, kind)
+        series, diag = series_path(family, pi0, hi, kind)
         wvals = weights.values if weights is not None else {i: 1 + 0j for i in window}
         lhs = 0.0
         for s in series:
