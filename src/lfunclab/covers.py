@@ -434,7 +434,8 @@ def log_decomposition(family: Family, bound: int) -> CoverDecomposition:
         angles, parts = chars.PrimeAngles(characters).at(np.array([pid[0] for pid, _ in factors]))
         roots = np.exp(2j * np.pi * angles / np.array([chi.order_denom for chi in characters]))
         for ideal, (_, f), root, part in zip(ideals, factors, roots, parts):
-            classes = np.unique(part)[:, None]
+            # with return_inverse, as a plain np.unique imports numpy.ma
+            classes = np.unique(part, return_inverse=True)[0][:, None]
             u = np.where(part == classes, root**f, 0) / math.sqrt(f)
             blocks[ideal] = np.ones(len(classes), dtype=np.complex128), u
     else:

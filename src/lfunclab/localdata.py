@@ -7,10 +7,11 @@ eigenvalues are rescaled by p^((weight-1)/2) on ingestion, and synthetic
 parameters are drawn on the unit circle unless a violation is planted on
 purpose.
 
-Reproducibility: all synthetic draws go through numpy's PCG64 generator
-seeded by SeedSequence(entropy=seed, spawn_key=(member, p, slot)), so a
-member's parameters at a prime do not depend on materialization order,
-thread timing, or platform.
+Reproducibility: every synthetic draw is a double of numpy's PCG64 stream
+seeded by SeedSequence(entropy=seed, spawn_key=(member, p, slot)),
+computed bit for bit without numpy.random, so a member's parameters at a
+prime do not depend on materialization order, thread timing, platform or
+the numpy version.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ import numpy as np
 from . import characters as chars
 from .errors import DataIntegrityError, SpecParseError, UsageError
 from .ideals import (
+    PRIME_SIEVE_CEILING,
     IdealIndex,
     NumberFieldSpec,
     ideal_from_int,
     is_prime,
+    prime_ideals_up_to,
     unit_ideal,
 )
 
@@ -235,19 +238,60 @@ def dirichlet_family_by_modulus(q_bound: int) -> Family:
     return make_family(members, label=f"dirichlet(q<={q_bound})")
 
 
-def _member_rng(seed: int, member: int, pid: tuple[int, int]) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(member, pid[0], pid[1]))
-    return np.random.Generator(np.random.PCG64(ss))
+class _SyntheticDraws:
+    """Every member's first doubles at each prime ideal drawn so far, shared
+    by the members' rules.
+
+    A miss at norm N just past the drawn range draws, in one
+    pcg64.stream_doubles call, every prime ideal of norm <= 2N not drawn
+    yet, so a run to norm X makes about log2 X calls; a miss far past the
+    range draws its prime ideal alone.  Each draw also keeps cos and sin of
+    0.0 + pi * d, numpy's uniform(0, pi) from the double d.
+    """
+
+    def __init__(self, field: NumberFieldSpec, seed: int, count: int, width: int):
+        self.field = field
+        self.seed = seed
+        self.count = count
+        self.width = width
+        self.through = 1  # every prime ideal of norm <= through is drawn
+        self.rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def at(self, prime: IdealIndex, member: int) -> tuple[list[float], ...]:
+        """The member's doubles, their cos and their sin at the prime."""
+        pid = prime.factors[0][0]
+        if pid not in self.rows:
+            self._draw(pid, prime.norm)
+        return tuple(x[member].tolist() for x in self.rows[pid])
+
+    def _draw(self, pid: tuple[int, int], norm: int) -> None:
+        from . import pcg64  # compiled only by steps that draw
+
+        pids = [pid]
+        if norm <= 2 * self.through and 2 * norm <= PRIME_SIEVE_CEILING:
+            pids += [q for q, _ in prime_ideals_up_to(self.field, 2 * norm)
+                     if q != pid and q not in self.rows]
+            self.through = 2 * norm
+        members = np.tile(np.arange(self.count), len(pids))
+        ps, slots = (np.repeat(np.array([q[i] for q in pids], dtype=np.uint64), self.count)
+                     for i in (0, 1))
+        doubles = pcg64.stream_doubles(self.seed, members, ps, slots, self.width)
+        doubles = doubles.reshape(len(pids), self.count, self.width)
+        phi = 0.0 + np.pi * doubles
+        cos, sin = np.cos(phi), np.sin(phi)
+        for i, q in enumerate(pids):
+            self.rows[q] = (doubles[i], cos[i], sin[i])
 
 
-def _grc_tuple(rng: np.random.Generator, n: int) -> list[complex]:
-    """Conjugate-stable n-tuple on the unit circle."""
+def _unit_circle_tuple(doubles: list[float], cos: list[float], sin: list[float], n: int) -> list[complex]:
+    """Conjugate-stable n-tuple on the unit circle: a pair e^(+-i phi) per
+    double, phi = uniform(0, pi), then for odd n the sign of the next double
+    (+1 below 1/2)."""
     out: list[complex] = []
-    for _ in range(n // 2):
-        phi = rng.uniform(0.0, np.pi)
-        out.extend([complex(np.cos(phi), np.sin(phi)), complex(np.cos(phi), -np.sin(phi))])
+    for j in range(n // 2):
+        out.extend([complex(cos[j], sin[j]), complex(cos[j], -sin[j])])
     if n % 2:
-        out.append(complex(1.0 if rng.random() < 0.5 else -1.0, 0.0))
+        out.append(complex(1.0 if doubles[n // 2] < 0.5 else -1.0, 0.0))
     return out
 
 
@@ -260,14 +304,23 @@ def synthetic_family(
 ) -> Family:
     """Deterministic synthetic degree-n family.
 
+    Member i's parameters at the prime ideal (p, slot) come from the doubles
+    d_0, d_1, ... of numpy's PCG64 stream of SeedSequence(entropy=seed,
+    spawn_key=(i, p, slot)), computed in-house by pcg64.stream_doubles: for
+    j < n/2 the pair e^(+-i phi_j) with phi_j = 0.0 + pi * d_j (numpy's
+    uniform(0, pi)), and for odd n the sign +1 if d_(n//2) < 0.5, else -1.
+
     model = "grc" draws all parameters on the unit circle.  model =
-    ("planted", p, theta) additionally sets member 0's parameters at the
-    prime above p (slot 0) to magnitudes N(p)^theta and N(p)^-theta so the
-    product of magnitudes stays 1.
+    ("planted", p, theta) instead sets member 0's parameters at the prime
+    above p (slot 0) to magnitudes N(p)^theta and N(p)^-theta, so the
+    product of magnitudes stays 1, and fills the other n - 2 by the rule
+    above from the same stream.
     """
     field = field or NumberFieldSpec.rationals()
     if count < 1:
         raise UsageError("synthetic families need count >= 1")
+    if seed < 0:
+        raise UsageError(f"synthetic seeds are non-negative integers, not {seed}")
     planted_pid = None
     theta = 0.0
     if model != "grc":
@@ -282,17 +335,17 @@ def synthetic_family(
             raise UsageError("planting needs degree >= 2 to rescale a partner")
         planted_pid = (int(p), 0)
 
+    draws = _SyntheticDraws(field, seed, count, (n + 1) // 2)
     members = []
     for i in range(count):
         def rule(prime: IdealIndex, member=i):
-            pid = prime.factors[0][0]
-            rng = _member_rng(seed, member, pid)
-            if member == 0 and pid == planted_pid:
+            doubles, cos, sin = draws.at(prime, member)
+            if member == 0 and prime.factors[0][0] == planted_pid:
                 r = float(prime.norm) ** theta
                 alphas = [complex(r, 0.0), complex(1.0 / r, 0.0)]
-                alphas.extend(_grc_tuple(rng, n - 2))
+                alphas.extend(_unit_circle_tuple(doubles, cos, sin, n - 2))
                 return tuple(alphas)
-            return tuple(_grc_tuple(rng, n))
+            return tuple(_unit_circle_tuple(doubles, cos, sin, n))
 
         members.append(
             Representation(

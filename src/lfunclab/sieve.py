@@ -299,7 +299,8 @@ class SieveWeights:
         parts = []
         for start in range(0, n, _BRUTE_FORCE_BLOCK):
             stop = min(start + _BRUTE_FORCE_BLOCK, n)
-            cols = np.unique(col_idx[(row_idx >= start) & (row_idx < stop)])
+            # with return_inverse, as a plain np.unique imports numpy.ma
+            cols = np.unique(col_idx[(row_idx >= start) & (row_idx < stop)], return_inverse=True)[0]
             local = np.full(len(ell), -1)
             local[cols] = np.arange(len(cols))
             hit = local[col_idx] >= 0

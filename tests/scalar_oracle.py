@@ -8,7 +8,11 @@ and `primitive_part` and evaluated prime by prime.
 
 `own_local` keeps the rule a member's own series had before it became the
 member's pair with the trivial member: h_e, (-1)^e e_e or the power sum of
-the member's parameters alone."""
+the member's parameters alone.
+
+`member_rng`, `grc_tuple` and `synthetic_alphas` keep the synthetic members'
+rule as numpy's Generator draws it, one generator per (member, prime): the
+oracle for `pcg64.stream_doubles` and the families built on it."""
 
 import math
 
@@ -120,3 +124,30 @@ def product_over_factors(local, kind: str, ideal) -> complex:
         if acc == 0:
             return 0j
     return acc
+
+
+def member_rng(seed: int, member: int, pid) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(member, pid[0], pid[1]))
+    return np.random.Generator(np.random.PCG64(ss))
+
+
+def grc_tuple(rng: np.random.Generator, n: int) -> list[complex]:
+    """Conjugate-stable n-tuple on the unit circle."""
+    out: list[complex] = []
+    for _ in range(n // 2):
+        phi = rng.uniform(0.0, np.pi)
+        out.extend([complex(np.cos(phi), np.sin(phi)), complex(np.cos(phi), -np.sin(phi))])
+    if n % 2:
+        out.append(complex(1.0 if rng.random() < 0.5 else -1.0, 0.0))
+    return out
+
+
+def synthetic_alphas(n: int, seed: int, model, member: int, prime) -> tuple[complex, ...]:
+    """Member `member`'s parameters at the prime ideal in
+    synthetic_family(n, count, seed, model, field)."""
+    pid = prime.factors[0][0]
+    rng = member_rng(seed, member, pid)
+    if model != "grc" and member == 0 and pid == (int(model[1]), 0):
+        r = float(prime.norm) ** model[2]
+        return (complex(r, 0.0), complex(1.0 / r, 0.0), *grc_tuple(rng, n - 2))
+    return tuple(grc_tuple(rng, n))

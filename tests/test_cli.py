@@ -85,25 +85,80 @@ class TestStartup:
         for module in ("covers", "sieve", "coeffs", "characters", "ideals", "localdata"):
             assert f"lfunclab.{module}" not in loaded
 
-    @pytest.mark.parametrize("command", [
-        ["psd", "--nmax", "20"],
-        ["covers", "--nmax", "12", "--trials", "5"],
-        ["large-sieve", "--n", "20,40"],
-    ])
-    def test_product_model_subcommands_load_no_numpy_ma(self, command, tmp_path):
-        """np.unique imports numpy.ma (milliseconds and a megabyte of RSS per
-        process); the product-model family steps do not call it."""
+    @staticmethod
+    def loaded_after(argv, tmp_path, package: str) -> list[str]:
+        """The modules of the package that a fresh interpreter holds after
+        main(argv), where "{spec}" names a GL3 family over Q(i) with 3
+        synthetic members."""
         spec = tmp_path / "family.spec"
         spec.write_text("[family]\nfield = quadratic(-1)\nkind = synthetic\nn = 3\ncount = 3\nseed = 5\n")
-        argv = command + ["--family", str(spec), "--out", str(tmp_path / "report.csv"), "--format", "csv"]
+        argv = [a.format(spec=spec) for a in argv]
+        argv += ["--out", str(tmp_path / "report.csv"), "--format", "csv"]
         code = (
             "import contextlib, json, sys\n"
             "from lfunclab.cli import main\n"
             "with contextlib.redirect_stdout(sys.stderr):\n"
             f"    assert main({argv!r}) == 0\n"
-            "print(json.dumps([m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')]))"
+            f"print(json.dumps([m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})]))"
         )
-        assert fresh_python(code) == []
+        return fresh_python(code)
+
+    @pytest.mark.parametrize("command", [
+        ["psd", "--nmax", "20", "--family", "{spec}"],
+        ["covers", "--nmax", "12", "--trials", "5", "--family", "{spec}"],
+        ["large-sieve", "--n", "20,40", "--family", "{spec}"],
+    ])
+    def test_product_model_subcommands_load_no_numpy_ma(self, command, tmp_path):
+        """np.unique imports numpy.ma (milliseconds and a megabyte of RSS per
+        process); the product-model family steps do not call it."""
+        assert self.loaded_after(command, tmp_path, "numpy.ma") == []
+
+    def test_sieve_weights_loads_no_numpy_ma(self, tmp_path):
+        """Nor does the Selberg brute force."""
+        assert self.loaded_after(["sieve-weights", "--z", "300"], tmp_path, "numpy.ma") == []
+
+    @pytest.mark.parametrize("command", [
+        ["psd", "--nmax", "20", "--family", "{spec}"],
+        ["large-sieve", "--n", "20,40", "--family", "{spec}"],
+        ["density", "--p", "2", "--theta", "0.3"],
+    ])
+    def test_synthetic_members_load_no_numpy_random(self, command, tmp_path):
+        """Synthetic parameters come from pcg64.stream_doubles; importing
+        numpy.random costs about 6 MB of peak RSS per process."""
+        assert self.loaded_after(command, tmp_path, "numpy.random") == []
+
+    def test_only_steps_that_draw_compile_the_stream_kernel(self, tmp_path):
+        """Each step compiles the modules it imports (PYTHONDONTWRITEBYTECODE
+        runs), which raises its peak RSS: the kernel loads on the first draw."""
+        drawing = ["psd", "--nmax", "20", "--family", "{spec}"]
+        assert "lfunclab.pcg64" in self.loaded_after(drawing, tmp_path, "lfunclab.pcg64")
+        assert self.loaded_after(["mvt", "--x", "30", "--t", "1"], tmp_path, "lfunclab.pcg64") == []
+
+    def test_weight_battery_loads_numpy_random(self, tmp_path):
+        command = ["covers", "--nmax", "12", "--trials", "5", "--family", "{spec}"]
+        assert "numpy.random" in self.loaded_after(command, tmp_path, "numpy.random")
+
+    def test_numpy_random_only_in_the_weight_battery_and_selftests(self):
+        """Outside weight_battery and the selftests, src/ draws nothing from
+        numpy.random."""
+        users = []
+        for dirpath, _, names in os.walk(SRC_DIR):
+            for name in sorted(n for n in names if n.endswith(".py")):
+                with open(os.path.join(dirpath, name), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read())
+                allowed = set()
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.FunctionDef) and node.name in ("weight_battery", "selftest"):
+                        allowed |= {id(n) for n in ast.walk(node)}
+                for node in ast.walk(tree):
+                    is_random = (isinstance(node, ast.Attribute) and node.attr == "random"
+                                 and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+                    is_import = (isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                        "numpy.random" in (alias.name if isinstance(node, ast.Import) else node.module or "")
+                        for alias in node.names))
+                    if (is_random or is_import) and id(node) not in allowed:
+                        users.append(f"{name}:{node.lineno}")
+        assert users == []
 
     def test_deferred_scipy_values(self):
         """The two numerical kernels that once imported scipy load none of it."""

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from lfunclab import pcg64
 from lfunclab.characters import character_group, primitive_characters
 from lfunclab.errors import DataIntegrityError, SpecParseError, UsageError
-from lfunclab.ideals import NumberFieldSpec, prime_ideal
+from lfunclab.ideals import NumberFieldSpec, is_prime, prime_ideal, prime_ideals_up_to, split_prime
 from lfunclab.localdata import (
     analytic_conductor,
     character_representation,
@@ -17,8 +20,20 @@ from lfunclab.localdata import (
     theta_bound,
     trivial_representation,
 )
+from lfunclab.pcg64 import stream_doubles
+from scalar_oracle import member_rng, synthetic_alphas
 
 Q = NumberFieldSpec.rationals()
+GAUSS = NumberFieldSpec.quadratic(-1)
+# past 2^32, so their spawn keys take two words: 2^32 + 15 is 3 mod 4 (inert
+# in Q(i)), the other 1 mod 4 (split)
+BIG_PRIMES = (2**32 + 15, next(p for p in range(2**32 + 1, 2**32 + 400, 4) if is_prime(p)))
+seeds = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**128 - 1), st.integers(2**128, 2**140))
+
+
+def words(values) -> list[int]:
+    """The 64-bit words of a sequence of floats or complex numbers."""
+    return np.asarray(values, dtype=np.complex128).view(np.uint64).tolist()
 
 
 class TestCharacterFamily:
@@ -107,6 +122,94 @@ class TestSynthetic:
         fam = synthetic_family(2, 2, seed=3, field=field)
         prime = prime_ideal(field, (3, 0))  # inert, norm 9
         assert len(fam.members[0].local_at(prime).alphas) == 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestStreamDoubles:
+    """stream_doubles against numpy's Generator, one generator per key; the
+    uint64 arithmetic must wrap without a RuntimeWarning (numpy scalars warn
+    on overflow, arrays do not)."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        seed=seeds,
+        keys=st.lists(
+            st.tuples(
+                st.one_of(st.integers(0, 30), st.integers(2**32, 2**40)),
+                st.one_of(st.sampled_from((2, 3, 5, 7, 4294967291) + BIG_PRIMES), st.integers(2, 2**64 - 1)),
+                st.integers(0, 1),
+            ),
+            min_size=1, max_size=12,
+        ),
+        width=st.integers(1, 4),
+    )
+    @example(seed=0, keys=[(0, 2, 0)], width=1)
+    @example(seed=2**130 + 3, keys=[(23, 4294967291, 1), (5, 2**32 + 15, 0), (2**32, 3, 1)], width=3)
+    def test_every_word_matches_numpy(self, seed, keys, width):
+        members, ps, slots = zip(*keys)
+        got = stream_doubles(seed, members, ps, slots, width)
+        want = []
+        for member, p, slot in keys:
+            rng = member_rng(seed, member, (p, slot))
+            want.append([rng.random() for _ in range(width)])
+        assert got.shape == (len(keys), width)
+        assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        count=st.integers(1, 3),
+        seed=seeds,
+        field=st.sampled_from((Q, GAUSS)),
+        planted=st.one_of(st.none(), st.tuples(st.sampled_from((2, 3, 5)), st.floats(0.0, 1.0))),
+        order=st.randoms(use_true_random=False),
+    )
+    @example(n=3, count=2, seed=2**128 + 7, field=GAUSS, planted=(5, 0.5), order=None)
+    @example(n=6, count=1, seed=2**32 + 1, field=Q, planted=(2, 1.0), order=None)
+    def test_family_matches_the_oracle(self, n, count, seed, field, planted, order):
+        """Every parameter of every member, in every word, at prime ideals
+        reached in sequence, out of order and far past the drawn range."""
+        model = "grc"
+        if planted is not None and n >= 2:
+            model = ("planted", planted[0], planted[1] * theta_bound(n))
+        fam = synthetic_family(n, count, seed, model, field)
+        pids = [pid for pid, _ in prime_ideals_up_to(field, 40)]
+        pids += [pid for p in BIG_PRIMES for pid, _ in split_prime(field, p).primes]
+        if order is not None:
+            order.shuffle(pids)
+        for pid in pids:
+            prime = prime_ideal(field, pid)
+            for i, member in enumerate(fam.members):
+                alphas = member.local_at(prime).alphas
+                assert words(alphas) == words(synthetic_alphas(n, seed, model, i, prime))
+
+    def test_one_call_per_doubling(self, monkeypatch):
+        """A run through the prime ideals in norm order draws in about log2 X
+        calls; a prime ideal far past the drawn range is drawn alone."""
+        calls = []
+        kernel = pcg64.stream_doubles
+
+        def counted(seed, members, ps, slots, width):
+            calls.append(len(members))
+            return kernel(seed, members, ps, slots, width)
+
+        monkeypatch.setattr(pcg64, "stream_doubles", counted)
+        fam = synthetic_family(3, 4, 0, field=GAUSS)
+        primes = [prime_ideal(GAUSS, pid) for pid, _ in prime_ideals_up_to(GAUSS, 1000)]
+        for prime in primes:
+            for member in fam.members:
+                member.local_at(prime)
+        assert len(calls) <= math.log2(1000) + 1
+        assert sum(calls) <= 4 * len(prime_ideals_up_to(GAUSS, 2000))
+        drawn = len(calls)
+        far = prime_ideal(GAUSS, (BIG_PRIMES[1], 1))
+        for member in fam.members:
+            member.local_at(far)
+        assert calls[drawn:] == [4]
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(UsageError, match="non-negative"):
+            synthetic_family(2, 1, seed=-1)
 
 
 class TestContragredient:
