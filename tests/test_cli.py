@@ -219,6 +219,12 @@ class TestExitCodes:
         code = main(["constants", "--out", str(tmp_path / "nodir" / "x.csv")])
         assert code == 4
 
+    def test_negative_synthetic_seed_exits_two(self, tmp_path, capsys):
+        code = main(["density", "--p", "2", "--theta", "0.3", "--seed", "-1",
+                     "--out", str(tmp_path / "d.csv")])
+        assert code == 2
+        assert "non-negative" in capsys.readouterr().err
+
     def test_validation_error_exits_two(self, tmp_path, capsys):
         code = main(["detect", "--eta", "0.9", "--log-scale", "40",
                      "--out", str(tmp_path / "d.csv")])
