@@ -3,7 +3,7 @@
 Local factors are encoded by parameter multisets.  The four series kinds:
 
     lambda    coefficients of L             (complete homogeneous h_k)
-    mu        coefficients of 1/L           (signed elementary e_k)
+    mu        coefficients of 1/L           (signed elementary (-1)^k e_k)
     biglambda coefficients of -L'/L         (power sums times log Np)
     logl      coefficients of log L         (power sums over ell)
 
@@ -23,23 +23,29 @@ Every series is a pair: a member's own series is its pair with the trivial
 member pi0, whose parameters are all 1 (family_arrays pairs each member with
 the trivial member when no pi0 is given).
 
-Pair coefficients use the Cauchy identity: the x^k coefficient of
-prod_{i,j} (1 - a_i conj(b_j) x)^{-1} equals
-sum over partitions lam of k with at most min(n, n') parts of
-s_lam(a) * conj(s_lam(b)), with Schur values from the Jacobi-Trudi
-determinant in complete homogeneous polynomials.  The determinant form
-stays finite at repeated parameters, where quotient-of-alternants fails.
-Against a degree-1 partner the only partition is (k,), so s_(k) = h_k and
-no determinant is taken.
+Pair coefficients come from power sums.  The power sums of the product
+multiset factor, P_j = p_j(alpha) * conj(p_j(beta)), and log L(pi x pi') at
+p is sum_j P_j x^j / j; so L and 1/L are exp(+-sum_j P_j x^j / j), whose
+coefficients newton_series builds by Newton's identities
+k c_k = +-sum_{j<=k} P_j c_{k-j} (Macdonald, Symmetric Functions and Hall
+Polynomials, I.2).  No partition or determinant is taken, and pair mu is
+0j past the degree of the pair polynomial.  Against the Cauchy sum over
+partitions and the np.convolve pair polynomial, the tests' oracle, valid
+members agree to 3e-12 relative to max(1, |value|).  The recurrence loses
+digits where its sum cancels: on 200 draws of standard complex Gaussian
+parameters of degree up to 4, which are not valid members, mu of a 4 x 4
+pair at k = 16 is off by 9e-5 of its value (1.8e-7 of the pair's largest
+coefficient), while lambda stays within 1.2e-14.  Validation caps |alpha|
+at N(p)^theta_bound(n), which keeps the terms of the sums, and so that
+spread, small.
 
 _PrimePowerArrays keeps one table row per prime power, filled once for all
 its engines in one block per rows call: gl1_exact engines by the angle rule,
 with one memo lookup per distinct (angle, M, exponent), product engines from
-each member's values at the prime power (Schur values, power sum or the pair
-polynomial), combined over the engines by array operations that repeat the
-scalar arithmetic part by part, so that no bit moves.  rows alone multiplies
-the rows out over an ideal's factors, for one series (expand_global) and for
-a family (family_arrays and the pair tables of covers).
+each member's power sums at the prime, combined over the engines by array
+operations.  rows alone multiplies the rows out over an ideal's factors, for
+one series (expand_global) and for a family (family_arrays and the pair
+tables of covers).
 """
 
 from __future__ import annotations
@@ -117,35 +123,15 @@ class CoefficientSeries:
 # symmetric-function kernels
 
 
-def poly_from_roots(alphas) -> np.ndarray:
-    """Coefficients c[0..n] of prod_j (1 - alpha_j x); c[k] = (-1)^k e_k."""
-    c = np.zeros(len(alphas) + 1, dtype=np.complex128)
-    c[0] = 1.0
-    for j, a in enumerate(alphas):
-        c[1 : j + 2] -= a * c[: j + 1].copy()
-    return c
-
-
-def hom_sym_values(alphas, kmax: int) -> np.ndarray:
-    """h_0..h_kmax of the multiset, by inverting prod (1 - alpha x)."""
-    c = poly_from_roots(alphas)
-    h = np.zeros(kmax + 1, dtype=np.complex128)
-    h[0] = 1.0
-    for k in range(1, kmax + 1):
-        acc = 0j
-        for j in range(1, min(len(c) - 1, k) + 1):
-            acc += c[j] * h[k - j]
-        h[k] = -acc
-    return h
-
-
 def power_sum(alphas, k: int) -> complex:
     return complex(sum(a**k for a in alphas)) if k else complex(len(alphas))
 
 
 @functools.lru_cache(maxsize=65536)
 def partitions_of(k: int, max_parts: int) -> tuple[tuple[int, ...], ...]:
-    """Partitions of k into at most max_parts parts, lexicographic order."""
+    """Partitions of k into at most max_parts parts, lexicographic order; the
+    tests' Cauchy-identity oracle sums over them, and the benchmark reads its
+    cache counters."""
     if k > PARTITION_SIZE_CAP:
         raise UsageError(f"partition size {k} exceeds the cap {PARTITION_SIZE_CAP}")
     if k == 0:
@@ -167,69 +153,27 @@ def partitions_of(k: int, max_parts: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def schur_from_h(h: np.ndarray, lam: tuple[int, ...]) -> complex:
-    """Jacobi-Trudi: s_lam = det[ h_{lam_i - i + j} ]."""
-    r = len(lam)
-    if r == 0:
-        return 1 + 0j
-    if r == 1:
-        return complex(h[lam[0]])
-    m = np.zeros((r, r), dtype=np.complex128)
-    for i in range(r):
-        for j in range(r):
-            idx = lam[i] - i + j
-            if 0 <= idx < len(h):
-                m[i, j] = h[idx]
-            elif idx == 0:
-                m[i, j] = 1.0
-    return complex(np.linalg.det(m))
+def newton_series(sums: np.ndarray, sign: int) -> np.ndarray:
+    """c_0..c_K of exp(sign * sum_j P_j x^j / j) from the pair power sums
+    P_1..P_K on the last axis: the coefficients of L for sign 1 and of 1/L
+    for sign -1, by Newton's identities k c_k = sign * sum_{j<=k} P_j c_{k-j}.
+    Each sum is divided by k, not multiplied by 1/k, so that sums of small
+    integers, as the trivial member's, stay exact.
+    """
+    c = np.zeros(sums.shape[:-1] + (sums.shape[-1] + 1,), dtype=np.complex128)
+    c[..., 0] = 1
+    for k in range(1, c.shape[-1]):
+        c[..., k] = sign * (sums[..., :k] * c[..., k - 1 :: -1]).sum(axis=-1) / k
+    return c
 
 
 def rankin_selberg_local(a: LocalParameters, b: LocalParameters, k: int) -> complex:
-    """x^k coefficient of the local pair factor at a common prime.
-
-    Cauchy identity: the sum over partitions of k of
-    s_lam(alpha) * conj(s_lam(beta)), the product model.
-    """
+    """x^k coefficient of the local pair factor at a common prime, the product
+    model: newton_series of the pair power sums p_j(alpha) * conj(p_j(beta))."""
     if a.prime != b.prime:
         raise UsageError("local pair coefficients need a common prime")
-    if k == 0:
-        return 1 + 0j
-    max_parts = min(len(a.alphas), len(b.alphas))
-    acc = 0j
-    for x, y in zip(_schur_values(a, k, max_parts), _schur_values(b, k, max_parts)):
-        acc += x * np.conj(y)
-    return complex(acc)
-
-
-def _schur_values(params: LocalParameters, k: int, max_parts: int) -> tuple[complex, ...]:
-    """s_lam(alphas) for lam in partitions_of(k, max_parts), in that order.
-
-    Each side of a pair coefficient depends on one member only, so values
-    that take a determinant are kept on the parameters, which
-    Representation.local_at caches per prime: every pair sharing the member
-    reuses them.  One entry per (k, max_parts), computed at those partitions
-    only.  max_parts = 1, a partner of degree 1, is the one value h_k: it
-    takes no determinant and is not kept.  A request with fewer parts than a
-    kept entry selects from it, as partitions_of lists the partitions with
-    at most max_parts parts in the same relative order.  partitions_of
-    rejects k > PARTITION_SIZE_CAP before anything is kept.
-    """
-    kept = params.kernels
-    values = kept.get((k, max_parts))
-    if values is not None:
-        return values
-    partitions = partitions_of(k, max_parts)
-    for parts in range(len(params.alphas), max_parts, -1) if kept else ():
-        wider = kept.get((k, parts))
-        if wider is not None:
-            at = dict(zip(partitions_of(k, parts), wider))
-            return tuple(at[lam] for lam in partitions)
-    h = hom_sym_values(params.alphas, k)
-    values = tuple(schur_from_h(h, lam) for lam in partitions)
-    if max_parts > 1:
-        kept[k, max_parts] = values
-    return values
+    sums = [power_sum(a.alphas, j) * np.conj(power_sum(b.alphas, j)) for j in range(1, k + 1)]
+    return complex(newton_series(np.array(sums, dtype=np.complex128), 1)[k])
 
 
 # ---------------------------------------------------------------------------
@@ -354,29 +298,18 @@ def _times_conj(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xr * yr - xi * yi, xr * yi + xi * yr
 
 
-def _pair_mu_poly(pa: LocalParameters, pb: LocalParameters) -> np.ndarray:
-    """prod over i, j of (1 - alpha_i conj(beta_j) x), one factor at a time.
-
-    np.convolve sums with a dot product, whose rounding no elementwise
-    formula reproduces, so pair mu keeps this chain, once per pair and prime.
-    """
-    prod_poly = np.ones(1, dtype=np.complex128)
-    for x in pa.alphas:
-        for y in pb.alphas:
-            prod_poly = np.convolve(prod_poly, [1.0, -x * np.conj(y)])
-    return prod_poly
-
-
 class _ProductEngines:
-    """Local values of product-model engines from their members' values.
+    """Local values of product-model engines from their members' power sums.
 
     A member is a Representation on some engine's side.  Per block it reads
-    its parameters once per prime and computes its values once per prime
-    power: the power sum for biglambda and logl, the _schur_values tuple for
-    lambda.  Each engine's value then comes from array operations over the
-    engines' member indices, part by part, in the order of numpy's scalar
-    arithmetic.  lambda is the Cauchy sum over partitions_of(k, min(n, n'))
-    in that order; mu reads _pair_mu_poly.
+    its parameters once per prime and takes its power sums p_1..p_K there,
+    K the largest exponent the block needs at that prime.  The pair power
+    sums P_j = p_j(alpha) * conj(p_j(beta)) are one product over the engines'
+    member indices, the coefficients of log L(pi x pi') at p being P_j / j.
+    biglambda and logl read P_e, in the order of numpy's scalar arithmetic;
+    lambda and mu are newton_series of P, exp(+-sum_j P_j x^j / j).  mu is
+    0j past n_a * n_b, the degree of the pair polynomial, where n counts a
+    member's nonzero parameters at p.
     """
 
     def __init__(self, engines: list[_LocalEngine], kind: str):
@@ -384,74 +317,45 @@ class _ProductEngines:
         members = {id(rep): rep for eng in engines for rep in (eng.a, eng.b)}
         position = {key: n for n, key in enumerate(members)}
         self._members = list(members.values())
-        self._parts = max(min(eng.a.degree, eng.b.degree) for eng in engines)
         sides = [position[id(rep)] for eng in engines for rep in (eng.a, eng.b)]
         self._sides = np.array(sides, dtype=np.intp).reshape(-1, 2).T
 
     def block(self, factors) -> np.ndarray:
-        """The (prime powers, engines) values."""
+        """The (prime powers, engines) values, one array step per distinct K."""
         field = self._members[0].field
         primes = {pid: prime_ideal(field, pid) for pid, _ in factors}
         local = {pid: [rep.local_at(prime) for rep in self._members] for pid, prime in primes.items()}
-        rows = [(local[pid], e) for pid, e in factors]
+        depth = {}
+        for pid, e in factors:
+            depth[pid] = max(depth.get(pid, 0), e)
         kind = self.kind
-        if kind == "lambda":
-            return self._cauchy(rows)
-        if kind == "mu":
-            polys = {}
-            out = np.empty((len(rows), self._sides.shape[1]), dtype=np.complex128)
-            for row, (params, e) in zip(out, rows):
-                key = params[0].prime
-                if key not in polys:
-                    polys[key] = [_pair_mu_poly(params[i], params[j]) for i, j in self._sides.T.tolist()]
-                row[:] = [c[e] if e < len(c) else 0j for c in polys[key]]
-            return out
-        flat = [power_sum(pa.alphas, e) for params, e in rows for pa in params]
-        sums = np.array(flat, dtype=np.complex128).reshape(len(rows), len(self._members))
         a, b = self._sides
-        re, im = _times_conj(sums[:, a], sums[:, b])
-        if kind == "biglambda":
-            log_p = np.array([math.log(primes[pid].norm) for pid, _ in factors])[:, None]
-            return _times_log(_complex(re, im), log_p)
-        # numpy's complex over an int e: (re + im * (0/e)) * (1 / (e + 0 * (0/e)))
-        inverse = 1.0 / np.array([e for _, e in factors], dtype=np.float64)[:, None]
-        return _complex((re + im * 0.0) * inverse, (im - re * 0.0) * inverse)
-
-    def _cauchy(self, rows) -> np.ndarray:
-        """Pair lambda: sum over partitions lam of s_lam(alpha) * conj(s_lam(beta)),
-        accumulated from 0j in partitions_of order, one exponent at a time.
-
-        Every pair sums over the partitions with at most self._parts parts, the
-        largest min(n, n') over the engines.  A member has Schur value 0j at a
-        partition with more parts than its degree, so a pair's partitions with
-        more than min(n, n') parts add products that are +-0, and a sum that
-        starts at 0j and so never is -0.0 keeps its bits under them: each value
-        is the scalar sum over partitions_of(k, min(n, n')).
-        """
-        out = np.empty((len(rows), self._sides.shape[1]), dtype=np.complex128)
-        exponents = np.array([e for _, e in rows])
-        a, b = self._sides
-        # sorted(set()) rather than np.unique, which imports numpy.ma
-        for e in sorted(set(exponents.tolist())):
-            at = np.flatnonzero(exponents == e)
-            lams = partitions_of(e, self._parts)
-            flat = [self._schur_row(pa, e, lams) for r in at.tolist() for pa in rows[r][0]]
-            schur = np.array(flat, dtype=np.complex128).reshape(len(at), len(self._members), len(lams))
-            re, im = np.zeros((len(at), len(a))), np.zeros((len(at), len(a)))
-            for j in range(len(lams)):
-                x_re, x_im = _times_conj(schur[:, a, j], schur[:, b, j])
-                re, im = re + x_re, im + x_im
-            out[at] = _complex(re, im)
+        out = np.empty((len(factors), a.size), dtype=np.complex128)
+        for top in sorted(set(depth.values())):
+            group = {pid: n for n, pid in enumerate(p for p, k in depth.items() if k == top)}
+            rows = [r for r, (pid, _) in enumerate(factors) if pid in group]
+            at = np.array([group[factors[r][0]] for r in rows], dtype=np.intp)
+            e = np.array([factors[r][1] for r in rows], dtype=np.intp)
+            flat = [power_sum(pa.alphas, j) for pid in group for pa in local[pid] for j in range(1, top + 1)]
+            sums = np.array(flat, dtype=np.complex128).reshape(len(group), len(self._members), top)
+            re, im = _times_conj(sums[:, a], sums[:, b])
+            if kind == "biglambda":
+                log_p = np.array([math.log(primes[factors[r][0]].norm) for r in rows])[:, None]
+                out[rows] = _times_log(_complex(re[at, :, e - 1], im[at, :, e - 1]), log_p)
+            elif kind == "logl":
+                # numpy's complex over an int e: (re + im * (0/e)) * (1 / (e + 0 * (0/e)))
+                re, im, inverse = re[at, :, e - 1], im[at, :, e - 1], 1.0 / e[:, None]
+                out[rows] = _complex((re + im * 0.0) * inverse, (im - re * 0.0) * inverse)
+            else:
+                values = newton_series(_complex(re, im), 1 if kind == "lambda" else -1)
+                if kind == "mu":
+                    nonzero = np.array(
+                        [[sum(x != 0 for x in pa.alphas) for pa in local[pid]] for pid in group]
+                    )
+                    degree = (nonzero[:, a] * nonzero[:, b])[..., None]
+                    values[np.arange(top + 1) > degree] = 0
+                out[rows] = values[at, :, e]
         return out
-
-    def _schur_row(self, params: LocalParameters, e: int, lams) -> list:
-        """The member's Schur values at the partitions lams, 0j past its degree."""
-        parts = min(len(params.alphas), self._parts)
-        values = _schur_values(params, e, parts)
-        if parts == self._parts:
-            return list(values)
-        at = dict(zip(partitions_of(e, parts), values))
-        return [at.get(lam, 0j) for lam in lams]
 
 
 class _PrimePowerArrays:
@@ -663,7 +567,7 @@ def selftest() -> list[tuple[str, bool, str]]:
     results = []
     rng = np.random.default_rng(1234)
 
-    # Cauchy identity against direct series inversion
+    # the power-sum recurrence against direct series inversion
     worst = 0.0
     for _ in range(20):
         n, n2 = rng.integers(1, 4, size=2)
@@ -684,7 +588,7 @@ def selftest() -> list[tuple[str, bool, str]]:
             got = rankin_selberg_local(pa, pb, k)
             ref = complex(inv[k])
             worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
-    results.append(("Cauchy identity vs inversion", worst < 1e-10, f"rel err {worst:.2e}"))
+    results.append(("power-sum recurrence vs inversion", worst < 1e-10, f"rel err {worst:.2e}"))
 
     # lambda * mu = unit indicator for the trivial member
     triv = trivial_representation()

@@ -16,7 +16,7 @@ the numpy version.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,10 +44,6 @@ def theta_bound(n: int) -> float:
 class LocalParameters:
     prime: IdealIndex
     alphas: tuple[complex, ...]
-    # kernel values that coeffs derives from the alphas alone (Schur values
-    # by k and most parts), kept here so that every pair sharing this member
-    # reuses them
-    kernels: dict = field(default_factory=dict, init=False, repr=False)
 
     def max_abs(self) -> float:
         return max(abs(a) for a in self.alphas)

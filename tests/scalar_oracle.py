@@ -2,9 +2,14 @@
 `_PrimePowerArrays.rows`: a Python complex product of one engine's local
 values over the ideal's factors, with no table and no padding.  A product
 engine's local value is computed on its own, one prime power at a time,
-from the members' parameters (`product_local`).  A gl1_exact engine's
-local values come from the product character itself, built by `multiply`
-and `primitive_part` and evaluated prime by prime.
+from the members' parameters (`product_local`): lambda by the Cauchy
+identity (Macdonald, Symmetric Functions and Hall Polynomials, I.4), the sum
+over partitions lam of s_lam(alpha) * conj(s_lam(beta)) with Schur values
+from the Jacobi-Trudi determinant in the complete homogeneous h_k, and mu
+from the pair polynomial prod (1 - alpha_i conj(beta_j) x) built by
+np.convolve, one factor at a time.  A gl1_exact engine's local values come
+from the product character itself, built by `multiply` and `primitive_part`
+and evaluated prime by prime.
 
 `own_local` keeps the rule a member's own series had before it became the
 member's pair with the trivial member: h_e, (-1)^e e_e or the power sum of
@@ -19,8 +24,97 @@ import math
 import numpy as np
 
 from lfunclab.characters import conjugate, multiply, primitive_part
-from lfunclab.coeffs import hom_sym_values, poly_from_roots, power_sum, rankin_selberg_local
+from lfunclab.coeffs import partitions_of, power_sum
 from lfunclab.ideals import prime_ideal
+
+
+def poly_from_roots(alphas) -> np.ndarray:
+    """Coefficients c[0..n] of prod_j (1 - alpha_j x); c[k] = (-1)^k e_k."""
+    c = np.zeros(len(alphas) + 1, dtype=np.complex128)
+    c[0] = 1.0
+    for j, a in enumerate(alphas):
+        c[1 : j + 2] -= a * c[: j + 1].copy()
+    return c
+
+
+def hom_sym_values(alphas, kmax: int) -> np.ndarray:
+    """h_0..h_kmax of the multiset, by inverting prod (1 - alpha x)."""
+    c = poly_from_roots(alphas)
+    h = np.zeros(kmax + 1, dtype=np.complex128)
+    h[0] = 1.0
+    for k in range(1, kmax + 1):
+        acc = 0j
+        for j in range(1, min(len(c) - 1, k) + 1):
+            acc += c[j] * h[k - j]
+        h[k] = -acc
+    return h
+
+
+def schur_from_h(h: np.ndarray, lam: tuple[int, ...]) -> complex:
+    """Jacobi-Trudi: s_lam = det[ h_{lam_i - i + j} ]; finite at repeated
+    parameters, where the quotient of alternants fails."""
+    r = len(lam)
+    if r == 0:
+        return 1 + 0j
+    if r == 1:
+        return complex(h[lam[0]])
+    m = np.zeros((r, r), dtype=np.complex128)
+    for i in range(r):
+        for j in range(r):
+            idx = lam[i] - i + j
+            if 0 <= idx < len(h):
+                m[i, j] = h[idx]
+            elif idx == 0:
+                m[i, j] = 1.0
+    return complex(np.linalg.det(m))
+
+
+def cauchy_local(pa, pb, k: int) -> complex:
+    """The x^k coefficient of prod (1 - alpha_i conj(beta_j) x)^{-1} by the
+    Cauchy identity: the sum over partitions lam of k with at most
+    min(n, n') parts of s_lam(alpha) * conj(s_lam(beta))."""
+    if k == 0:
+        return 1 + 0j
+    ha, hb = hom_sym_values(pa.alphas, k), hom_sym_values(pb.alphas, k)
+    acc = 0j
+    for lam in partitions_of(k, min(len(pa.alphas), len(pb.alphas))):
+        acc += schur_from_h(ha, lam) * np.conj(schur_from_h(hb, lam))
+    return complex(acc)
+
+
+# Product-model lambda and mu rows against this oracle, relative to
+# max(1, |oracle|): the library sums Newton's recurrence, the oracle the
+# Cauchy identity or the np.convolve polynomial, so they agree to rounding.
+PRODUCT_TOL = 1e-11
+
+
+def assert_rows_match(got, want, engines) -> None:
+    """Each engine's row of got against want: bit for bit, except product-model
+    lambda and mu rows, which agree within PRODUCT_TOL."""
+    for row, expected, engine in zip(got, want, engines):
+        label = (engine.a.label, engine.b.label, engine.kind)
+        if engine.model == "product" and engine.kind in ("lambda", "mu"):
+            assert deviation(row, expected) <= PRODUCT_TOL, label
+        else:
+            assert np.array_equal(row.view(np.uint64), expected.view(np.uint64)), label
+
+
+def deviation(got, want) -> float:
+    """The largest |got - want| / max(1, |want|) over the entries."""
+    got, want = np.asarray(got), np.asarray(want)
+    if not want.size:
+        return 0.0
+    return float((np.abs(got - want) / np.maximum(1.0, np.abs(want))).max())
+
+
+def convolve_mu(pa, pb, k: int) -> complex:
+    """The x^k coefficient of prod (1 - alpha_i conj(beta_j) x), one
+    np.convolve per factor."""
+    poly = np.ones(1, dtype=np.complex128)
+    for x in pa.alphas:
+        for y in pb.alphas:
+            poly = np.convolve(poly, [1.0, -x * np.conj(y)])
+    return complex(poly[k]) if k < len(poly) else 0j
 
 
 def local_lambda(params, k: int) -> complex:
@@ -64,13 +158,9 @@ def product_local(engine, pid, e: int) -> complex:
     pa = engine.a.local_at(prime)
     pb = engine.b.local_at(prime)
     if kind == "lambda":
-        return rankin_selberg_local(pa, pb, e)
+        return cauchy_local(pa, pb, e)
     if kind == "mu":
-        prod_poly = np.ones(1, dtype=np.complex128)
-        for x in pa.alphas:
-            for y in pb.alphas:
-                prod_poly = np.convolve(prod_poly, [1.0, -x * np.conj(y)])
-        return complex(prod_poly[e]) if e < len(prod_poly) else 0j
+        return convolve_mu(pa, pb, e)
     ps = power_sum(pa.alphas, e) * np.conj(power_sum(pb.alphas, e))
     if kind == "biglambda":
         return complex(ps * math.log(prime.norm))

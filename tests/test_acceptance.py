@@ -256,7 +256,7 @@ def test_criterion_6_cauchy_identity_oracle():
             err = abs(got - inv[k]) / max(1e-30, abs(inv[k]))
             worst = max(worst, err)
             assert err <= 1e-10, f"seed {seed}, degrees ({n},{n2}), k = {k}: rel err {err}"
-    report(6, f"Schur sums match series inversion, worst rel err {worst:.2e}; "
+    report(6, f"power-sum recurrence matches series inversion, worst rel err {worst:.2e}; "
               f"{time.perf_counter() - t0:.1f} s")
 
 

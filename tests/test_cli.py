@@ -471,7 +471,7 @@ class TestKernelBuildCounts:
     def test_one_table_and_per_member_kernels(self, family, command, tmp_path, monkeypatch):
         spec = tmp_path / "family.spec"
         spec.write_text(self.SPECS[family])
-        tables, h_calls = [], []
+        tables, sums = [], []
 
         def counted(record, real):
             def wrapper(*args, **kwargs):
@@ -483,7 +483,7 @@ class TestKernelBuildCounts:
             covers.PairCoefficientTable, "__init__",
             counted(tables, covers.PairCoefficientTable.__init__),
         )
-        monkeypatch.setattr(coeffs, "hom_sym_values", counted(h_calls, coeffs.hom_sym_values))
+        monkeypatch.setattr(coeffs, "power_sum", counted(sums, coeffs.power_sum))
         filled = self.record_fills(monkeypatch)
         out = tmp_path / "report.jsonl"
         argv = self.COMMANDS[command] + [
@@ -493,11 +493,15 @@ class TestKernelBuildCounts:
 
         fam = parse_family_spec(str(spec))
         size = len(fam.members)
-        prime_powers = sum(1 for q in enumerate_ideals(fam.field, self.NMAX) if len(q.factors) == 1)
+        exponents = [q.factors[0][1] for q in enumerate_ideals(fam.field, self.NMAX) if len(q.factors) == 1]
         assert len(tables) == 1
-        # one h-vector per parameter set and prime power: the members, pi0
-        # and its contragredient; a per-pair kernel needs two per pair
-        assert len(h_calls) <= (size + 2) * prime_powers < size * (size + 1) * prime_powers
+        # a table filling p^e takes each of its members' power sums p_1..p_e
+        # at p, at most: the members in the pair table, again with the dual
+        # trivial member in the pi0 column, and pi0 in its diagonal; a
+        # per-pair kernel would take two per pair
+        assert len(sums) <= (2 * size + 2) * sum(exponents) < size * (size + 1) * len(exponents)
+        if family == "quadratic":
+            assert sums
         # each table (the pairs, a pi0 column or the pi0 diagonal) fills each
         # prime power once, for all its engines at a time
         assert len({(id(arrays), factor) for arrays, factor in filled}) == len(filled)

@@ -16,12 +16,10 @@ from lfunclab.coeffs import (
     dirichlet_convolve,
     expand_global,
     family_arrays,
-    hom_sym_values,
     mertens_sum,
     pair_model,
     partitions_of,
     rankin_selberg_local,
-    schur_from_h,
 )
 from lfunclab.covers import (
     PairCoefficientTable,
@@ -30,6 +28,7 @@ from lfunclab.covers import (
     weight_battery,
 )
 from lfunclab import coeffs
+from lfunclab.cli import main
 from lfunclab.errors import ResourceLimitError, UsageError
 from lfunclab.ideals import (
     NumberFieldSpec,
@@ -51,11 +50,20 @@ from lfunclab.localdata import (
     ingest_hecke_eigenvalues,
     make_family,
     synthetic_family,
+    theta_bound,
     trivial_representation,
 )
 from lfunclab.sieve import family_coefficient_rows
 
-from scalar_oracle import local_lambda, product_character, scalar_coefficient, scalar_row
+from scalar_oracle import (
+    PRODUCT_TOL,
+    assert_rows_match,
+    deviation,
+    local_lambda,
+    product_character,
+    scalar_coefficient,
+    scalar_row,
+)
 
 Q = NumberFieldSpec.rationals()
 P2 = prime_ideal(Q, (2, 0))
@@ -139,74 +147,6 @@ class TestRankinSelbergLocal:
                 assert got == pytest.approx(complex(ref[k]), rel=1e-10, abs=1e-10)
 
 
-def per_pair_jacobi_trudi(a, b, k):
-    """The per-pair loop: h-values of both sides, one determinant per partition and side."""
-    if k == 0:
-        return 1 + 0j
-    ha = hom_sym_values(a.alphas, k)
-    hb = hom_sym_values(b.alphas, k)
-    acc = 0j
-    for lam in partitions_of(k, min(len(a.alphas), len(b.alphas))):
-        acc += schur_from_h(ha, lam) * np.conj(schur_from_h(hb, lam))
-    return complex(acc)
-
-
-class TestSchurMemo:
-    def test_memoised_matches_per_pair_loop(self):
-        # one parameter set per degree, each paired with every degree: the
-        # memo filled for one partner must give the exact sum for the next,
-        # including GL2 x GL3 at k >= 6, where the partitions with at most two
-        # parts are not a prefix of those with at most three
-        rng = np.random.default_rng(29)
-        draws = {n: tuple(map(complex, rng.normal(size=n) + 1j * rng.normal(size=n))) for n in (1, 2, 3)}
-        memoised = {n: LocalParameters(P2, al) for n, al in draws.items()}
-        for k in range(11):
-            for na in (3, 1, 2):
-                for nb in (1, 3, 2):
-                    fresh = LocalParameters(P2, draws[na]), LocalParameters(P2, draws[nb])
-                    want = per_pair_jacobi_trudi(*fresh, k)
-                    assert rankin_selberg_local(memoised[na], memoised[nb], k) == want, (na, nb, k)
-
-    def test_memo_keeps_one_entry_per_k(self):
-        # one entry per k and number of parts that takes a determinant; fewer
-        # parts select from it, and one part (h_k) is not kept
-        params = LocalParameters(P2, (0.5 + 0.5j, -0.3j, 0.8))
-        gl2 = LocalParameters(P2, (0.2j, 0.7))
-        partner = LocalParameters(P2, (0.1 - 0.2j,))
-        for k in range(1, 7):
-            for _ in range(2):
-                rankin_selberg_local(params, params, k)
-                rankin_selberg_local(params, gl2, k)
-                rankin_selberg_local(params, partner, k)
-        assert sorted(params.kernels) == [(k, 3) for k in range(1, 7)]
-        assert sorted(gl2.kernels) == [(k, 2) for k in range(1, 7)]
-        assert partner.kernels == {}
-        assert all(len(v) == len(partitions_of(*key)) for key, v in params.kernels.items())
-
-    def test_degree_one_partner_takes_no_determinant(self, monkeypatch):
-        # a GL3 member against the trivial member reads one Schur value, h_e
-        det_calls = []
-        real_det = np.linalg.det
-
-        def det(m):
-            det_calls.append(m.shape)
-            return real_det(m)
-
-        monkeypatch.setattr(np.linalg, "det", det)
-        member = synthetic_family(3, 1, seed=8).members[0]
-        column, _ = family_arrays(make_family([member]), "lambda", None)
-        ideals = list(enumerate_ideals(Q, 200))
-        column.rows(ideals)
-        assert det_calls == []
-        pair = _PrimePowerArrays([_LocalEngine(member, member, "lambda", "product")], "lambda")
-        pair.rows(ideals)
-        assert det_calls  # the GL3 diagonal reads partitions with two and three parts
-
-    def test_partition_cap_enforced(self):
-        with pytest.raises(UsageError, match="cap"):
-            partitions_of(65, 4)
-
-
 class TestExpandGlobal:
     def test_classical_von_mangoldt(self, trivial_rep):
         series = expand_global(trivial_rep, trivial_rep, 200, "biglambda")
@@ -281,7 +221,8 @@ class TestExpandGlobal:
 
 
 class TestPrimePowerArraysRows:
-    """rows, the one product of local values, against the scalar product."""
+    """rows, the one product of local values, against the scalar product: bit
+    for bit, product-model lambda and mu within PRODUCT_TOL."""
 
     # (family, ramified model, norm bound): gl1_exact characters vanish at
     # ramified primes; GL3 over Q(i) exercises split primes and the product model
@@ -313,8 +254,8 @@ class TestPrimePowerArraysRows:
         # two calls: the second reads prime powers the first put in the table
         got = np.concatenate([arrays.rows(mix[:40]), arrays.rows(mix[40:])], axis=1)
         want = np.array([scalar_row(eng, mix) for eng in engines], dtype=np.complex128)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        column = np.ascontiguousarray(want[:, 7])
+        assert_rows_match(got, want, engines)
+        column = np.ascontiguousarray(got[:, 7])
         assert np.array_equal(arrays.at(mix[7]).view(np.uint64), column.view(np.uint64))
         assert not np.signbit(got[got == 0].view(np.float64)).any()  # exact zeros are 0j
         assert any(ideal.is_unit for ideal in mix)
@@ -455,8 +396,9 @@ def build_product_member(field, draw, delta_csv):
 
 
 class TestProductRows:
-    """Product-model rows from each member's values against the scalar rule
-    of scalar_oracle, one engine and prime power at a time: bit for bit."""
+    """Product-model rows from each member's power sums against the scalar rule
+    of scalar_oracle, one engine and prime power at a time: biglambda and logl
+    bit for bit, lambda and mu within PRODUCT_TOL."""
 
     FIELDS = {"Q": Q, "quadratic(-1)": NumberFieldSpec.quadratic(-1)}
 
@@ -486,7 +428,71 @@ class TestProductRows:
             # two calls: the second fills the prime powers the first left out
             got = np.concatenate([arrays.rows(ideals[:split]), arrays.rows(ideals[split:])], axis=1)
             want = np.array([scalar_row(eng, ideals) for eng in arrays.engines], dtype=np.complex128)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert_rows_match(got, want, arrays.engines)
+
+
+# a validated member: (degree, planted prime, seed, dual); degree >= 2 is
+# planted at N(p)^theta_bound(n) at the prime above p, the validation cap
+valid_member = st.tuples(st.integers(1, 6), st.sampled_from((2, 3, 5)), st.integers(0, 10**6), st.booleans())
+
+
+class TestPowerSumKernel:
+    """Product-model lambda and mu come from the members' power sums alone."""
+
+    SPEC = "[family]\nfield = quadratic(-1)\nkind = synthetic\nn = 3\ncount = 4\nseed = 5\n"
+
+    @pytest.mark.parametrize(
+        "command", [["psd", "--nmax", "60"], ["covers", "--kind", "mu", "--nmax", "30", "--trials", "5"]]
+    )
+    def test_runs_take_no_determinant_or_convolution(self, command, tmp_path, monkeypatch):
+        spec = tmp_path / "family.spec"
+        spec.write_text(self.SPEC)
+        calls = []
+        monkeypatch.setattr(np.linalg, "det", lambda *args: calls.append("det"))
+        monkeypatch.setattr(np, "convolve", lambda *args: calls.append("convolve"))
+        argv = command + ["--family", str(spec), "--out", str(tmp_path / "report.jsonl"), "--format", "jsonl"]
+        assert main(argv) == 0
+        assert calls == [] and len((tmp_path / "report.jsonl").read_text().splitlines()) > 10
+
+    def test_mu_zeros_where_the_oracle_has_them(self, delta_csv):
+        # Delta at level 35 has one zero parameter at 5 and at 7, so its pair
+        # polynomial there has degree n_a * n_b with n counting nonzero
+        # parameters: 3 against a GL3 member, 1 against itself, below the
+        # products of the degrees (6 and 4)
+        delta = ingest_hecke_eigenvalues(delta_csv, 12, 35)
+        gl3 = synthetic_family(3, 1, seed=2).members[0]
+        engines = [_LocalEngine(a, b, "mu", "product") for a, b in ((delta, gl3), (gl3, delta), (delta, delta))]
+        ideals = list(enumerate_ideals(Q, 700))
+        got = _PrimePowerArrays(engines, "mu").rows(ideals)
+        want = np.array([scalar_row(engine, ideals) for engine in engines])
+        assert np.array_equal(got == 0, want == 0)
+        # past n_a * n_b, within the degree product: 5^4 for both pairs, and
+        # 7^3 and 2 * 7^3 for Delta against itself
+        at = {ideal.norm: k for k, ideal in enumerate(ideals)}
+        assert (want[:, at[625]] == 0).all() and (want[2, [at[343], at[686]]] == 0).all()
+        assert deviation(got, want) <= PRODUCT_TOL
+
+    @pytest.mark.parametrize("field", sorted(TestProductRows.FIELDS))
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(draws=st.lists(valid_member, min_size=1, max_size=2))
+    @example(draws=[(6, 2, 0, False), (6, 3, 1, True)])
+    def test_planted_members_against_the_oracle(self, field, draws):
+        fld = TestProductRows.FIELDS[field]
+        members = []
+        for n, p, seed, dual in draws:
+            model = ("planted", p, theta_bound(n)) if n >= 2 else "grc"
+            rep = synthetic_family(n, 1, seed=seed, model=model, field=fld).members[0]
+            members.append(contragredient(rep) if dual else rep)
+        ideals = prime_powers_up_to(fld, 4096)
+        for kind in ("lambda", "mu"):
+            engines = [_LocalEngine(a, b, kind, "product") for a in members for b in members]
+            got = _PrimePowerArrays(engines, kind).rows(ideals)
+            want = np.array([scalar_row(engine, ideals) for engine in engines])
+            assert_rows_match(got, want, engines)
+
+    def test_partition_cap_enforced(self):
+        with pytest.raises(UsageError, match="cap"):
+            partitions_of(65, 4)
 
 
 class TestNewtonConsistency:
@@ -618,9 +624,8 @@ class TestRamifiedModel:
         diag = _LocalEngine(pi0, pi0, "lambda", "product")
         dual = contragredient(pi0)
         columns = [_LocalEngine(m, dual, kind, "product") for m in fam.members]
-        assert np.array_equal(weights, [scalar_coefficient(diag, i).real for i in ideals])
-        for row, engine in zip(rows, columns):
-            assert np.array_equal(row, [scalar_coefficient(engine, i) for i in ideals])
+        assert deviation(weights, [scalar_coefficient(diag, i).real for i in ideals]) <= PRODUCT_TOL
+        assert_rows_match(rows, np.array([scalar_row(engine, ideals) for engine in columns]), columns)
         ws = weight_battery(len(fam.members), trials, seed)
         for n in (2, 3, 6, 12, 25):
             ideal = ideal_from_int(Q, n)

@@ -39,7 +39,7 @@ from lfunclab.localdata import (
 )
 from lfunclab.characters import primitive_characters
 
-from scalar_oracle import scalar_coefficient, scalar_row
+from scalar_oracle import PRODUCT_TOL, deviation, scalar_coefficient, scalar_row
 
 Q = NumberFieldSpec.rationals()
 
@@ -273,7 +273,9 @@ class PerEntryAssembly:
 
 
 class TestPerEntryDifferential:
-    """coefficient_matrix equals the per-entry assembly bit for bit."""
+    """coefficient_matrix equals the per-entry assembly bit for bit; where
+    product-model lambda or mu enter, within PRODUCT_TOL relative to
+    max(1, |entry|)."""
 
     # (family, norm bound), named by the family's ramified model and field;
     # characters exist over Q only, and a GL2 member puts them under the product model
@@ -297,12 +299,16 @@ class TestPerEntryDifferential:
         base = "lambda" if kind == "lambda_centered" else kind
         table = PairCoefficientTable(fam, base)
         reference = PerEntryAssembly(fam, base, default_model(fam))
+        rounded = default_model(fam) == "product" and base in ("lambda", "mu")
         factor_counts, zeros = set(), 0
         for ideal in enumerate_ideals(fam.field, bound):
             for pi0 in (None, fam.members[1]) if kind == "lambda_centered" else (None,):
                 got = coefficient_matrix(fam, ideal, kind, pi0=pi0, table=table).entries
                 want = reference.matrix(ideal, kind, pi0)
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), ideal
+                if rounded:
+                    assert deviation(got, want) <= PRODUCT_TOL, ideal
+                else:
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), ideal
                 zeros += int(np.count_nonzero(got == 0))
             factor_counts.add(len(ideal.factors))
         assert {1, 2, 3} <= factor_counts

@@ -52,7 +52,7 @@ from lfunclab.sieve import (
     smooth_sum_residue,
 )
 
-from scalar_oracle import own_row, scalar_row
+from scalar_oracle import PRODUCT_TOL, assert_rows_match, deviation, own_row, scalar_row
 
 Q = NumberFieldSpec.rationals()
 
@@ -450,14 +450,19 @@ FAMILY_CASES = [
 ]
 
 
-def series_path(family, pi0, bound, kind):
-    """The scalar oracle per member against pi0 (None: the trivial member),
-    {ideal: value} up to the bound, and the diagonal."""
+def path_engines(family, pi0, kind):
+    """Each member's engine against pi0 (None: the trivial member), and the diagonal's."""
     model = default_model(family)
     pi0 = pi0 or trivial_representation(family.field)
     dual = contragredient(pi0)
     engines = [_LocalEngine(m, dual, kind, pair_model(m, pi0, model)) for m in family.members]
-    diag = _LocalEngine(pi0, pi0, "lambda", pair_model(pi0, pi0, model))
+    return engines, _LocalEngine(pi0, pi0, "lambda", pair_model(pi0, pi0, model))
+
+
+def series_path(family, pi0, bound, kind):
+    """The scalar oracle per member against pi0 (None: the trivial member),
+    {ideal: value} up to the bound, and the diagonal."""
+    engines, diag = path_engines(family, pi0, kind)
     ideals = ideal_list(family.field, bound)
 
     def values(engine):
@@ -466,9 +471,27 @@ def series_path(family, pi0, bound, kind):
     return [values(e) for e in engines], values(diag)
 
 
+def exact_case(family, pi0, kind) -> bool:
+    """Whether every value the case reads equals the oracle's bit for bit: all
+    but product-model lambda and mu, whose diagonal is exact for the trivial pi0."""
+    engines, diag = path_engines(family, pi0, kind)
+    rounded = lambda engine: engine.model == "product" and engine.kind in ("lambda", "mu")
+    return not any(map(rounded, engines)) and (pi0 is None or not rounded(diag))
+
+
+def assert_matches(got, want, exact: bool) -> None:
+    """got == want, or within PRODUCT_TOL relative to max(1, |want|) where
+    product-model lambda or mu enter."""
+    if exact:
+        assert got == want
+    else:
+        assert deviation(got, want) <= PRODUCT_TOL
+
+
 class TestFamilyArraysAgainstSeriesPath:
     """family_coefficient_rows, sifted_sum_check and mvt_mu read the per-prime-power
-    arrays; every value must equal the scalar product per member bit for bit."""
+    arrays; every value must equal the scalar product per member bit for bit,
+    where product-model lambda or mu enter within PRODUCT_TOL."""
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(
@@ -481,9 +504,11 @@ class TestFamilyArraysAgainstSeriesPath:
         a, ideals, weights = family_coefficient_rows(family, bound, pi0, kind)
         series, diag = series_path(family, pi0, bound, kind)
         want = np.array([[s[i] for i in ideals] for s in series], dtype=np.complex128)
-        assert np.array_equal(a.view(np.uint64), want.view(np.uint64))
+        engines, diag_engine = path_engines(family, pi0, kind)
+        assert_rows_match(a, want, engines)
         assert weights.dtype == np.float64
-        assert np.array_equal(weights, [diag[i].real for i in ideals])
+        want_weights = np.array([diag[i].real for i in ideals])
+        assert_rows_match(weights[None], want_weights[None], [diag_engine])
         if pi0 is None:
             assert (weights == 1.0).all()
 
@@ -537,7 +562,7 @@ class TestFamilyArraysAgainstSeriesPath:
         for ideal in window:
             single += diag[ideal].real
         got = (res.lhs, res.weighted_norm_sq, res.single_rep_sum, res.sifted_count)
-        assert got == (lhs, wnorm, single, len(window))
+        assert_matches(got, (lhs, wnorm, single, len(window)), exact_case(family, pi0, kind))
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(
@@ -568,4 +593,4 @@ class TestFamilyArraysAgainstSeriesPath:
             vals = np.abs(np.exp(-1j * np.outer(vs, np.log(norms))) @ cs) ** 2
             h = vs[1] - vs[0]
             total += (vals[0] + vals[-1] + 4 * vals[1:-1:2].sum() + 2 * vals[2:-2:2].sum()) * h / 3.0
-        assert res.value == total
+        assert_matches(res.value, total, exact_case(family, pi0, "mu"))
