@@ -9,11 +9,14 @@ as exp(+-log L), the duality behind the large sieve.  Each operation checks
 its blocks against targets computed independently.  Covers cannot be
 certified from coefficients alone, so this module also checks their
 consequences: Hermitian coefficient matrices with nonnegative spectra and
-bilinear Cauchy-Schwarz inequalities over random weights.
+bilinear Cauchy-Schwarz inequalities over a battery of seeded complex
+Gaussian weights.  The battery is numpy's PCG64 standard normals, drawn
+bit for bit by pcg64 and ziggurat without numpy.random, once per run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -194,13 +197,28 @@ class BilinearCheckResult:
     kind: str
 
 
+@functools.lru_cache(maxsize=4)
 def weight_battery(size: int, trials: int, seed: int) -> np.ndarray:
-    """Seeded complex Gaussian weights plus all-ones and single spikes."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    rows = [np.ones(size, dtype=np.complex128)]
-    rows.extend(np.eye(size, dtype=np.complex128))
-    gauss = rng.standard_normal((trials, size)) + 1j * rng.standard_normal((trials, size))
-    return np.vstack([np.array(rows), gauss])
+    """Seeded complex Gaussian weights plus all-ones and single spikes, read-only.
+
+    The rows are the all-ones row, the size spikes, then a + 1j * b for
+    a and b numpy's Generator(PCG64(SeedSequence(seed))).standard_normal(
+    (trials, size)) drawn one after the other, bit for bit from
+    ziggurat.standard_normal.  Every ideal of a run asks for the same
+    battery, so it is drawn once; a negative seed or a battery past the
+    table ceiling is refused before any draw.
+    """
+    if seed < 0:
+        raise UsageError(f"weight seeds are non-negative integers, not {seed}")
+    check_table_bytes(trials + size + 1, size, "the weight battery")
+    from . import ziggurat  # compiled only by steps that draw weights
+
+    normals = ziggurat.standard_normal(seed, 2 * trials * size).reshape(2, trials, size)
+    gauss = normals[0] + 1j * normals[1]
+    ones = np.ones((1, size), dtype=np.complex128)
+    ws = np.concatenate([ones, np.eye(size, dtype=np.complex128), gauss])
+    ws.flags.writeable = False
+    return ws
 
 
 def bilinear_inequality_check(
@@ -224,10 +242,10 @@ def bilinear_inequality_check(
         raise UsageError("coverable kinds are lambda, mu, logl")
     if trials < 1:
         raise UsageError("trials must be >= 1")
+    ws = weight_battery(len(family.members), trials, seed)
     table = table or PairCoefficientTable(family, "lambda")
     cover = coefficient_matrix(family, ideal, "lambda", table=table)
     vec, w00 = table.pi0_column(pi0, kind, ideal)
-    ws = weight_battery(len(family.members), trials, seed)
     quad = np.einsum("ti,ij,tj->t", ws, cover.entries, ws.conj()).real
     lin = np.abs(ws @ vec) ** 2
     margins = w00.real * quad - lin

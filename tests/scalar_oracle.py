@@ -17,7 +17,11 @@ the member's parameters alone.
 
 `member_rng`, `grc_tuple` and `synthetic_alphas` keep the synthetic members'
 rule as numpy's Generator draws it, one generator per (member, prime): the
-oracle for `pcg64.stream_doubles` and the families built on it."""
+oracle for `pcg64.stream_doubles` and the families built on it.
+`weight_battery` keeps the covers weight battery's rule as numpy's
+Generator draws it, the oracle for `covers.weight_battery`, and
+`ziggurat_walk` walks numpy's ziggurat one raw word at a time to count the
+draws each of its paths returns."""
 
 import math
 
@@ -26,6 +30,7 @@ import numpy as np
 from lfunclab.characters import conjugate, multiply, primitive_part
 from lfunclab.coeffs import partitions_of, power_sum
 from lfunclab.ideals import prime_ideal
+from lfunclab.ziggurat import _FI, _INV_R, _KI, _R, _WI
 
 
 def poly_from_roots(alphas) -> np.ndarray:
@@ -241,3 +246,49 @@ def synthetic_alphas(n: int, seed: int, model, member: int, prime) -> tuple[comp
         r = float(prime.norm) ** model[2]
         return (complex(r, 0.0), complex(1.0 / r, 0.0), *grc_tuple(rng, n - 2))
     return tuple(grc_tuple(rng, n))
+
+
+def weight_battery(size: int, trials: int, seed: int) -> np.ndarray:
+    """covers.weight_battery as numpy.random draws it."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rows = [np.ones(size, dtype=np.complex128)]
+    rows.extend(np.eye(size, dtype=np.complex128))
+    gauss = rng.standard_normal((trials, size)) + 1j * rng.standard_normal((trials, size))
+    return np.vstack([np.array(rows), gauss])
+
+
+def ziggurat_walk(seed: int, count: int) -> tuple[list[float], dict[str, int]]:
+    """The first `count` standard normals of numpy's
+    Generator(PCG64(SeedSequence(seed))), one word of its random_raw()
+    stream at a time, as random_standard_normal walks them; and how many
+    each path returned ("fast", "wedge", "tail") or rejected ("rejected")."""
+    bitgen = np.random.PCG64(np.random.SeedSequence(seed))
+
+    def raw():
+        while True:
+            yield from bitgen.random_raw(4096).tolist()
+
+    words = raw()
+    unit = lambda: (next(words) >> 11) * (1.0 / 9007199254740992.0)
+    values, paths = [], dict.fromkeys(("fast", "wedge", "tail", "rejected"), 0)
+    while len(values) < count:
+        r = next(words)
+        idx, rabs = r & 0xFF, r >> 9 & 0x000FFFFFFFFFFFFF
+        x = -(rabs * _WI[idx]) if r >> 8 & 1 else rabs * _WI[idx]
+        if rabs < _KI[idx]:
+            path = "fast"
+        elif idx == 0:
+            while True:
+                xx = -_INV_R * math.log1p(-unit())
+                yy = -math.log1p(-unit())
+                if yy + yy > xx * xx:
+                    break
+            x, path = (-(_R + xx) if rabs >> 8 & 1 else _R + xx), "tail"
+        elif (_FI[idx - 1] - _FI[idx]) * unit() + _FI[idx] < math.exp(-0.5 * x * x):
+            path = "wedge"
+        else:
+            paths["rejected"] += 1
+            continue
+        values.append(x)
+        paths[path] += 1
+    return values, paths

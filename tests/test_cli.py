@@ -129,18 +129,27 @@ class TestStartup:
 
     def test_only_steps_that_draw_compile_the_stream_kernel(self, tmp_path):
         """Each step compiles the modules it imports (PYTHONDONTWRITEBYTECODE
-        runs), which raises its peak RSS: the kernel loads on the first draw."""
-        drawing = ["psd", "--nmax", "20", "--family", "{spec}"]
-        assert "lfunclab.pcg64" in self.loaded_after(drawing, tmp_path, "lfunclab.pcg64")
-        assert self.loaded_after(["mvt", "--x", "30", "--t", "1"], tmp_path, "lfunclab.pcg64") == []
+        runs), which raises its peak RSS: the stream kernel loads on the
+        first draw, and the ziggurat with its tables only where a weight
+        battery is drawn."""
+        steps = {
+            "psd": ["psd", "--nmax", "20", "--family", "{spec}"],
+            "covers": ["covers", "--nmax", "12", "--trials", "5", "--family", "{spec}"],
+            "large-sieve": ["large-sieve", "--n", "20,40", "--family", "{spec}"],
+            "mvt": ["mvt", "--x", "30", "--t", "1"],
+        }
+        loaded = {name: self.loaded_after(argv, tmp_path, "lfunclab") for name, argv in steps.items()}
+        loading = lambda module: [name for name in steps if module in loaded[name]]
+        assert loading("lfunclab.pcg64") == ["psd", "covers", "large-sieve"]
+        assert loading("lfunclab.ziggurat") == ["covers"]
 
-    def test_weight_battery_loads_numpy_random(self, tmp_path):
+    def test_covers_loads_no_numpy_random(self, tmp_path):
+        """The weight battery comes from ziggurat.standard_normal."""
         command = ["covers", "--nmax", "12", "--trials", "5", "--family", "{spec}"]
-        assert "numpy.random" in self.loaded_after(command, tmp_path, "numpy.random")
+        assert self.loaded_after(command, tmp_path, "numpy.random") == []
 
-    def test_numpy_random_only_in_the_weight_battery_and_selftests(self):
-        """Outside weight_battery and the selftests, src/ draws nothing from
-        numpy.random."""
+    def test_numpy_random_only_in_the_selftests(self):
+        """Outside the selftests, src/ draws nothing from numpy.random."""
         users = []
         for dirpath, _, names in os.walk(SRC_DIR):
             for name in sorted(n for n in names if n.endswith(".py")):
@@ -148,7 +157,7 @@ class TestStartup:
                     tree = ast.parse(fh.read())
                 allowed = set()
                 for node in ast.walk(tree):
-                    if isinstance(node, ast.FunctionDef) and node.name in ("weight_battery", "selftest"):
+                    if isinstance(node, ast.FunctionDef) and node.name == "selftest":
                         allowed |= {id(n) for n in ast.walk(node)}
                 for node in ast.walk(tree):
                     is_random = (isinstance(node, ast.Attribute) and node.attr == "random"
@@ -225,6 +234,12 @@ class TestExitCodes:
         assert code == 2
         assert "non-negative" in capsys.readouterr().err
 
+    def test_negative_covers_seed_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert main(["covers", "--nmax", "6", "--seed", "-1", "--out", str(out)]) == 2
+        assert "non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validation_error_exits_two(self, tmp_path, capsys):
         code = main(["detect", "--eta", "0.9", "--log-scale", "40",
                      "--out", str(tmp_path / "d.csv")])
@@ -241,6 +256,8 @@ class TestExitCodes:
             ["psd", "--family", MODULUS_100_SPEC, "--nmax", "2000"],
             # 1,816 members x 200,000 ideals x 16 bytes = 5.8 GB of rows; refused in about 2 s
             ["large-sieve", "--gl1", "--qmax", "100", "--n", "200000"],
+            # a (10^10 + 7) x 6 weight battery of 960 GB, refused before any draw
+            ["covers", "--nmax", "4", "--trials", "10000000000"],
         ],
     )
     def test_past_a_ceiling_exits_two_before_allocating(

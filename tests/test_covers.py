@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lfunclab import coeffs
+from lfunclab import coeffs, ziggurat
 from lfunclab.coeffs import _LocalEngine, default_model, expand_global, pair_model
 from lfunclab.covers import (
     MATRIX_KINDS,
@@ -19,6 +21,7 @@ from lfunclab.covers import (
     cover_scale,
     log_decomposition,
     psd_check_full,
+    weight_battery,
 )
 from lfunclab.errors import DataIntegrityError, ResourceLimitError, UsageError
 from lfunclab.ideals import (
@@ -39,7 +42,8 @@ from lfunclab.localdata import (
 )
 from lfunclab.characters import primitive_characters
 
-from scalar_oracle import PRODUCT_TOL, deviation, scalar_coefficient, scalar_row
+from scalar_oracle import PRODUCT_TOL, deviation, scalar_coefficient, scalar_row, ziggurat_walk
+from scalar_oracle import weight_battery as numpy_battery
 
 Q = NumberFieldSpec.rationals()
 
@@ -172,6 +176,70 @@ class TestBilinearInequality:
         for n in (2, 3, 6, 12):
             res = bilinear_inequality_check("mu", small_char_family, pi0, ideal_from_int(Q, n), trials=64, seed=8)
             assert res.worst_margin >= -1e-9
+
+
+def numpy_normals(seed: int, count: int) -> np.ndarray:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))).standard_normal(count)
+
+
+class TestWeightBattery:
+    """weight_battery and the ziggurat under it against numpy's Generator,
+    in every 64-bit word."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        size=st.integers(1, 120),
+        trials=st.sampled_from((1, 2, 7, 50, 200)),
+        # seeds of one, two and three or more uint32 words
+        seed=st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                       st.integers(2**64, 2**140)),
+    )
+    @example(size=108, trials=200, seed=0)
+    @example(size=24, trials=200, seed=31)
+    @example(size=1, trials=1, seed=2**64)
+    def test_every_word_matches_numpy(self, size, trials, seed):
+        got, want = weight_battery(size, trials, seed), numpy_battery(size, trials, seed)
+        assert got.shape == want.shape == (trials + size + 1, size)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_long_stream_takes_every_path(self):
+        """400,000 draws at seed 0: 396,688 accepted at once, 3,205 in a wedge
+        and 107 in the tail, after 2,760 rejected words.  The rejected and
+        slow words outrun the words taken first, so the stream also grows."""
+        want, paths = ziggurat_walk(0, 400_000)
+        assert paths == {"fast": 396_688, "wedge": 3_205, "tail": 107, "rejected": 2_760}
+        numpy_words = numpy_normals(0, 400_000).view(np.uint64)
+        assert np.array_equal(np.array(want).view(np.uint64), numpy_words)
+        assert np.array_equal(ziggurat.standard_normal(0, 400_000).view(np.uint64), numpy_words)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 1023, 1024, 1025, 5000])
+    def test_counts_at_the_lane_edges(self, count):
+        got = ziggurat.standard_normal(5, count)
+        assert np.array_equal(got.view(np.uint64), numpy_normals(5, count).view(np.uint64))
+
+    def test_cache_is_bounded_and_read_only(self, small_char_family):
+        weight_battery.cache_clear()
+        for seed in range(10):
+            weight_battery(3, 2, seed)
+        info = weight_battery.cache_info()
+        assert info.currsize == info.maxsize == 4
+        assert weight_battery(3, 2, 9) is weight_battery(3, 2, 9)
+        ws = weight_battery(3, 2, 9)
+        with pytest.raises(ValueError):
+            ws[0, 0] = 0
+        res = bilinear_inequality_check(
+            "mu", small_char_family, None, ideal_from_int(Q, 6), trials=5, seed=2
+        )
+        with pytest.raises(ValueError):
+            res.argmin_weights[0] = 0
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(UsageError, match="non-negative"):
+            weight_battery(3, 2, -1)
+
+    def test_ceiling_refused_before_any_draw(self, refuse_large_arrays):
+        with pytest.raises(ResourceLimitError):
+            weight_battery(20, 10**10, 0)
 
 
 class TestSharedTable:

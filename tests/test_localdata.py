@@ -155,6 +155,18 @@ class TestStreamDoubles:
         assert got.shape == (len(keys), width)
         assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
 
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(seed=seeds, takes=st.lists(st.integers(0, 3000), min_size=1, max_size=4))
+    @example(seed=0, takes=[1, 1023, 1025])
+    def test_stream_matches_random_raw(self, seed, takes):
+        """Stream's words, over several takes, are numpy's random_raw() words
+        in order: the lanes and their jump together make one stream."""
+        stream = pcg64.Stream(seed)
+        got = np.concatenate([stream.take(count) for count in takes])
+        assert len(got) >= sum(takes)
+        want = np.random.PCG64(np.random.SeedSequence(seed)).random_raw(len(got))
+        assert got.tolist() == want.tolist()
+
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(
         n=st.integers(1, 6),
