@@ -214,9 +214,12 @@ def weight_battery(size: int, trials: int, seed: int) -> np.ndarray:
     from . import ziggurat  # compiled only by steps that draw weights
 
     normals = ziggurat.standard_normal(seed, 2 * trials * size).reshape(2, trials, size)
-    gauss = normals[0] + 1j * normals[1]
-    ones = np.ones((1, size), dtype=np.complex128)
-    ws = np.concatenate([ones, np.eye(size, dtype=np.complex128), gauss])
+    ws = np.empty((size + 1 + trials, size), dtype=np.complex128)
+    ws[0] = 1
+    ws[1:size + 1] = np.eye(size)
+    gauss = ws[size + 1:]  # a + 1j * b, built in place
+    np.multiply(1j, normals[1], out=gauss)
+    np.add(normals[0], gauss, out=gauss)
     ws.flags.writeable = False
     return ws
 

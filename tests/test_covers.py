@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lfunclab import coeffs, ziggurat
+from lfunclab import coeffs, pcg64, ziggurat
 from lfunclab.coeffs import _LocalEngine, default_model, expand_global, pair_model
 from lfunclab.covers import (
     MATRIX_KINDS,
@@ -217,6 +218,22 @@ class TestWeightBattery:
         got = ziggurat.standard_normal(5, count)
         assert np.array_equal(got.view(np.uint64), numpy_normals(5, count).view(np.uint64))
 
+    def test_a_block_grows_when_a_rejected_word_reads_past_it(self, monkeypatch):
+        """At seed 55 the 1,024 draws take one block of 1,024 words, and a
+        rejected word near its end reads past it: the block grows by one
+        array step rather than losing those words."""
+        takes = []
+        take = pcg64.Stream.take
+
+        def counted(stream, count):
+            takes.append(count)
+            return take(stream, count)
+
+        monkeypatch.setattr(pcg64.Stream, "take", counted)
+        got = ziggurat.standard_normal(55, 1024)
+        assert takes == [1024, 1]
+        assert np.array_equal(got.view(np.uint64), numpy_normals(55, 1024).view(np.uint64))
+
     def test_cache_is_bounded_and_read_only(self, small_char_family):
         weight_battery.cache_clear()
         for seed in range(10):
@@ -232,6 +249,17 @@ class TestWeightBattery:
         )
         with pytest.raises(ValueError):
             res.argmin_weights[0] = 0
+
+    def test_working_memory_is_the_normals_and_the_battery(self):
+        """The stream is decoded a block at a time and the battery filled in
+        place, so the draw peaks at the normals plus the battery."""
+        tracemalloc.start()
+        try:
+            ws = weight_battery(20, 40_000, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * ws.nbytes
 
     def test_negative_seed_refused(self):
         with pytest.raises(UsageError, match="non-negative"):
