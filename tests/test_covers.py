@@ -204,9 +204,9 @@ class TestWeightBattery:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_long_stream_takes_every_path(self):
-        """400,000 draws at seed 0: 396,688 accepted at once, 3,205 in a wedge
-        and 107 in the tail, after 2,760 rejected words.  The rejected and
-        slow words outrun the words taken first, so the stream also grows."""
+        """400,000 draws at seed 0, over seven blocks of the stream: 396,688
+        accepted at once, 3,205 in a wedge and 107 in the tail, after 2,760
+        rejected words."""
         want, paths = ziggurat_walk(0, 400_000)
         assert paths == {"fast": 396_688, "wedge": 3_205, "tail": 107, "rejected": 2_760}
         numpy_words = numpy_normals(0, 400_000).view(np.uint64)
@@ -253,6 +253,7 @@ class TestWeightBattery:
     def test_working_memory_is_the_normals_and_the_battery(self):
         """The stream is decoded a block at a time and the battery filled in
         place, so the draw peaks at the normals plus the battery."""
+        weight_battery.cache_clear()
         tracemalloc.start()
         try:
             ws = weight_battery(20, 40_000, 3)
