@@ -1,8 +1,12 @@
 """Large sieve constants, bound comparisons, and Selberg sieve machinery.
 
 The sieve constant of a family is the operator norm squared of its
-coefficient matrix: rows indexed by members, columns by ideals of norm up
-to N, so it equals the largest eigenvalue of the Gram matrix.  Asymptotic
+coefficient matrix B: rows indexed by members, columns by ideals of norm up
+to N.  By duality it is the largest eigenvalue of the |S| x |S| Gram
+B B^H, which over the first N columns is a sum of chunk Grams; bound_table
+walks the ideals once in norm order, adds each chunk's Gram and solves at
+every N, so no |S| x N matrix is held.  The Gram and the values the walk
+computes are checked against the table ceiling before they exist.  Asymptotic
 bound shapes are reported with their unspecified constants omitted and a
 shape_only flag set; only the classical GL1 bound N + Q^2 - 1 is an
 effective inequality that gets asserted.
@@ -24,6 +28,7 @@ import numpy as np
 
 from .coeffs import (
     KahanAccumulator,
+    check_table_bytes,
     diagonal_sum,
     expand_global,
     family_arrays,
@@ -113,6 +118,7 @@ def phi_hat(s: complex) -> complex:
 # weight vectors and the sieve constant
 
 GRC_PROBE_NORM = 100  # family_grc_exponent scans the primes up to this norm
+GRAM_CHUNK = 1024  # ideals per step of bound_table's Gram accumulation
 
 
 @dataclass
@@ -120,58 +126,6 @@ class WeightVector:
     """Complex weights on ideals."""
 
     values: dict[IdealIndex, complex]
-
-
-@dataclass
-class SieveConstantResult:
-    value: float
-    all_zero: bool
-    rows: int
-    cols: int
-
-
-def family_coefficient_rows(
-    family: Family,
-    n_bound: int,
-    pi0: Representation | None,
-    kind: str,
-) -> tuple[np.ndarray, list[IdealIndex], np.ndarray]:
-    """Matrix A with A[i, j] = lambda^o of member i against pi0 at ideal j, plus weights.
-
-    The columns carry the diagonal weights lambda_{pi0 x dual pi0}(n) used
-    for the weighted norm; pi0 = None is the trivial member, of weight 1.0.
-    """
-    ideals = ideal_list(family.field, n_bound)
-    column, diagonal = family_arrays(family, kind, pi0)
-    return column.rows(ideals), ideals, diagonal.rows(ideals)[0].real
-
-
-def sieve_constant(
-    family: Family,
-    n_bound: int,
-    pi0: Representation | None = None,
-    kind: str = "lambda",
-) -> SieveConstantResult:
-    """Largest eigenvalue of the self-adjoint Gram matrix of the family.
-
-    Columns are scaled by lambda_{pi0 x dual pi0}(n)^(-1/2) (the weighted
-    norm; 1 for the default trivial pi0), with zero-weight columns dropped.
-    """
-    if len(family.members) == 0:
-        raise UsageError("sieve_constant needs a nonempty family")
-    a, _ideals, weights = family_coefficient_rows(family, n_bound, pi0, kind)
-    return _gram_constant(a, weights)
-
-
-def _gram_constant(a: np.ndarray, weights: np.ndarray) -> SieveConstantResult:
-    """sieve_constant's eigen solve on given rows and column weights."""
-    keep = weights > 1e-14
-    a = a[:, keep] / np.sqrt(weights[keep])[None, :]
-    if not a.size or not np.abs(a).max():
-        return SieveConstantResult(0.0, True, a.shape[0], a.shape[1])
-    gram = a @ a.conj().T
-    eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
-    return SieveConstantResult(float(eigs[-1]), False, a.shape[0], a.shape[1])
 
 
 def family_grc_exponent(family: Family) -> float:
@@ -192,29 +146,55 @@ def bound_table(
     pi0: Representation | None = None,
     kind: str = "lambda",
 ) -> list[dict]:
-    """Measured sieve constant against the published bound shapes.
+    """Measured sieve constant at each N of n_list against the published bound shapes.
+
+    The constant at N is the largest eigenvalue of B B^H, B the members'
+    coefficients against pi0 at the ideals of norm <= N, each column scaled
+    by lambda_{pi0 x dual pi0}(n)^(-1/2) (1 for the default trivial pi0) and
+    dropped where that weight is at most 1e-14.  B B^H over the first
+    columns is a sum of chunk Grams, so one walk over the ideals in norm
+    order adds B_c B_c^H, GRAM_CHUNK columns at a time, to one |S| x |S|
+    Gram and solves it at each distinct N of the sorted list; the rows keep
+    n_list's order.  The Gram is checked against the table ceiling before
+    anything else, and the |S| x (ideals up to max N) values the pass
+    computes before the first chunk.
 
     All shapes except the trivial count drop o(1) factors and implied
     constants, and are marked shape_only in the output.
     """
+    s = len(family.members)
+    if not s:
+        raise UsageError("bound_table needs a nonempty family")
+    check_table_bytes(s, s, "the Gram matrix")
     n_deg = max(m.degree for m in family.members)
     q = family.max_conductor
-    s = len(family.members)
     th = family_grc_exponent(family)
     if not n_list:
         return []
-    # one coefficient matrix at the largest N; each N takes its column prefix
-    a, ideals, weights = family_coefficient_rows(family, max(n_list), pi0, kind)
+    ideals = ideal_list(family.field, max(n_list))
+    column, diagonal = family_arrays(family, kind, pi0)
+    check_table_bytes(s, len(ideals), "coefficient rows")
     norms = [i.norm for i in ideals]
+    gram = np.zeros((s, s), dtype=np.complex128)
+    measured = {}
+    done = 0
+    for n_bound in sorted(set(n_list)):
+        cols = bisect.bisect_right(norms, n_bound)
+        for start in range(done, cols, GRAM_CHUNK):
+            chunk = ideals[start : min(start + GRAM_CHUNK, cols)]
+            weights = diagonal.rows(chunk)[0].real
+            keep = weights > 1e-14
+            b = column.rows(chunk)[:, keep] / np.sqrt(weights[keep])[None, :]
+            gram += b @ b.conj().T
+        done = cols
+        top = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)[-1] if gram.any() else 0.0
+        measured[n_bound] = float(top)
     rows = []
     for n_bound in n_list:
-        cols = bisect.bisect_right(norms, n_bound)
-        assert tuple(ideals[:cols]) == tuple(ideal_list(family.field, n_bound))
-        measured = _gram_constant(np.ascontiguousarray(a[:, :cols]), weights[:cols])
         rows.append(
             {
                 "N": n_bound,
-                "measured_C": measured.value,
+                "measured_C": measured[n_bound],
                 "trivial_NS": float(n_bound * s),
                 "dual_shape": n_bound + q**n_deg * s,
                 "grc_shape": n_bound + math.sqrt(n_bound) * q ** (n_deg / 2) * s,
@@ -689,13 +669,13 @@ def selftest() -> list[tuple[str, bool, str]]:
     triv = trivial_representation()
     fam1 = make_family([triv], label="trivial")
 
-    c = sieve_constant(fam1, 3)
-    results.append(("rank-one sieve constant saturates N", abs(c.value - 3.0) < 1e-10, f"{c.value}"))
+    c = bound_table(fam1, [3])[0]["measured_C"]
+    results.append(("rank-one sieve constant saturates N", abs(c - 3.0) < 1e-10, f"{c}"))
 
     fam = dirichlet_family_by_modulus(10)
-    c = sieve_constant(fam, 200)
+    c = bound_table(fam, [200])[0]["measured_C"]
     results.append(
-        ("classical bound N + Q^2 - 1 at q <= 10, N = 200", c.value <= 299 + 1e-6, f"C = {c.value:.6f}")
+        ("classical bound N + Q^2 - 1 at q <= 10, N = 200", c <= 299 + 1e-6, f"C = {c:.6f}")
     )
 
     w = selberg_weights(triv, 3.0)

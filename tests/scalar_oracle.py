@@ -21,14 +21,18 @@ oracle for `pcg64.stream_doubles` and the families built on it.
 `weight_battery` keeps the covers weight battery's rule as numpy's
 Generator draws it, the oracle for `covers.weight_battery`, and
 `ziggurat_walk` walks numpy's ziggurat one raw word at a time to count the
-draws each of its paths returns."""
+draws each of its paths returns.
+
+`gram_constant` keeps the large-sieve constant's full-matrix rule: the
+whole |S| x N row matrix at one N, its weighted columns and one Gram, the
+oracle for `sieve.bound_table`'s chunked Gram."""
 
 import math
 
 import numpy as np
 
 from lfunclab.characters import conjugate, multiply, primitive_part
-from lfunclab.coeffs import partitions_of, power_sum
+from lfunclab.coeffs import family_arrays, ideal_list, partitions_of, power_sum
 from lfunclab.ideals import prime_ideal
 from lfunclab.ziggurat import _FI, _INV_R, _KI, _R, _WI
 
@@ -246,6 +250,21 @@ def synthetic_alphas(n: int, seed: int, model, member: int, prime) -> tuple[comp
         r = float(prime.norm) ** model[2]
         return (complex(r, 0.0), complex(1.0 / r, 0.0), *grc_tuple(rng, n - 2))
     return tuple(grc_tuple(rng, n))
+
+
+def gram_constant(family, n_bound: int, pi0, kind: str) -> float:
+    """Largest eigenvalue of A A^H, A the family's rows at the ideals of norm
+    <= n_bound with each column scaled by its pi0 weight^(-1/2), the columns
+    of weight <= 1e-14 dropped: one matrix and one Gram at this N."""
+    ideals = ideal_list(family.field, n_bound)
+    column, diagonal = family_arrays(family, kind, pi0)
+    a, weights = column.rows(ideals), diagonal.rows(ideals)[0].real
+    keep = weights > 1e-14
+    a = a[:, keep] / np.sqrt(weights[keep])[None, :]
+    if not a.size or not np.abs(a).max():
+        return 0.0
+    gram = a @ a.conj().T
+    return float(np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)[-1])
 
 
 def weight_battery(size: int, trials: int, seed: int) -> np.ndarray:

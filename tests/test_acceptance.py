@@ -32,7 +32,7 @@ from lfunclab.localdata import (
     synthetic_family,
     trivial_representation,
 )
-from lfunclab.sieve import selberg_weights, sieve_constant
+from lfunclab.sieve import bound_table, selberg_weights
 
 Q = NumberFieldSpec.rationals()
 N_SWEEP = 2000
@@ -86,12 +86,13 @@ def test_criterion_2_classical_gl1_large_sieve(trivial_rep):
     worst_gap = math.inf
     for q_bound in (5, 10, 20):
         family = dirichlet_family_by_modulus(q_bound)
-        for n_bound in (50, 100, 200, 500):
-            c = sieve_constant(family, n_bound).value
+        n_list = (50, 100, 200, 500)
+        for n_bound, row in zip(n_list, bound_table(family, n_list)):
+            c = row["measured_C"]
             limit = n_bound + q_bound**2 - 1
             assert c <= limit + 1e-9, f"C({n_bound}, q<={q_bound}) = {c} > {limit}"
             worst_gap = min(worst_gap, limit - c)
-    single = sieve_constant(make_family([trivial_rep]), 500).value
+    single = bound_table(make_family([trivial_rep]), [500])[0]["measured_C"]
     assert abs(single - 500.0) <= 1e-8
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0

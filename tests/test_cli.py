@@ -258,6 +258,8 @@ class TestExitCodes:
             ["large-sieve", "--gl1", "--qmax", "100", "--n", "200000"],
             # a (10^10 + 7) x 6 weight battery of 960 GB, refused before any draw
             ["covers", "--nmax", "4", "--trials", "10000000000"],
+            # 16,671 members: a 16,671 x 16,671 Gram of 4.4 GB, refused before it is allocated
+            ["large-sieve", "--gl1", "--qmax", "300", "--n", "2"],
         ],
     )
     def test_past_a_ceiling_exits_two_before_allocating(

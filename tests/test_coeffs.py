@@ -16,6 +16,7 @@ from lfunclab.coeffs import (
     dirichlet_convolve,
     expand_global,
     family_arrays,
+    ideal_list,
     mertens_sum,
     pair_model,
     partitions_of,
@@ -53,7 +54,6 @@ from lfunclab.localdata import (
     theta_bound,
     trivial_representation,
 )
-from lfunclab.sieve import family_coefficient_rows
 
 from scalar_oracle import (
     PRODUCT_TOL,
@@ -620,7 +620,9 @@ class TestRamifiedModel:
     def test_gl2_pi0_column_uses_product(self, small_char_family, gl2_family, kind):
         fam, pi0 = small_char_family, gl2_family.members[0]
         bound, trials, seed = 40, 30, 5
-        rows, ideals, weights = family_coefficient_rows(fam, bound, pi0, kind)
+        ideals = ideal_list(fam.field, bound)
+        column, diagonal = family_arrays(fam, kind, pi0)
+        rows, weights = column.rows(ideals), diagonal.rows(ideals)[0].real
         diag = _LocalEngine(pi0, pi0, "lambda", "product")
         dual = contragredient(pi0)
         columns = [_LocalEngine(m, dual, kind, "product") for m in fam.members]

@@ -161,10 +161,10 @@ def test_every_option_is_set_by_a_caller():
 def test_options_set_only_by_the_tests():
     """Defaulted parameters that only tests/ set, and why they stay.
 
-    The pi0 options carry the paper's L(s, pi x pi0) families, and
-    sieve_constant(kind) its other series kinds; no CLI flag reaches them
-    yet.  sifted_sum_check(weights) and jk_tail_bounds_check(k_values) let
-    the tests plant what the pipelines fix: the sieve weights and a k range.
+    The pi0 options carry the paper's L(s, pi x pi0) families; no CLI flag
+    reaches them yet.  sifted_sum_check(weights) and
+    jk_tail_bounds_check(k_values) let the tests plant what the pipelines
+    fix: the sieve weights and a k range.
     A new option that only the tests set fails here until it is recorded.
     """
     program_calls = calls_by_name([top for top in SEARCHED if top != TESTS])
@@ -175,8 +175,6 @@ def test_options_set_only_by_the_tests():
     }
     assert test_only == {
         "covers.py coefficient_matrix(pi0)",
-        "sieve.py sieve_constant(pi0)",
-        "sieve.py sieve_constant(kind)",
         "sieve.py bound_table(pi0)",
         "sieve.py sifted_sum_check(weights)",
         "detect.py jk_tail_bounds_check(k_values)",

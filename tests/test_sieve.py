@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,46 +43,57 @@ from lfunclab.sieve import (
     bound_table,
     bump_phi,
     diagonal_lower_bound_check,
-    family_coefficient_rows,
     g_factor,
     mvt_mu,
     phi_hat,
     selberg_weights,
-    sieve_constant,
     sifted_sum_check,
     smooth_sum_residue,
 )
 
-from scalar_oracle import PRODUCT_TOL, assert_rows_match, deviation, own_row, scalar_row
+from scalar_oracle import (
+    PRODUCT_TOL,
+    assert_rows_match,
+    deviation,
+    gram_constant,
+    own_row,
+    scalar_row,
+)
 
 Q = NumberFieldSpec.rationals()
+PREFIX_TOL = 1e-13  # relative: bound_table's chunked Gram against the full-matrix oracle
+
+
+def measured(family, n_bound: int, pi0=None, kind: str = "lambda") -> float:
+    return bound_table(family, [n_bound], pi0=pi0, kind=kind)[0]["measured_C"]
+
+
+def family_rows(family, n_bound: int) -> np.ndarray:
+    return family_arrays(family, "lambda", None)[0].rows(ideal_list(family.field, n_bound))
 
 
 class TestSieveConstant:
     def test_trivial_family_saturates(self, trivial_rep):
         fam = make_family([trivial_rep])
-        res = sieve_constant(fam, 3)
-        assert res.value == pytest.approx(3.0, abs=1e-10)
+        assert measured(fam, 3) == pytest.approx(3.0, abs=1e-10)
 
     def test_single_row_is_column_norm(self):
         chi = primitive_characters(5)[1]
         fam = make_family([character_representation(chi)])
         n = 40
-        res = sieve_constant(fam, n)
-        a, _, _ = family_coefficient_rows(fam, n, None, "lambda")
-        assert res.value == pytest.approx(float((np.abs(a) ** 2).sum()), rel=1e-12)
+        a = family_rows(fam, n)
+        assert measured(fam, n) == pytest.approx(float((np.abs(a) ** 2).sum()), rel=1e-12)
 
     def test_classical_bound_q10_n200(self):
         fam = dirichlet_family_by_modulus(10)
-        res = sieve_constant(fam, 200)
-        assert res.value <= 200 + 10**2 - 1 + 1e-6
+        assert measured(fam, 200) <= 200 + 10**2 - 1 + 1e-6
 
     def test_gram_duality_random_vectors(self):
         fam = dirichlet_family_by_modulus(8)
         n = 100
-        a, _, _ = family_coefficient_rows(fam, n, None, "lambda")
+        a = family_rows(fam, n)
         gram = a @ a.conj().T
-        c = sieve_constant(fam, n).value
+        c = measured(fam, n)
         rng = np.random.default_rng(31)
         sup = 0.0
         for _ in range(200):
@@ -95,14 +107,13 @@ class TestSieveConstant:
 
     def test_weighted_columns_with_pi0(self, small_char_family):
         pi0 = small_char_family.members[1]
-        res = sieve_constant(small_char_family, 50, pi0=pi0)
-        assert res.value > 0 and not res.all_zero
+        assert measured(small_char_family, 50, pi0=pi0) > 0
 
     def test_empty_family_rejected(self):
         with pytest.raises(UsageError):
             from lfunclab.localdata import Family
 
-            sieve_constant(Family(Q, (), 1.0, "empty"), 10)
+            bound_table(Family(Q, (), 1.0, "empty"), [10])
 
 
 class TestBoundTable:
@@ -115,9 +126,13 @@ class TestBoundTable:
         # measured C is nondecreasing in N for nested column sets
         assert rows[0]["measured_C"] <= rows[1]["measured_C"] <= rows[2]["measured_C"]
 
-    @pytest.mark.parametrize("case", ["chars", "chars-pi0", "gl3-quadratic(-1)", "logl"])
-    def test_prefix_columns_equal_per_n_matrices(self, case, small_char_family):
-        # one matrix at max(N), cut per N, gives each N's own matrix bit for bit
+    @pytest.mark.parametrize(
+        "case", ["chars", "chars-pi0", "gl3-quadratic(-1)", "logl", "gl3-pi0-chunk-7"]
+    )
+    def test_prefix_columns_equal_per_n_matrices(self, case, small_char_family, monkeypatch):
+        # one pass of chunk Grams gives each N's own full-matrix constant;
+        # chunks of 7 put chunk boundaries inside the N segments and on their
+        # edges, and a GL3 pi0 gives columns weights other than 0 and 1
         fam, pi0, kind = small_char_family, None, "lambda"
         if case == "chars-pi0":
             pi0 = character_representation(primitive_characters(5)[1])
@@ -125,10 +140,36 @@ class TestBoundTable:
             fam = synthetic_family(3, 4, seed=2, field=NumberFieldSpec.quadratic(-1))
         elif case == "logl":
             kind = "logl"
+        elif case == "gl3-pi0-chunk-7":
+            fam = synthetic_family(3, 4, seed=2, field=NumberFieldSpec.quadratic(-1))
+            pi0 = synthetic_family(3, 1, seed=9, field=NumberFieldSpec.quadratic(-1)).members[0]
+            monkeypatch.setattr(sieve, "GRAM_CHUNK", 7)
         n_list = [120, 30, 75, 120]
         rows = bound_table(fam, n_list, pi0=pi0, kind=kind)
+        assert [row["N"] for row in rows] == n_list
         for n, row in zip(n_list, rows):
-            assert row["measured_C"] == sieve_constant(fam, n, pi0, kind).value
+            want = gram_constant(fam, n, pi0, kind)
+            assert abs(row["measured_C"] - want) <= PREFIX_TOL * abs(want)
+
+    def test_peak_memory_below_one_row_matrix(self):
+        # 168 members x 12,000 ideals x 16 bytes = 32.3 MB would be one |S| x N matrix
+        fam = dirichlet_family_by_modulus(30)
+        n = 12_000
+        one_matrix = 16 * len(fam.members) * len(ideal_list(Q, n))
+        tracemalloc.start()
+        try:
+            bound_table(fam, [n])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < one_matrix
+
+    def test_gram_ceiling_before_the_grc_scan(self, monkeypatch, refuse_large_arrays):
+        # 9,000 members x 9,000 x 16 bytes = 1.3 GB of Gram, refused before the GRC scan
+        fam = make_family([trivial_representation()] * 9000)
+        monkeypatch.setattr(sieve, "family_grc_exponent", None)
+        with pytest.raises(ResourceLimitError, match="the Gram matrix"):
+            bound_table(fam, [2])
 
     def test_gl1_dual_shape_minimal_at_large_n(self, small_char_family):
         # at degree 1 and theta = 0 the dual shape wins once N >= Q^2
@@ -489,7 +530,7 @@ def assert_matches(got, want, exact: bool) -> None:
 
 
 class TestFamilyArraysAgainstSeriesPath:
-    """family_coefficient_rows, sifted_sum_check and mvt_mu read the per-prime-power
+    """bound_table, sifted_sum_check and mvt_mu read the per-prime-power
     arrays; every value must equal the scalar product per member bit for bit,
     where product-model lambda or mu enter within PRODUCT_TOL."""
 
@@ -501,7 +542,9 @@ class TestFamilyArraysAgainstSeriesPath:
     )
     def test_rows(self, case, kind, bound):
         family, pi0 = family_case(case[0]), pi0_case(case[1])
-        a, ideals, weights = family_coefficient_rows(family, bound, pi0, kind)
+        ideals = ideal_list(family.field, bound)
+        column, diagonal = family_arrays(family, kind, pi0)
+        a, weights = column.rows(ideals), diagonal.rows(ideals)[0].real
         series, diag = series_path(family, pi0, bound, kind)
         want = np.array([[s[i] for i in ideals] for s in series], dtype=np.complex128)
         engines, diag_engine = path_engines(family, pi0, kind)
