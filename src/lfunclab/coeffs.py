@@ -491,26 +491,11 @@ def expand_global(
     return CoefficientSeries(field, kind, bound, values)
 
 
-class KahanAccumulator:
-    """Compensated complex accumulation, one guard per real component."""
-
-    __slots__ = ("re", "im", "cre", "cim")
-
-    def __init__(self):
-        self.re = self.im = self.cre = self.cim = 0.0
-
-    def add(self, z: complex):
-        y = z.real - self.cre
-        t = self.re + y
-        self.cre = (t - self.re) - y
-        self.re = t
-        y = z.imag - self.cim
-        t = self.im + y
-        self.cim = (t - self.im) - y
-        self.im = t
-
-    def value(self) -> complex:
-        return complex(self.re, self.im)
+def fsum_complex(terms) -> complex:
+    """The exactly rounded sum of complex terms: math.fsum of the real and of
+    the imaginary parts, so the result does not depend on the terms' order."""
+    terms = list(terms)
+    return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
 
 
 def dirichlet_convolve(a: CoefficientSeries, b: CoefficientSeries, bound: int) -> CoefficientSeries:
@@ -521,33 +506,26 @@ def dirichlet_convolve(a: CoefficientSeries, b: CoefficientSeries, bound: int) -
         raise UsageError("operand series are shorter than the requested bound")
     a_items = [(i, v) for i, v in a.items_sorted() if i.norm <= bound]
     b_items = [(i, v) for i, v in b.items_sorted() if i.norm <= bound]
-    acc: dict[IdealIndex, KahanAccumulator] = {}
+    terms: dict[IdealIndex, list[complex]] = {}
     for ia, va in a_items:
         limit = bound // ia.norm
         for ib, vb in b_items:
             if ib.norm > limit:
                 break
-            key = ideal_mul(ia, ib)
-            slot = acc.get(key)
-            if slot is None:
-                slot = acc[key] = KahanAccumulator()
-            slot.add(va * vb)
+            terms.setdefault(ideal_mul(ia, ib), []).append(va * vb)
     return CoefficientSeries(
         a.field,
         f"conv({a.kind},{b.kind})",
         bound,
-        {k: v.value() for k, v in acc.items()},
+        {k: fsum_complex(v) for k, v in terms.items()},
     )
 
 
 def diagonal_sum(rep: Representation, x: int) -> complex:
-    """sum over N(n) <= x of lambda_{pi x dual(pi)}(n) / N(n), Kahan-summed in ideal
-    order; character members use the gl1_exact model, which is exact for them."""
+    """sum over N(n) <= x of lambda_{pi x dual(pi)}(n) / N(n), exactly rounded by
+    fsum_complex; character members use the gl1_exact model, which is exact for them."""
     series = expand_global(rep, rep, x, "lambda", pair_model(rep, rep, "gl1_exact"))
-    acc = KahanAccumulator()
-    for ideal, val in series.items_sorted():
-        acc.add(val / ideal.norm)
-    return acc.value()
+    return fsum_complex(val / ideal.norm for ideal, val in series.values.items())
 
 
 def mertens_sum(rep: Representation, x: int) -> float:

@@ -356,7 +356,9 @@ def high_derivative(
     eta: float,
     tau: float,
 ) -> HighDerivResult:
-    """eta * sum of Lambda(n) N(n)^(-1-i tau) j_k(eta log N(n)) to the series' bound.
+    """eta * sum of Lambda(n) N(n)^(-1-i tau) j_k(eta log N(n)) to the series' bound,
+    exactly rounded by fsum_complex, so the value does not depend on the order
+    of the series' values.
 
     This equals, in absolute value, the weighted k-th derivative
     eta^(k+1)/k! (L'/L)^(k)(s0) at s0 = 1 + eta + i tau.  The attached tail
@@ -365,23 +367,23 @@ def high_derivative(
     Lambda(n) (degree factor 1, growth exponent 0): the -zeta'/zeta series
     that the detect command evaluates, or any GL1 pair series over Q.
     """
-    from .coeffs import KahanAccumulator
+    from .coeffs import fsum_complex
 
     if eta <= 0:
         raise UsageError("eta must be positive")
     trunc = series.bound
     flags: list[str] = []
-    acc = KahanAccumulator()
-    for ideal, val in series.items_sorted():
+    terms = []
+    for ideal, val in series.values.items():
         m = ideal.norm
         if m > trunc:
-            break
+            continue
         w = jk(eta * math.log(m), k)
         if w == 0.0:
             continue
         phase = m ** (-1.0) * complex(math.cos(tau * math.log(m)), -math.sin(tau * math.log(m)))
-        acc.add(val * phase * w)
-    value = eta * acc.value()
+        terms.append(val * phase * w)
+    value = eta * fsum_complex(terms)
     tail, tail_flags = _hd_tail_bound(eta, k, trunc)
     flags.extend(tail_flags)
     return HighDerivResult(value, tail, trunc, flags)

@@ -27,11 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import (
-    KahanAccumulator,
     check_table_bytes,
     diagonal_sum,
     expand_global,
     family_arrays,
+    fsum_complex,
     ideal_list,
 )
 from .errors import ResourceLimitError, UsageError
@@ -432,7 +432,8 @@ def smooth_sum_residue(
 ) -> SmoothSumResult:
     """Bump-weighted coefficient sum over multiples of d, minus its main term.
 
-    lhs = sum over d | n of phi(T log(N(n)/x)) lambda_{a x dual b}(n);
+    lhs = sum over d | n of phi(T log(N(n)/x)) lambda_{a x dual b}(n),
+    exactly rounded by fsum_complex;
     main = g_a(d) x phihat(1/T) / T * residue.  The product model is used
     for the coefficients so the GL1 residue formula matches exactly.
     """
@@ -444,15 +445,11 @@ def smooth_sum_residue(
     hi = int(math.floor(x * math.exp(2.0 / t_sharp)))
     series = expand_global(a, b, hi, "lambda", "product")
     lo = x * math.exp(-2.0 / t_sharp)
-    acc = KahanAccumulator()
-    for ideal, val in series.items_sorted():
-        if ideal.norm <= lo:
-            continue
-        if not divides(d, ideal):
-            continue
-        w = bump_phi(t_sharp * math.log(ideal.norm / x))
-        acc.add(val * w)
-    total = acc.value()
+    total = fsum_complex(
+        val * bump_phi(t_sharp * math.log(ideal.norm / x))
+        for ideal, val in series.values.items()
+        if ideal.norm > lo and divides(d, ideal)
+    )
     if abs(total.imag) > 1e-9 * max(1.0, abs(total.real)):
         flags.append("pair sum has a nontrivial imaginary part; reporting the real part")
     lhs = float(total.real)
@@ -524,7 +521,9 @@ def sifted_sum_check(
 
     Window: N(n) in (x, e^(1/T) x], every prime factor of norm > z.  The
     right side keeps the structural factors (1/log z)(x/T + Q^n z^(2n^2+2)
-    T^(n^2 [F:Q]/2) |S| D_F^(-n^2/2)) with implied constants omitted.
+    T^(n^2 [F:Q]/2) |S| D_F^(-n^2/2)) with implied constants omitted.  Each
+    member's weighted sum, the members' |.|^2, the weighted norm and the
+    single-member sum are exactly rounded by math.fsum.
     """
     if z < 1 or x < 1 or t_sharp < 1:
         raise UsageError("sifted_sum_check needs x, T, z >= 1")
@@ -541,14 +540,11 @@ def sifted_sum_check(
     diag0 = diagonal.rows(window)[0].real.tolist()
     wvals = weights.values if weights is not None else {i: 1 + 0j for i in window}
     ws = [wvals.get(i, 0j) for i in window]
-    lhs = 0.0
-    for row in column.rows(window).tolist():
-        acc = KahanAccumulator()
-        for wv, val in zip(ws, row):
-            if wv:
-                acc.add(wv * val)
-        lhs += abs(acc.value()) ** 2
-    wnorm = sum(d * abs(wv) ** 2 for d, wv in zip(diag0, ws))
+    lhs = math.fsum(
+        abs(fsum_complex(wv * val for wv, val in zip(ws, row) if wv)) ** 2
+        for row in column.rows(window).tolist()
+    )
+    wnorm = math.fsum(d * abs(wv) ** 2 for d, wv in zip(diag0, ws))
     n_deg = max(m.degree for m in family.members)
     dfac = abs(fld.discriminant) ** (-(n_deg**2) / 2.0)
     q = family.max_conductor
@@ -564,9 +560,7 @@ def sifted_sum_check(
         )
     # single-member sifted sum with unit weights
     n0 = pi0.degree
-    single = 0.0
-    for d in diag0:
-        single += d
+    single = math.fsum(diag0)
     single_shape = x / (t_sharp * max(math.log(z), 1e-300)) + abs(
         fld.discriminant
     ) ** (-(n0**2) / 2.0) * analytic_conductor(pi0) ** n0 * z ** (

@@ -25,7 +25,12 @@ draws each of its paths returns.
 
 `gram_constant` keeps the large-sieve constant's full-matrix rule: the
 whole |S| x N row matrix at one N, its weighted columns and one Gram, the
-oracle for `sieve.bound_table`'s chunked Gram."""
+oracle for `sieve.bound_table`'s chunked Gram.
+
+`KahanAccumulator` keeps the compensated summation the series pipelines
+used before `coeffs.fsum_complex`: the oracle's own accumulator for the
+Selberg pair loop, and the old aggregation that the sifted sums are
+compared with."""
 
 import math
 
@@ -35,6 +40,28 @@ from lfunclab.characters import conjugate, multiply, primitive_part
 from lfunclab.coeffs import family_arrays, ideal_list, partitions_of, power_sum
 from lfunclab.ideals import prime_ideal
 from lfunclab.ziggurat import _FI, _INV_R, _KI, _R, _WI
+
+
+class KahanAccumulator:
+    """Compensated complex accumulation, one guard per real component."""
+
+    __slots__ = ("re", "im", "cre", "cim")
+
+    def __init__(self):
+        self.re = self.im = self.cre = self.cim = 0.0
+
+    def add(self, z: complex):
+        y = z.real - self.cre
+        t = self.re + y
+        self.cre = (t - self.re) - y
+        self.re = t
+        y = z.imag - self.cim
+        t = self.im + y
+        self.cim = (t - self.im) - y
+        self.im = t
+
+    def value(self) -> complex:
+        return complex(self.re, self.im)
 
 
 def poly_from_roots(alphas) -> np.ndarray:

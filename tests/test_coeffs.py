@@ -550,6 +550,19 @@ class TestConvolution:
             )
             assert total == pytest.approx(math.log(n), abs=1e-12)
 
+    def test_planted_cancellation_is_exactly_rounded(self):
+        # the terms at (6) arrive as 1e16, 1, -1e16, 1; compensated summation
+        # loses one of the ones, the exactly rounded sum keeps both
+        def series(values):
+            return CoefficientSeries(
+                Q, "planted", 6, {ideal_from_int(Q, n): complex(v) for n, v in values.items()}
+            )
+
+        a = series({1: 1, 2: 1, 3: 1, 6: 1})
+        b = series({1: 1, 2: -1e16, 3: 1, 6: 1e16})
+        conv = dirichlet_convolve(a, b, 6)
+        assert conv.value(ideal_from_int(Q, 6)) == 2 + 0j
+
     def test_field_mismatch_rejected(self, trivial_rep):
         lam = expand_global(trivial_rep, trivial_rep, 20, "lambda")
         gauss = NumberFieldSpec.quadratic(-1)

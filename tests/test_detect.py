@@ -208,6 +208,15 @@ class TestHighDerivative:
             assert abs(r.value.real - want) <= r.tail
             assert abs(r.value.imag) < 1e-12
 
+    def test_value_does_not_depend_on_the_order_of_the_values(self, trivial_rep):
+        series = expand_global(trivial_rep, trivial_rep, 2_000, "biglambda", "gl1_exact")
+        reversed_series = CoefficientSeries(
+            series.field, series.kind, series.bound, dict(reversed(series.values.items()))
+        )
+        assert list(reversed_series.values) != list(series.values)
+        forward, backward = (high_derivative(s, 5, 0.1, 1.3) for s in (series, reversed_series))
+        assert forward.value == backward.value
+
     def test_truncation_self_consistency(self, trivial_rep):
         eta, k = 0.25, 2
         full, half = (

@@ -10,7 +10,6 @@ from scipy.integrate import quad
 
 from lfunclab.coeffs import (
     SERIES_KINDS,
-    KahanAccumulator,
     _LocalEngine,
     default_model,
     expand_global,
@@ -53,6 +52,7 @@ from lfunclab.sieve import (
 
 from scalar_oracle import (
     PRODUCT_TOL,
+    KahanAccumulator,
     assert_rows_match,
     deviation,
     gram_constant,
@@ -62,6 +62,7 @@ from scalar_oracle import (
 
 Q = NumberFieldSpec.rationals()
 PREFIX_TOL = 1e-13  # relative: bound_table's chunked Gram against the full-matrix oracle
+AGGREGATION_TOL = 1e-15  # relative: the old Kahan and running-sum aggregation against fsum
 
 
 def measured(family, n_bound: int, pi0=None, kind: str = "lambda") -> float:
@@ -408,6 +409,14 @@ class TestSiftedSums:
         assert np.isfinite(r.lhs) and r.lhs >= 0
         assert r.rhs_shape is not None and r.shape_only
 
+    def test_planted_cancellation_is_exactly_rounded(self, trivial_rep):
+        # the trivial member's coefficients are all 1, so the weighted sum is
+        # 1e16 + 1 - 1e16 + 1 = 2; compensated summation loses one of the ones
+        planted = {ideal_from_int(Q, n): complex(w) for n, w in zip(range(101, 105), (1e16, 1, -1e16, 1))}
+        r = sifted_sum_check(make_family([trivial_rep]), None, 100.0, 1.0, 1.0,
+                             weights=WeightVector(planted))
+        assert r.lhs == 4.0
+
 
 class TestMvt:
     def test_empty_family_zero(self):
@@ -592,20 +601,30 @@ class TestFamilyArraysAgainstSeriesPath:
         ]
         series, diag = series_path(family, pi0, hi, kind)
         wvals = weights.values if weights is not None else {i: 1 + 0j for i in window}
-        lhs = 0.0
-        for s in series:
-            acc = KahanAccumulator()
-            for ideal in window:
-                wv = wvals.get(ideal, 0j)
-                if wv:
-                    acc.add(wv * s[ideal])
-            lhs += abs(acc.value()) ** 2
-        wnorm = sum(diag[i].real * abs(wvals.get(i, 0j)) ** 2 for i in window)
-        single = 0.0
-        for ideal in window:
-            single += diag[ideal].real
+        weighted = [[wvals[i] * s[i] for i in window if wvals.get(i, 0j)] for s in series]
+        norm_terms = [diag[i].real * abs(wvals.get(i, 0j)) ** 2 for i in window]
+        single_terms = [diag[i].real for i in window]
+        lhs = math.fsum(
+            abs(complex(math.fsum(z.real for z in t), math.fsum(z.imag for z in t))) ** 2
+            for t in weighted
+        )
+        want = (lhs, math.fsum(norm_terms), math.fsum(single_terms), len(window))
         got = (res.lhs, res.weighted_norm_sq, res.single_rep_sum, res.sifted_count)
-        assert_matches(got, (lhs, wnorm, single, len(window)), exact_case(family, pi0, kind))
+        assert_matches(got, want, exact_case(family, pi0, kind))
+
+        # the old aggregation: Kahan per member, then running sums
+        old_lhs = 0.0
+        for t in weighted:
+            acc = KahanAccumulator()
+            for z in t:
+                acc.add(z)
+            old_lhs += abs(acc.value()) ** 2
+        old_single = 0.0
+        for d in single_terms:
+            old_single += d
+        old = (old_lhs, sum(norm_terms), old_single)
+        for o, w in zip(old, want):
+            assert abs(o - w) <= AGGREGATION_TOL * abs(w)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(
