@@ -12,8 +12,8 @@ product set {alpha_i * conj(beta_j)}.  At ramified primes two models are
 available: "product" keeps the same product formula with zero parameters
 included (a documented stand-in), while "gl1_exact" replaces the pair of
 degree-1 members by the primitive Dirichlet character psi inducing
-chi_a * conj(chi_b), which is exact.  default_model and pair_model choose
-the model; reports do not carry it.
+chi_a * conj(chi_b), which is exact.  default_model chooses one model for
+every pair of a table; reports do not carry it.
 psi is never built: psi(p) is 0 where the p-parts of chi_a and chi_b
 differ, and otherwise e(angle/M) with the integer angle
 A_a M/M_a - A_b M/M_b mod M, M = lcm(M_a, M_b), from each member's angle
@@ -39,13 +39,15 @@ coefficient), while lambda stays within 1.2e-14.  Validation caps |alpha|
 at N(p)^theta_bound(n), which keeps the terms of the sums, and so that
 spread, small.
 
-_PrimePowerArrays keeps one table row per prime power, filled once for all
-its engines in one block per rows call: gl1_exact engines by the angle rule,
-with one memo lookup per distinct (angle, M, exponent), product engines from
-each member's power sums at the prime, combined over the engines by array
-operations.  rows alone multiplies the rows out over an ideal's factors, for
-one series (expand_global) and for a family (family_arrays and the pair
-tables of covers).
+A table of pair series is a member list and two index arrays into it, one
+pair per column, under one model (_PrimePowerArrays).  It keeps one row per
+prime power, filled once for all its columns in one block per rows call:
+under gl1_exact by the angle rule, with one memo lookup per distinct
+(angle, M, exponent), under product from each member's power sums at the
+prime, combined over the columns by array operations.  rows alone
+multiplies the rows out over an ideal's factors, for one series
+(expand_global) and for a family (family_arrays and the pair tables of
+covers).
 """
 
 from __future__ import annotations
@@ -180,43 +182,10 @@ def rankin_selberg_local(a: LocalParameters, b: LocalParameters, k: int) -> comp
 # ramified model choice
 
 
-def _has_character(rep: Representation) -> bool:
-    return rep.degree == 1 and rep.character is not None
-
-
-def default_model(family: Family) -> str:
+def default_model(members) -> str:
     """gl1_exact when every member is a degree-1 character member, else product."""
-    return "gl1_exact" if all(_has_character(m) for m in family.members) else "product"
-
-
-def pair_model(a: Representation, b: Representation, model: str) -> str:
-    """The model for one pair: gl1_exact survives only between two character members."""
-    if model == "gl1_exact" and _has_character(a) and _has_character(b):
-        return "gl1_exact"
-    return "product"
-
-
-# ---------------------------------------------------------------------------
-# local coefficient table for one pair
-
-
-class _LocalEngine:
-    """One series of local coefficients, the pair a x conj(b), of one kind
-    under one ramified model; a member's own series is its pair with the
-    trivial member.  It holds no rule: _PrimePowerArrays fills gl1_exact
-    engines from their members' character angles (_Gl1Pairs) and product
-    engines from their members' values (_ProductEngines).
-    """
-
-    def __init__(self, a: Representation, b: Representation, kind: str, model: str):
-        if kind not in SERIES_KINDS:
-            raise UsageError(f"unknown series kind {kind!r}")
-        self.a, self.b, self.kind, self.model = a, b, kind, model
-        if model == "gl1_exact":
-            if not (_has_character(a) and _has_character(b)):
-                raise UsageError("gl1_exact requires two degree-1 members with character data")
-        elif model != "product":
-            raise UsageError(f"unknown ramified model {model!r}")
+    exact = all(m.degree == 1 and m.character is not None for m in members)
+    return "gl1_exact" if exact else "product"
 
 
 @functools.lru_cache(maxsize=65536)
@@ -230,31 +199,28 @@ def _gl1_local(angle: int, m: int, e: int, kind: str) -> complex:
 
 
 class _Gl1Pairs:
-    """Local values of gl1_exact engines from their members' character angles.
+    """Local values of gl1_exact columns from their members' character angles.
 
     psi, the primitive character inducing chi_a * conj(chi_b), is never built:
     psi(p) = e(angle/M) with angle = A_a M/M_a - A_b M/M_b mod M, M = lcm(M_a, M_b),
     and psi(p) = 0 where the p-parts of chi_a and chi_b differ (characters.PrimeAngles).
     """
 
-    def __init__(self, engines: list[_LocalEngine], kind: str):
+    def __init__(self, members: tuple[Representation, ...], sides: np.ndarray, kind: str):
         self.kind = kind
-        # each engine as two indices into the distinct characters of its members
-        sides = [rep.character for eng in engines for rep in (eng.a, eng.b)]
-        characters = {id(chi): chi for chi in sides}
-        position = {key: n for n, key in enumerate(characters)}
-        self._angles = chars.PrimeAngles(list(characters.values()))
-        self._sides = np.array([position[id(chi)] for chi in sides], dtype=np.intp).reshape(-1, 2).T
-        denoms = np.array([chi.order_denom for chi in characters.values()], dtype=np.int64)
-        pair_denoms = denoms[self._sides]
-        self._order = np.lcm(*pair_denoms)  # M of each engine
+        characters = [m.character for m in members]
+        self._angles = chars.PrimeAngles(characters)
+        self._sides = sides
+        denoms = np.array([chi.order_denom for chi in characters], dtype=np.int64)
+        pair_denoms = denoms[sides]
+        self._order = np.lcm(*pair_denoms)  # M of each column
         self._scale = self._order // pair_denoms
         # (M, angle) -> base + angle numbers the pairs 0 <= angle < M of every M apart
         orders, position = np.unique(self._order, return_inverse=True)
         self._base = (np.cumsum(orders) - orders)[position]
 
     def block(self, factors) -> np.ndarray:
-        """The (prime powers, engines) values, with one memo lookup per distinct
+        """The (prime powers, columns) values, with one memo lookup per distinct
         (angle, M, exponent)."""
         primes, column = np.unique([pid[0] for pid, _ in factors], return_inverse=True)
         angles, parts = self._angles.at(primes)
@@ -299,29 +265,26 @@ def _times_conj(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _ProductEngines:
-    """Local values of product-model engines from their members' power sums.
+    """Local values of product-model columns from their members' power sums.
 
-    A member is a Representation on some engine's side.  Per block it reads
-    its parameters once per prime and takes its power sums p_1..p_K there,
-    K the largest exponent the block needs at that prime.  The pair power
-    sums P_j = p_j(alpha) * conj(p_j(beta)) are one product over the engines'
-    member indices, the coefficients of log L(pi x pi') at p being P_j / j.
+    Per block each member's parameters are read once per prime and its power
+    sums p_1..p_K taken there, K the largest exponent the block needs at that
+    prime.  The pair power sums P_j = p_j(alpha) * conj(p_j(beta)) are one
+    product over the columns' member indices, the coefficients of
+    log L(pi x pi') at p being P_j / j.
     biglambda and logl read P_e, in the order of numpy's scalar arithmetic;
     lambda and mu are newton_series of P, exp(+-sum_j P_j x^j / j).  mu is
     0j past n_a * n_b, the degree of the pair polynomial, where n counts a
     member's nonzero parameters at p.
     """
 
-    def __init__(self, engines: list[_LocalEngine], kind: str):
+    def __init__(self, members: tuple[Representation, ...], sides: np.ndarray, kind: str):
         self.kind = kind
-        members = {id(rep): rep for eng in engines for rep in (eng.a, eng.b)}
-        position = {key: n for n, key in enumerate(members)}
-        self._members = list(members.values())
-        sides = [position[id(rep)] for eng in engines for rep in (eng.a, eng.b)]
-        self._sides = np.array(sides, dtype=np.intp).reshape(-1, 2).T
+        self._members = members
+        self._sides = sides
 
     def block(self, factors) -> np.ndarray:
-        """The (prime powers, engines) values, one array step per distinct K."""
+        """The (prime powers, columns) values, one array step per distinct K."""
         field = self._members[0].field
         primes = {pid: prime_ideal(field, pid) for pid, _ in factors}
         local = {pid: [rep.local_at(prime) for rep in self._members] for pid, prime in primes.items()}
@@ -359,13 +322,16 @@ class _ProductEngines:
 
 
 class _PrimePowerArrays:
-    """Values at ideals of a fixed list of engines of one kind: the one product of local values.
+    """Values at ideals of pair series of one kind under one ramified model: the
+    one product of local values.
 
+    sides is a (2, columns) index array into members: column k is the pair
+    members[sides[0, k]] x conj(members[sides[1, k]]), and a member may stand
+    on both sides.  The kind and the model are checked once, for every column.
     Row r >= 2 of a growing table, zero-filled so that unused rows cost no memory,
-    holds one prime power's values over the engines; row 0 is 1+0j and row 1 is 0j.
+    holds one prime power's values over the columns; row 0 is 1+0j and row 1 is 0j.
     Each rows call fills the rows of the prime powers new to the table in one block
-    (_fill): the gl1_exact engines through _Gl1Pairs, the product engines through
-    _ProductEngines.
+    (_fill), through _Gl1Pairs under gl1_exact and _ProductEngines under product.
     rows multiplies each ideal's factor rows with the explicit real/imaginary formula
     of Python's complex product (numpy's can differ in the last bit), so each value is
     the Python product of the local values in factor order.  Factor lists are
@@ -374,39 +340,45 @@ class _PrimePowerArrays:
     checked against TABLE_BYTES_CEILING before they are allocated.
     """
 
-    def __init__(self, engines: list[_LocalEngine], kind: str):
-        check_table_bytes(TABLE_ROWS, len(engines), "a coefficient table")
-        self.engines = engines
-        self.kind = kind
-        self._table = np.zeros((TABLE_ROWS, len(engines)), dtype=np.complex128)
+    def __init__(self, members, sides, kind: str, model: str):
+        if kind not in SERIES_KINDS:
+            raise UsageError(f"unknown series kind {kind!r}")
+        if model == "gl1_exact":
+            if default_model(members) != "gl1_exact":
+                raise UsageError("gl1_exact requires two degree-1 members with character data")
+            source = _Gl1Pairs
+        elif model == "product":
+            source = _ProductEngines
+        else:
+            raise UsageError(f"unknown ramified model {model!r}")
+        self.members, self.kind, self.model = tuple(members), kind, model
+        self.sides = np.asarray(sides, dtype=np.intp)
+        columns = self.sides.shape[1]
+        check_table_bytes(TABLE_ROWS, columns, "a coefficient table")
+        self._table = np.zeros((TABLE_ROWS, columns), dtype=np.complex128)
         self._table[0] = 1
         self._row: dict[tuple[tuple[int, int], int], int] = {}
         self._last: tuple[IdealIndex, np.ndarray] | None = None
-        self._sources = []
-        for model, source in (("gl1_exact", _Gl1Pairs), ("product", _ProductEngines)):
-            columns = [k for k, eng in enumerate(engines) if eng.model == model]
-            if columns:
-                self._sources.append((columns, source([engines[k] for k in columns], kind)))
+        self._source = source(self.members, self.sides, kind)
 
     def _fill(self, factors: list[tuple[tuple[int, int], int]]) -> None:
-        """Rows for prime powers new to the table, over every engine at once."""
+        """Rows for prime powers new to the table, over every column at once."""
         first = len(self._row) + 2
         end = first + len(factors)
         if end > len(self._table):
             size = max(2 * len(self._table), end)
-            check_table_bytes(size, len(self.engines), "a coefficient table")
-            grown = np.zeros((size, len(self.engines)), dtype=np.complex128)
+            check_table_bytes(size, self.sides.shape[1], "a coefficient table")
+            grown = np.zeros((size, self.sides.shape[1]), dtype=np.complex128)
             grown[:first] = self._table[:first]
             self._table = grown
         for row, factor in enumerate(factors, first):
             self._row[factor] = row
-        block = self._table[first:end]
-        for columns, source in self._sources:
-            block[:, columns] = source.block(factors)
+        self._table[first:end] = self._source.block(factors)
 
     def rows(self, ideals) -> np.ndarray:
-        """The (engines, ideals) array of values, column j at ideals[j]."""
-        check_table_bytes(len(self.engines), len(ideals), "coefficient rows")
+        """The (columns, ideals) array of values, column j at ideals[j]."""
+        size = self.sides.shape[1]
+        check_table_bytes(size, len(ideals), "coefficient rows")
         if self.kind in ("biglambda", "logl"):
             ideals_with_rows = (i for i in ideals if len(i.factors) == 1)
         else:
@@ -414,7 +386,6 @@ class _PrimePowerArrays:
         new = dict.fromkeys(f for i in ideals_with_rows for f in i.factors if f not in self._row)
         if new:
             self._fill(list(new))
-        size = len(self.engines)
         out = np.empty((size, len(ideals)), dtype=np.complex128)
         step = max(1, ROWS_CHUNK // max(1, size))
         for start in range(0, len(ideals), step):
@@ -451,18 +422,18 @@ def family_arrays(
 ) -> tuple[_PrimePowerArrays, _PrimePowerArrays]:
     """A family's coefficients of one kind, one entry per member.
 
-    Each member against pi0 itself, that is paired with contragredient(pi0),
-    under pair_model(member, pi0, default_model(family)); pi0 = None stands
-    for the trivial member of the family's field, which gives each member's
-    own series.  The second array holds the one diagonal
-    lambda_{pi0 x dual pi0}, 1.0 at every ideal for the trivial member.
+    Each member against pi0 itself, that is paired with contragredient(pi0);
+    pi0 = None stands for the trivial member of the family's field, which
+    gives each member's own series.  The second array holds the one diagonal
+    lambda_{pi0 x dual pi0}, 1.0 at every ideal for the trivial member.  Both
+    take default_model of the members and pi0 together.
     """
     pi0 = pi0 or trivial_representation(family.field)
-    dual = contragredient(pi0)
-    model = default_model(family)
-    column = [_LocalEngine(m, dual, kind, pair_model(m, pi0, model)) for m in family.members]
-    diagonal = _LocalEngine(pi0, pi0, "lambda", pair_model(pi0, pi0, model))
-    return _PrimePowerArrays(column, kind), _PrimePowerArrays([diagonal], "lambda")
+    members = family.members + (contragredient(pi0),)
+    model = default_model(members)
+    size = len(family.members)
+    column = _PrimePowerArrays(members, [np.arange(size), np.full(size, size)], kind, model)
+    return column, _PrimePowerArrays([pi0], [[0], [0]], "lambda", model)
 
 
 def expand_global(
@@ -483,10 +454,11 @@ def expand_global(
     field = a.field
     if b.field != field:
         raise UsageError("pair expansion requires a common field")
-    engine = _LocalEngine(a, b, kind, ramified_model)
+    members = [a] if a is b else [a, b]  # a member paired with itself is read once
+    table = _PrimePowerArrays(members, [[0], [len(members) - 1]], kind, ramified_model)
     prime_powers = kind in ("biglambda", "logl")
     ideals = prime_powers_up_to(field, bound) if prime_powers else ideal_list(field, bound)
-    row = _PrimePowerArrays([engine], kind).rows(ideals)[0].tolist()
+    row = table.rows(ideals)[0].tolist()
     values = {ideal: val for ideal, val in zip(ideals, row) if val != 0 or ideal.is_unit}
     return CoefficientSeries(field, kind, bound, values)
 
@@ -524,7 +496,7 @@ def dirichlet_convolve(a: CoefficientSeries, b: CoefficientSeries, bound: int) -
 def diagonal_sum(rep: Representation, x: int) -> complex:
     """sum over N(n) <= x of lambda_{pi x dual(pi)}(n) / N(n), exactly rounded by
     fsum_complex; character members use the gl1_exact model, which is exact for them."""
-    series = expand_global(rep, rep, x, "lambda", pair_model(rep, rep, "gl1_exact"))
+    series = expand_global(rep, rep, x, "lambda", default_model([rep]))
     return fsum_complex(val / ideal.norm for ideal, val in series.values.items())
 
 

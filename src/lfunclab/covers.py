@@ -25,7 +25,6 @@ import numpy as np
 from . import characters as chars
 from .coeffs import (
     TABLE_ROWS,
-    _LocalEngine,
     _PrimePowerArrays,
     check_table_bytes,
     default_model,
@@ -64,7 +63,7 @@ class PairCoefficientTable:
     Each prime power's values over the upper-triangle pairs (np.triu_indices
     order) form one array, computed once; build one table per run and pass
     it to every ideal.  A family whose pair table would pass the table
-    ceiling is refused before any engine is built.
+    ceiling is refused before the table is built.
     """
 
     def __init__(self, family: Family, kind: str):
@@ -72,38 +71,26 @@ class PairCoefficientTable:
         check_table_bytes(TABLE_ROWS, size * (size + 1) // 2, f"the pair table of {family.label}")
         self.family = family
         self.kind = kind
-        self.model = default_model(family)
-        self._upper = np.triu_indices(size)
-        self._engines: dict[tuple[int, int], _LocalEngine] = {}
-        self._pairs: _PrimePowerArrays | None = None
+        self.model = default_model(family.members)
+        self._pairs = _PrimePowerArrays(family.members, np.triu_indices(size), kind, self.model)
         self._pi0_arrays: dict[tuple, tuple[_PrimePowerArrays, _PrimePowerArrays]] = {}
 
-    def engine(self, i: int, j: int) -> _LocalEngine:
-        key = (i, j)
-        if key not in self._engines:
-            self._engines[key] = _LocalEngine(
-                self.family.members[i], self.family.members[j], self.kind, self.model
-            )
-        return self._engines[key]
-
-    def _pair_values(self, ideal: IdealIndex) -> np.ndarray:
-        if self._pairs is None:
-            engines = [self.engine(int(i), int(j)) for i, j in zip(*self._upper)]
-            self._pairs = _PrimePowerArrays(engines, self.kind)
-        return self._pairs.at(ideal)
+    def engine(self, i: int, j: int) -> tuple[Representation, Representation]:
+        """The members of entry (i, j): member i against the dual of member j."""
+        return self.family.members[i], self.family.members[j]
 
     def entry(self, i: int, j: int, ideal: IdealIndex) -> complex:
         """Entry (i, j) of matrix(ideal); below the diagonal, the conjugate of (j, i)."""
         if i > j:
             return self.entry(j, i, ideal).conjugate()
         size = len(self.family.members)
-        return complex(self._pair_values(ideal)[i * size - i * (i - 1) // 2 + j - i])
+        return complex(self._pairs.at(ideal)[i * size - i * (i - 1) // 2 + j - i])
 
     def matrix(self, ideal: IdealIndex) -> np.ndarray:
         """The Hermitian (|S|, |S|) matrix of pair values at the ideal."""
         size = len(self.family.members)
-        vals = self._pair_values(ideal)
-        rows, cols = self._upper
+        vals = self._pairs.at(ideal)
+        rows, cols = self._pairs.sides
         m = np.empty((size, size), dtype=np.complex128)
         m[cols, rows] = np.conj(vals)
         m[rows, cols] = vals
@@ -115,7 +102,7 @@ class PairCoefficientTable:
         """(lambda^kind_{i x pi0}(n) for every member i, lambda_{pi0 x dual pi0}(n)).
 
         pi0 = None stands for the trivial member of the family's field, as in
-        family_arrays.  The engines are built once per (pi0 object, kind).
+        family_arrays.  Its tables are built once per (pi0 object, kind).
         """
         key = (pi0, kind)
         if key not in self._pi0_arrays:
@@ -439,7 +426,7 @@ def cover_exp(a: CoverDecomposition, truncation: int) -> CoverDecomposition:
 
 def log_decomposition(family: Family, bound: int) -> CoverDecomposition:
     """log L at every prime power p^f of norm <= bound, ramified ones included,
-    under default_model(family), every d = 1; both targets are the logl pair
+    under the members' default_model, every d = 1; both targets are the logl pair
     table's matrices.
 
     gl1_exact: a term per p-part class c (characters.PrimeAngles), u_i =
@@ -450,7 +437,7 @@ def log_decomposition(family: Family, bound: int) -> CoverDecomposition:
     ideals = prime_powers_up_to(field, bound)
     factors = [factor for ideal in ideals for factor in ideal.factors]
     blocks = {}
-    if default_model(family) == "gl1_exact":
+    if default_model(members) == "gl1_exact":
         characters = [m.character for m in members]
         angles, parts = chars.PrimeAngles(characters).at(np.array([pid[0] for pid, _ in factors]))
         roots = np.exp(2j * np.pi * angles / np.array([chi.order_denom for chi in characters]))

@@ -228,7 +228,6 @@ class TuranResult:
     k_star: int
     achieved: float
     bound: float
-    window: tuple[int, int]
 
 
 def turan_existence(zs, m_shift: int) -> TuranResult:
@@ -251,7 +250,7 @@ def turan_existence(zs, m_shift: int) -> TuranResult:
     ks = np.arange(m_shift + 1, m_shift + n + 1)
     sums = np.abs((zs[None, :] ** ks[:, None]).sum(axis=1))
     if top == 0.0:
-        return TuranResult(int(ks[0]), 0.0, 0.0, (m_shift + 1, m_shift + n))
+        return TuranResult(int(ks[0]), 0.0, 0.0)
     idx = int(np.argmax(sums / top**ks))
     k_star = int(ks[idx])
     achieved = float(sums[idx])
@@ -261,7 +260,7 @@ def turan_existence(zs, m_shift: int) -> TuranResult:
             f"power-sum floor failed: window [{m_shift + 1}, {m_shift + n}], "
             f"achieved {achieved:.6e} < floor {bound:.6e}"
         )
-    return TuranResult(k_star, achieved, bound, (m_shift + 1, m_shift + n))
+    return TuranResult(k_star, achieved, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +345,6 @@ def jk_tail_bounds_check(
 class HighDerivResult:
     value: complex
     tail: float
-    truncation: int
     flags: list[str]
 
 
@@ -386,7 +384,7 @@ def high_derivative(
     value = eta * fsum_complex(terms)
     tail, tail_flags = _hd_tail_bound(eta, k, trunc)
     flags.extend(tail_flags)
-    return HighDerivResult(value, tail, trunc, flags)
+    return HighDerivResult(value, tail, flags)
 
 
 def _hd_tail_bound(eta: float, k: int, trunc: int) -> tuple[float, list[str]]:
@@ -668,7 +666,6 @@ class DensityScanReport:
     certificate_count: int
     measured_total: float
     shape: float
-    epsilon: float
 
 
 def density_scan(
@@ -725,7 +722,6 @@ def density_scan(
         certificate_count=sum(r.certificate_fired for r in rows),
         measured_total=total,
         shape=shape,
-        epsilon=epsilon,
     )
 
 

@@ -61,11 +61,9 @@ class ArchimedeanParameters:
 
 
 class Representation:
-    """A family member: local parameter multisets plus conductor data.
-
-    kind is one of "trivial", "dirichlet_character", "hecke_gl2",
-    "synthetic".  Local parameters are materialized lazily, validated
-    once, and cached per prime.
+    """A family member: local parameter multisets plus conductor data, named
+    by its label in reports and errors.  Local parameters are materialized
+    lazily, validated once, and cached per prime.
     """
 
     def __init__(
@@ -74,19 +72,17 @@ class Representation:
         field: NumberFieldSpec,
         conductor: IdealIndex,
         arch: ArchimedeanParameters,
-        kind: str,
         local_rule,
+        label: str,
         character: chars.DirichletCharacter | None = None,
-        label: str = "",
         theta_hint: float = 0.0,
     ):
         self.degree = degree
         self.field = field
         self.conductor = conductor
         self.arch = arch
-        self.kind = kind
         self.character = character
-        self.label = label or kind
+        self.label = label
         self.theta_hint = theta_hint
         self._local_rule = local_rule
         self._locals: dict[tuple[int, int], LocalParameters] = {}
@@ -140,9 +136,6 @@ class Family:
     max_conductor: float  # Q: max analytic conductor over members
     label: str = "family"
 
-    def __len__(self):
-        return len(self.members)
-
 
 def make_family(members, label="family") -> Family:
     members = tuple(members)
@@ -176,7 +169,6 @@ def trivial_representation(field: NumberFieldSpec | None = None) -> Representati
         field=field,
         conductor=unit_ideal(field),
         arch=_zero_arch(field, 1),
-        kind="trivial",
         local_rule=lambda prime: (1 + 0j,),
         character=chars.trivial_character() if field.is_rationals else None,
         label="trivial",
@@ -201,7 +193,6 @@ def character_representation(chi: chars.DirichletCharacter) -> Representation:
         field=field,
         conductor=ideal_from_int(field, q),
         arch=ArchimedeanParameters((ArchPlace(1, (mu,)),)),
-        kind="dirichlet_character",
         local_rule=rule,
         character=chi,
         label=f"chi_{q}_{chi.index}",
@@ -349,7 +340,6 @@ def synthetic_family(
                 field=field,
                 conductor=unit_ideal(field),
                 arch=_zero_arch(field, n),
-                kind="synthetic",
                 local_rule=rule,
                 label=f"synthetic_{seed}_{i}",
                 theta_hint=theta if (i == 0 and planted_pid) else 0.0,
@@ -373,7 +363,6 @@ def contragredient(rep: Representation) -> Representation:
         field=rep.field,
         conductor=rep.conductor,
         arch=ArchimedeanParameters(places),
-        kind=rep.kind,
         local_rule=rule,
         character=chars.conjugate(rep.character) if rep.character else None,
         label=f"~{rep.label}",
@@ -445,7 +434,6 @@ def ingest_hecke_eigenvalues(path: str, weight: int, level: int) -> Representati
         field=field,
         conductor=ideal_from_int(field, level),
         arch=ArchimedeanParameters((ArchPlace(1, mus),)),
-        kind="hecke_gl2",
         local_rule=rule,
         label=f"hecke_w{weight}_N{level}",
     )

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import UsageError
+
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _POOL_SIZE = 4
@@ -95,8 +97,11 @@ def _seeded(seed: int, keys: list[np.ndarray]):
     on uint64 arrays holding 32-bit values, with a hash constant per key
     that advances over the key's own words only.  generate_state(4,
     uint64) then seeds PCG64: inc = initseq*2 + 1, a step, + initstate, a
-    step.
+    step.  A negative seed, which SeedSequence refuses too, is refused before
+    any word is hashed.
     """
+    if seed < 0:
+        raise UsageError(f"PCG64 seeds are non-negative integers, not {seed}")
     entropy = _uint32_words(seed)
     entropy += [0] * (_POOL_SIZE - len(entropy))
     const = _INIT_A

@@ -1,13 +1,15 @@
 """The scalar rules, kept in the tests as the oracle for
-`_PrimePowerArrays.rows`: a Python complex product of one engine's local
-values over the ideal's factors, with no table and no padding.  A product
-engine's local value is computed on its own, one prime power at a time,
+`_PrimePowerArrays.rows`: a Python complex product of one column's local
+values over the ideal's factors, with no table and no padding.  A column is
+a plain `Column` record (a, b, kind, model), which `columns` reads off a
+table's members and index pairs.  A product
+column's local value is computed on its own, one prime power at a time,
 from the members' parameters (`product_local`): lambda by the Cauchy
 identity (Macdonald, Symmetric Functions and Hall Polynomials, I.4), the sum
 over partitions lam of s_lam(alpha) * conj(s_lam(beta)) with Schur values
 from the Jacobi-Trudi determinant in the complete homogeneous h_k, and mu
 from the pair polynomial prod (1 - alpha_i conj(beta_j) x) built by
-np.convolve, one factor at a time.  A gl1_exact engine's local values come
+np.convolve, one factor at a time.  A gl1_exact column's local values come
 from the product character itself, built by `multiply` and `primitive_part`
 and evaluated prime by prime.
 
@@ -33,6 +35,7 @@ Selberg pair loop, and the old aggregation that the sifted sums are
 compared with."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +65,23 @@ class KahanAccumulator:
 
     def value(self) -> complex:
         return complex(self.re, self.im)
+
+
+class Column(NamedTuple):
+    """One pair series: member a against the dual of member b, of one kind
+    under one ramified model."""
+
+    a: object
+    b: object
+    kind: str
+    model: str
+
+
+def columns(arrays) -> list[Column]:
+    """The columns of a _PrimePowerArrays table, from its members, its (2,
+    columns) index pairs, its kind and its model."""
+    members = arrays.members
+    return [Column(members[i], members[j], arrays.kind, arrays.model) for i, j in arrays.sides.T.tolist()]
 
 
 def poly_from_roots(alphas) -> np.ndarray:
@@ -124,12 +144,12 @@ def cauchy_local(pa, pb, k: int) -> complex:
 PRODUCT_TOL = 1e-11
 
 
-def assert_rows_match(got, want, engines) -> None:
-    """Each engine's row of got against want: bit for bit, except product-model
+def assert_rows_match(got, want, cols) -> None:
+    """Each column's row of got against want: bit for bit, except product-model
     lambda and mu rows, which agree within PRODUCT_TOL."""
-    for row, expected, engine in zip(got, want, engines):
-        label = (engine.a.label, engine.b.label, engine.kind)
-        if engine.model == "product" and engine.kind in ("lambda", "mu"):
+    for row, expected, col in zip(got, want, cols):
+        label = (col.a.label, col.b.label, col.kind)
+        if col.model == "product" and col.kind in ("lambda", "mu"):
             assert deviation(row, expected) <= PRODUCT_TOL, label
         else:
             assert np.array_equal(row.view(np.uint64), expected.view(np.uint64)), label
@@ -184,15 +204,15 @@ def own_row(member, kind: str, ideals) -> list[complex]:
     return [product_over_factors(local, kind, ideal) for ideal in ideals]
 
 
-def product_local(engine, pid, e: int) -> complex:
-    """The product model's value at p^e for one engine: the pair's Cauchy sum,
+def product_local(col, pid, e: int) -> complex:
+    """The product model's value at p^e for one column: the pair's Cauchy sum,
     np.convolve product polynomial or product of power sums."""
     if e == 0:
         return 1 + 0j
-    kind = engine.kind
-    prime = prime_ideal(engine.a.field, pid)
-    pa = engine.a.local_at(prime)
-    pb = engine.b.local_at(prime)
+    kind = col.kind
+    prime = prime_ideal(col.a.field, pid)
+    pa = col.a.local_at(prime)
+    pb = col.b.local_at(prime)
     if kind == "lambda":
         return cauchy_local(pa, pb, e)
     if kind == "mu":
@@ -203,9 +223,9 @@ def product_local(engine, pid, e: int) -> complex:
     return complex(ps / e)
 
 
-def product_character(engine):
-    """The primitive character inducing chi_a * conj(chi_b) of a gl1_exact engine."""
-    return primitive_part(multiply(engine.a.character, conjugate(engine.b.character)))
+def product_character(col):
+    """The primitive character inducing chi_a * conj(chi_b) of a gl1_exact column."""
+    return primitive_part(multiply(col.a.character, conjugate(col.b.character)))
 
 
 def gl1_local(psi, kind: str, pid, e: int) -> complex:
@@ -221,24 +241,24 @@ def gl1_local(psi, kind: str, pid, e: int) -> complex:
     return v**e / e  # logl
 
 
-def scalar_coefficient(engine, ideal) -> complex:
-    """The engine's coefficient at the ideal."""
-    return scalar_row(engine, [ideal])[0]
+def scalar_coefficient(col, ideal) -> complex:
+    """The column's coefficient at the ideal."""
+    return scalar_row(col, [ideal])[0]
 
 
-def scalar_row(engine, ideals) -> list[complex]:
-    """The engine's coefficients at the ideals, a gl1_exact engine's product
+def scalar_row(col, ideals) -> list[complex]:
+    """The column's coefficients at the ideals, a gl1_exact column's product
     character built once.
 
     biglambda and logl vanish off prime powers (the unit ideal included);
     a product that reaches zero stays 0j.
     """
-    if engine.model == "gl1_exact":
-        psi = product_character(engine)
-        local = lambda pid, e: gl1_local(psi, engine.kind, pid, e)
+    if col.model == "gl1_exact":
+        psi = product_character(col)
+        local = lambda pid, e: gl1_local(psi, col.kind, pid, e)
     else:
-        local = lambda pid, e: product_local(engine, pid, e)
-    return [product_over_factors(local, engine.kind, ideal) for ideal in ideals]
+        local = lambda pid, e: product_local(col, pid, e)
+    return [product_over_factors(local, col.kind, ideal) for ideal in ideals]
 
 
 def product_over_factors(local, kind: str, ideal) -> complex:

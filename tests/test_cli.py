@@ -522,10 +522,10 @@ class TestKernelBuildCounts:
         if family == "quadratic":
             assert sums
         # each table (the pairs, a pi0 column or the pi0 diagonal) fills each
-        # prime power once, for all its engines at a time
+        # prime power once, for all its columns at a time
         assert len({(id(arrays), factor) for arrays, factor in filled}) == len(filled)
-        engines = {id(engine) for arrays, _ in filled for engine in arrays.engines}
-        assert len(engines) <= size * (size + 1) // 2 + size + 1
+        columns = {id(arrays): arrays.sides.shape[1] for arrays, _ in filled}
+        assert sum(columns.values()) <= size * (size + 1) // 2 + size + 1
 
     SERIES_COMMANDS = {
         "residue": ["residue", "--x", "150", "--t", "1", "--d", "6"],
@@ -538,15 +538,15 @@ class TestKernelBuildCounts:
         filled = self.record_fills(monkeypatch)
         out = tmp_path / "report.csv"
         assert main(self.SERIES_COMMANDS[command] + ["--out", str(out)]) == 0
-        # one series: one table of one engine, and each prime power filled once
+        # one series: one table of one column, and each prime power filled once
         assert len({id(arrays) for arrays, _ in filled}) == 1
-        assert len(filled[0][0].engines) == 1
+        assert filled[0][0].sides.shape == (2, 1)
         assert len({factor for _, factor in filled}) == len(filled) > 100
 
     @staticmethod
     def record_fills(monkeypatch) -> list:
         """(table, (prime id, exponent)) for every prime power a _PrimePowerArrays
-        fills, whether by character angles or by _LocalEngine._compute."""
+        fills, whether by character angles or by power sums."""
         filled = []
         real_fill = coeffs._PrimePowerArrays._fill
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from random import Random
 
@@ -10,7 +11,6 @@ from lfunclab.characters import primitive_characters
 from lfunclab.coeffs import (
     SERIES_KINDS,
     CoefficientSeries,
-    _LocalEngine,
     _PrimePowerArrays,
     default_model,
     dirichlet_convolve,
@@ -18,7 +18,6 @@ from lfunclab.coeffs import (
     family_arrays,
     ideal_list,
     mertens_sum,
-    pair_model,
     partitions_of,
     rankin_selberg_local,
 )
@@ -57,7 +56,9 @@ from lfunclab.localdata import (
 
 from scalar_oracle import (
     PRODUCT_TOL,
+    Column,
     assert_rows_match,
+    columns,
     deviation,
     local_lambda,
     product_character,
@@ -67,6 +68,11 @@ from scalar_oracle import (
 
 Q = NumberFieldSpec.rationals()
 P2 = prime_ideal(Q, (2, 0))
+
+
+def all_pairs(n: int) -> np.ndarray:
+    """The (2, n * n) sides of every ordered pair (i, j) of n members, i major."""
+    return np.indices((n, n)).reshape(2, -1)
 
 
 def series_inversion(alphas, betas, kmax):
@@ -204,7 +210,7 @@ class TestExpandGlobal:
         ideals = enumerate_ideals(Q, bound)
         ns = np.array([ideal.norm for ideal in ideals])
         for a, b in pairs:
-            psi = product_character(_LocalEngine(a, b, kind, "gl1_exact"))
+            psi = product_character(Column(a, b, kind, "gl1_exact"))
             series = expand_global(a, b, bound, kind, "gl1_exact")
             for ideal, value in zip(ideals, psi.values(ns)):
                 exponents = [e for _, e in ideal.factors]
@@ -240,23 +246,26 @@ class TestPrimePowerArraysRows:
     def test_unsorted_mix_bitwise(self, case, kind):
         make, model, bound = self.CASES[case]
         fam = make()
-        members = fam.members
-        trivial = trivial_representation(fam.field)
-        engines = [
-            _LocalEngine(a, b, kind, pair_model(a, b, model))
-            for a in members
-            for b in members
-        ] + [_LocalEngine(m, trivial, kind, "product") for m in members]
+        members = fam.members + (trivial_representation(fam.field),)
+        size = len(fam.members)
+        # one table per model: the members' pairs, and each member against the trivial member
+        tables = [
+            _PrimePowerArrays(members, all_pairs(size), kind, model),
+            _PrimePowerArrays(members, [np.arange(size), np.full(size, size)], kind, "product"),
+        ]
         ideals = list(enumerate_ideals(fam.field, bound))
         mix = [ideals[k] for k in np.random.default_rng(11).permutation(len(ideals))]
         mix += mix[:5]  # repeats read the same table rows
-        arrays = _PrimePowerArrays(engines, kind)
         # two calls: the second reads prime powers the first put in the table
-        got = np.concatenate([arrays.rows(mix[:40]), arrays.rows(mix[40:])], axis=1)
-        want = np.array([scalar_row(eng, mix) for eng in engines], dtype=np.complex128)
-        assert_rows_match(got, want, engines)
+        got = np.concatenate(
+            [np.concatenate([arrays.rows(mix[:40]), arrays.rows(mix[40:])], axis=1) for arrays in tables]
+        )
+        cols = [col for arrays in tables for col in columns(arrays)]
+        want = np.array([scalar_row(col, mix) for col in cols], dtype=np.complex128)
+        assert_rows_match(got, want, cols)
         column = np.ascontiguousarray(got[:, 7])
-        assert np.array_equal(arrays.at(mix[7]).view(np.uint64), column.view(np.uint64))
+        at = np.concatenate([arrays.at(mix[7]) for arrays in tables])
+        assert np.array_equal(at.view(np.uint64), column.view(np.uint64))
         assert not np.signbit(got[got == 0].view(np.float64)).any()  # exact zeros are 0j
         assert any(ideal.is_unit for ideal in mix)
         assert max(len(ideal.factors) for ideal in mix) >= 3
@@ -273,23 +282,24 @@ class TestPrimePowerArraysRows:
         # carries signed zeros
         local = {3: complex(-1.0, 0.0), 5: 1j, 7: complex(-1.0, 0.0)}
         member = Representation(
-            1, Q, unit_ideal(Q), ArchimedeanParameters((ArchPlace(1, (0j,)),)), "synthetic",
-            lambda prime: (local.get(prime.norm, 1 + 0j),),
+            1, Q, unit_ideal(Q), ArchimedeanParameters((ArchPlace(1, (0j,)),)),
+            lambda prime: (local.get(prime.norm, 1 + 0j),), "synthetic",
         )
         mix = [ideal_from_int(Q, n) for n in (21, 2, 105, 3, 15, 1, 35, 210, 9, 7)]
         for kind, partner in (("lambda", trivial_representation()), ("mu", member)):
-            engine = _LocalEngine(member, partner, kind, "product")
-            got = _PrimePowerArrays([engine], kind).rows(mix)[0]
-            want = np.array([scalar_coefficient(engine, i) for i in mix])
+            got = _PrimePowerArrays([member, partner], [[0], [1]], kind, "product").rows(mix)[0]
+            col = Column(member, partner, kind, "product")
+            want = np.array([scalar_coefficient(col, i) for i in mix])
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), kind
             assert np.signbit(want.imag[want.imag == 0]).any(), kind
 
     def test_empty_and_unit_only(self):
         fam = dirichlet_family_by_modulus(5)
-        engines = [_LocalEngine(m, trivial_representation(), "lambda", "product") for m in fam.members]
-        arrays = _PrimePowerArrays(engines, "lambda")
-        assert arrays.rows([]).shape == (len(engines), 0)
-        assert np.array_equal(arrays.rows([unit_ideal(Q)] * 2), np.ones((len(engines), 2)))
+        size = len(fam.members)
+        members = fam.members + (trivial_representation(),)
+        arrays = _PrimePowerArrays(members, [np.arange(size), np.full(size, size)], "lambda", "product")
+        assert arrays.rows([]).shape == (size, 0)
+        assert np.array_equal(arrays.rows([unit_ideal(Q)] * 2), np.ones((size, 2)))
 
 
 class TestTableCeilings:
@@ -300,14 +310,12 @@ class TestTableCeilings:
         fam = dirichlet_family_by_modulus(8)
         size = len(fam.members)
         monkeypatch.setattr(coeffs, "TABLE_BYTES_CEILING", 16 * coeffs.TABLE_ROWS * size * (size + 1) // 2 - 1)
-        monkeypatch.setattr(coeffs._LocalEngine, "__init__", None)
+        monkeypatch.setattr(coeffs._PrimePowerArrays, "__init__", None)
         with pytest.raises(ResourceLimitError, match="pair table"):
             PairCoefficientTable(fam, "lambda")
 
     def test_rows_before_any_row_is_filled(self, monkeypatch):
-        trivial = trivial_representation()
-        engine = _LocalEngine(trivial, trivial, "lambda", "product")
-        arrays = _PrimePowerArrays([engine], "lambda")
+        arrays = _PrimePowerArrays([trivial_representation()], [[0], [0]], "lambda", "product")
         ideals = enumerate_ideals(Q, 100)
         monkeypatch.setattr(coeffs, "TABLE_BYTES_CEILING", 16 * len(ideals) - 1)
         monkeypatch.setattr(arrays, "_fill", None)
@@ -315,9 +323,7 @@ class TestTableCeilings:
             arrays.rows(ideals)
 
     def test_table_growth_before_allocating(self, monkeypatch):
-        trivial = trivial_representation()
-        engine = _LocalEngine(trivial, trivial, "lambda", "product")
-        arrays = _PrimePowerArrays([engine], "lambda")
+        arrays = _PrimePowerArrays([trivial_representation()], [[0], [0]], "lambda", "product")
         # 100 prime powers need 102 rows: the table of 64 doubles to 128
         ideals = prime_powers_up_to(Q, 1000)[:100]
         monkeypatch.setattr(coeffs, "TABLE_BYTES_CEILING", 16 * 127)
@@ -359,13 +365,12 @@ class TestGl1AngleRows:
             rep = character_representation(group[j % len(group)])
             members.append(contragredient(rep) if dual else rep)
         # both orientations of every pair, each member against itself and the trivial one
-        engines = [_LocalEngine(a, b, kind, "gl1_exact") for a in members for b in members]
+        arrays = _PrimePowerArrays(members, all_pairs(len(members)), kind, "gl1_exact")
         ideals = list(self.IDEALS)
         order.shuffle(ideals)
-        arrays = _PrimePowerArrays(engines, kind)
         # two calls: the second fills the prime powers the first left out
         got = np.concatenate([arrays.rows(ideals[:split]), arrays.rows(ideals[split:])], axis=1)
-        want = np.array([scalar_row(engine, ideals) for engine in engines], dtype=np.complex128)
+        want = np.array([scalar_row(col, ideals) for col in columns(arrays)], dtype=np.complex128)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -418,17 +423,17 @@ class TestProductRows:
         ideals = list(enumerate_ideals(fld, 120))
         order.shuffle(ideals)
         # both orientations of every pair, each member against itself and against the trivial member
-        engines = [_LocalEngine(a, b, kind, "product") for a in members for b in members]
-        engines += [_LocalEngine(m, trivial_representation(fld), kind, "product") for m in members]
+        size = len(members)
+        sides = np.concatenate([all_pairs(size), [np.arange(size), np.full(size, size)]], axis=1)
+        tables = [_PrimePowerArrays(members + [trivial_representation(fld)], sides, kind, "product")]
         # the pi0 columns and diagonals of the family against its first member and the trivial member
         family = make_family(members)
-        tables = [_PrimePowerArrays(engines, kind)]
         tables += family_arrays(family, kind, members[0]) + family_arrays(family, kind, None)
         for arrays in tables:
             # two calls: the second fills the prime powers the first left out
             got = np.concatenate([arrays.rows(ideals[:split]), arrays.rows(ideals[split:])], axis=1)
-            want = np.array([scalar_row(eng, ideals) for eng in arrays.engines], dtype=np.complex128)
-            assert_rows_match(got, want, arrays.engines)
+            want = np.array([scalar_row(col, ideals) for col in columns(arrays)], dtype=np.complex128)
+            assert_rows_match(got, want, columns(arrays))
 
 
 # a validated member: (degree, planted prime, seed, dual); degree >= 2 is
@@ -461,10 +466,10 @@ class TestPowerSumKernel:
         # products of the degrees (6 and 4)
         delta = ingest_hecke_eigenvalues(delta_csv, 12, 35)
         gl3 = synthetic_family(3, 1, seed=2).members[0]
-        engines = [_LocalEngine(a, b, "mu", "product") for a, b in ((delta, gl3), (gl3, delta), (delta, delta))]
+        arrays = _PrimePowerArrays([delta, gl3], [[0, 1, 0], [1, 0, 0]], "mu", "product")
         ideals = list(enumerate_ideals(Q, 700))
-        got = _PrimePowerArrays(engines, "mu").rows(ideals)
-        want = np.array([scalar_row(engine, ideals) for engine in engines])
+        got = arrays.rows(ideals)
+        want = np.array([scalar_row(col, ideals) for col in columns(arrays)])
         assert np.array_equal(got == 0, want == 0)
         # past n_a * n_b, within the degree product: 5^4 for both pairs, and
         # 7^3 and 2 * 7^3 for Delta against itself
@@ -485,10 +490,10 @@ class TestPowerSumKernel:
             members.append(contragredient(rep) if dual else rep)
         ideals = prime_powers_up_to(fld, 4096)
         for kind in ("lambda", "mu"):
-            engines = [_LocalEngine(a, b, kind, "product") for a in members for b in members]
-            got = _PrimePowerArrays(engines, kind).rows(ideals)
-            want = np.array([scalar_row(engine, ideals) for engine in engines])
-            assert_rows_match(got, want, engines)
+            arrays = _PrimePowerArrays(members, all_pairs(len(members)), kind, "product")
+            got = arrays.rows(ideals)
+            want = np.array([scalar_row(col, ideals) for col in columns(arrays)])
+            assert_rows_match(got, want, columns(arrays))
 
     def test_partition_cap_enforced(self):
         with pytest.raises(UsageError, match="cap"):
@@ -601,7 +606,7 @@ class TestMertens:
 
 
 class TestRamifiedModel:
-    """gl1_exact is kept only where every pair involved is two character members."""
+    """gl1_exact is kept only where every member of a table is a character member."""
 
     def test_pair_model_truth_table(self):
         reps = {
@@ -611,23 +616,40 @@ class TestRamifiedModel:
             "gl2": synthetic_family(2, 1, seed=17).members[0],
         }
         characters = {"chi5", "trivial_q"}  # degree 1 with character data
-        for a in reps:
-            for b in reps:
-                assert pair_model(reps[a], reps[b], "product") == "product"
-                want = "gl1_exact" if {a, b} <= characters else "product"
-                assert pair_model(reps[a], reps[b], "gl1_exact") == want, (a, b)
+        for size in (1, 2, 3):
+            for names in itertools.product(reps, repeat=size):
+                want = "gl1_exact" if set(names) <= characters else "product"
+                assert default_model([reps[name] for name in names]) == want, names
 
     def test_mixed_family_uses_product(self, small_char_family, gl2_family):
         members = list(small_char_family.members) + [gl2_family.members[0]]
         mixed = make_family(members, label="mixed")
-        assert default_model(small_char_family) == "gl1_exact"
-        assert default_model(mixed) == "product"
+        assert default_model(small_char_family.members) == "gl1_exact"
+        assert default_model(mixed.members) == "product"
         table = PairCoefficientTable(mixed, "lambda")
         assert table.model == "product"
         # the product model also holds for the character pairs of a mixed family
-        engine = _LocalEngine(mixed.members[1], mixed.members[2], "lambda", "product")
+        col = Column(mixed.members[1], mixed.members[2], "lambda", "product")
         for ideal in enumerate_ideals(Q, 30):
-            assert table.entry(1, 2, ideal) == scalar_coefficient(engine, ideal)
+            assert table.entry(1, 2, ideal) == scalar_coefficient(col, ideal)
+
+    REFUSALS = {
+        "unknown-kind": ("zeta", "product", False, "unknown series kind 'zeta'"),
+        "unknown-model": ("lambda", "exact", False, "unknown ramified model 'exact'"),
+        "gl1_exact-without-characters": ("lambda", "gl1_exact", True, "character data"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_table_refusals(self, case, monkeypatch):
+        # once per table, before the table or its column source is built; the
+        # gl1_exact refusal holds although the one column pairs two characters
+        kind, model, with_gl2, match = self.REFUSALS[case]
+        members = [trivial_representation(), character_representation(primitive_characters(5)[1])]
+        if with_gl2:
+            members.append(synthetic_family(2, 1, seed=17).members[0])
+        monkeypatch.setattr(coeffs, "check_table_bytes", None)
+        with pytest.raises(UsageError, match=match):
+            _PrimePowerArrays(members, [[0], [1]], kind, model)
 
     @pytest.mark.parametrize("kind", ["lambda", "mu", "logl"])
     def test_gl2_pi0_column_uses_product(self, small_char_family, gl2_family, kind):
@@ -636,17 +658,17 @@ class TestRamifiedModel:
         ideals = ideal_list(fam.field, bound)
         column, diagonal = family_arrays(fam, kind, pi0)
         rows, weights = column.rows(ideals), diagonal.rows(ideals)[0].real
-        diag = _LocalEngine(pi0, pi0, "lambda", "product")
+        diag = Column(pi0, pi0, "lambda", "product")
         dual = contragredient(pi0)
-        columns = [_LocalEngine(m, dual, kind, "product") for m in fam.members]
+        cols = [Column(m, dual, kind, "product") for m in fam.members]
         assert deviation(weights, [scalar_coefficient(diag, i).real for i in ideals]) <= PRODUCT_TOL
-        assert_rows_match(rows, np.array([scalar_row(engine, ideals) for engine in columns]), columns)
+        assert_rows_match(rows, np.array([scalar_row(col, ideals) for col in cols]), cols)
         ws = weight_battery(len(fam.members), trials, seed)
         for n in (2, 3, 6, 12, 25):
             ideal = ideal_from_int(Q, n)
             res = bilinear_inequality_check(kind, fam, pi0, ideal, trials=trials, seed=seed)
             cover = coefficient_matrix(fam, ideal, "lambda").entries
-            vec = np.array([scalar_coefficient(engine, ideal) for engine in columns])
+            vec = np.array([scalar_coefficient(col, ideal) for col in cols])
             quad = np.einsum("ti,ij,tj->t", ws, cover, ws.conj()).real
             margins = scalar_coefficient(diag, ideal).real * quad - np.abs(ws @ vec) ** 2
             assert res.worst_margin == pytest.approx(margins.min(), rel=1e-12, abs=1e-12)

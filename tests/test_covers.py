@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lfunclab import coeffs, pcg64, ziggurat
-from lfunclab.coeffs import _LocalEngine, default_model, expand_global, pair_model
+from lfunclab.coeffs import default_model, expand_global
 from lfunclab.covers import (
     MATRIX_KINDS,
     RECONSTRUCTION_TOL,
@@ -43,7 +43,7 @@ from lfunclab.localdata import (
 )
 from lfunclab.characters import primitive_characters
 
-from scalar_oracle import PRODUCT_TOL, deviation, scalar_coefficient, scalar_row, ziggurat_walk
+from scalar_oracle import PRODUCT_TOL, Column, deviation, scalar_coefficient, scalar_row, ziggurat_walk
 from scalar_oracle import weight_battery as numpy_battery
 
 Q = NumberFieldSpec.rationals()
@@ -271,6 +271,22 @@ class TestWeightBattery:
             weight_battery(20, 10**10, 0)
 
 
+class TestPairTableMemory:
+    def test_table_holds_its_values_and_little_else(self):
+        """A pair table is its members, two index arrays and its rows: building
+        the 5,886-pair table of the characters mod <= 24 and its first matrix
+        peaks within 1.5 MB of the table's own TABLE_ROWS rows."""
+        fam = dirichlet_family_by_modulus(24)
+        size = len(fam.members)
+        tracemalloc.start()
+        try:
+            PairCoefficientTable(fam, "lambda").matrix(ideal_from_int(Q, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 16 * coeffs.TABLE_ROWS * size * (size + 1) // 2 <= 1.5e6
+
+
 class TestSharedTable:
     """One table across all ideals gives exactly what a fresh table per ideal gives."""
 
@@ -333,14 +349,14 @@ class TestTableMismatch:
 
 
 class PerEntryAssembly:
-    """The assembly the per-prime-power arrays replaced: one _LocalEngine per
-    pair, each entry the scalar product of its local values."""
+    """The assembly the per-prime-power arrays replaced: one column per pair,
+    each entry the scalar product of its local values."""
 
     def __init__(self, family, kind, model):
         self.family, self.model = family, model
         members = family.members
         self.pairs = {
-            (i, j): _LocalEngine(members[i], members[j], kind, model)
+            (i, j): Column(members[i], members[j], kind, model)
             for i in range(len(members))
             for j in range(i, len(members))
         }
@@ -348,23 +364,20 @@ class PerEntryAssembly:
     def matrix(self, ideal, kind, pi0):
         size = len(self.family.members)
         m = np.zeros((size, size), dtype=np.complex128)
-        for (i, j), engine in self.pairs.items():
-            v = scalar_coefficient(engine, ideal)
+        for (i, j), col in self.pairs.items():
+            v = scalar_coefficient(col, ideal)
             m[i, j] = v
             if j != i:
                 m[j, i] = np.conj(v)
         if kind == "lambda_centered":
             base = pi0 or trivial_representation(self.family.field)
             dual = contragredient(base)
+            model = default_model(self.family.members + (base,))
             vec = np.array([
-                scalar_coefficient(
-                    _LocalEngine(member, dual, "lambda", pair_model(member, base, self.model)), ideal
-                )
+                scalar_coefficient(Column(member, dual, "lambda", model), ideal)
                 for member in self.family.members
             ])
-            w00 = scalar_coefficient(
-                _LocalEngine(base, base, "lambda", pair_model(base, base, self.model)), ideal
-            )
+            w00 = scalar_coefficient(Column(base, base, "lambda", model), ideal)
             m = w00 * m - np.outer(vec, np.conj(vec))
         return m
 
@@ -395,8 +408,8 @@ class TestPerEntryDifferential:
         fam = make()
         base = "lambda" if kind == "lambda_centered" else kind
         table = PairCoefficientTable(fam, base)
-        reference = PerEntryAssembly(fam, base, default_model(fam))
-        rounded = default_model(fam) == "product" and base in ("lambda", "mu")
+        reference = PerEntryAssembly(fam, base, default_model(fam.members))
+        rounded = default_model(fam.members) == "product" and base in ("lambda", "mu")
         factor_counts, zeros = set(), 0
         for ideal in enumerate_ideals(fam.field, bound):
             for pi0 in (None, fam.members[1]) if kind == "lambda_centered" else (None,):
@@ -625,6 +638,5 @@ class TestLogDecomposition:
         for kind, dec in series.items():
             got = np.array([dec.reconstruct_covered(ideal) for ideal in ideals])
             for i, j in zip(*np.triu_indices(len(members))):
-                engine = _LocalEngine(members[i], members[j], kind, model)
-                want = np.array(scalar_row(engine, ideals))
+                want = np.array(scalar_row(Column(members[i], members[j], kind, model), ideals))
                 assert np.abs(got[:, i, j] - want).max() < 1e-9 * max(1.0, np.abs(want).max())

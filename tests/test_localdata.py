@@ -195,6 +195,18 @@ class TestStreamDoubles:
                 alphas = member.local_at(prime).alphas
                 assert words(alphas) == words(synthetic_alphas(n, seed, model, i, prime))
 
+    @pytest.mark.parametrize("entry", ["stream_doubles", "Stream"])
+    def test_negative_seed_refused(self, entry, monkeypatch):
+        """A negative seed is refused before any word is hashed: its uint32
+        words never end, as n >>= 32 keeps -1."""
+        draw = {
+            "stream_doubles": lambda: stream_doubles(-1, [0], [2], [0], 1),
+            "Stream": lambda: pcg64.Stream(-1),
+        }[entry]
+        monkeypatch.setattr(pcg64, "_uint32_words", None)
+        with pytest.raises(UsageError, match="non-negative"):
+            draw()
+
     def test_one_call_per_doubling(self, monkeypatch):
         """A run through the prime ideals in norm order draws in about log2 X
         calls; a prime ideal far past the drawn range is drawn alone."""

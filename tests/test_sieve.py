@@ -10,12 +10,10 @@ from scipy.integrate import quad
 
 from lfunclab.coeffs import (
     SERIES_KINDS,
-    _LocalEngine,
     default_model,
     expand_global,
     family_arrays,
     ideal_list,
-    pair_model,
 )
 from lfunclab import sieve
 from lfunclab.errors import ResourceLimitError, UsageError
@@ -52,6 +50,7 @@ from lfunclab.sieve import (
 
 from scalar_oracle import (
     PRODUCT_TOL,
+    Column,
     KahanAccumulator,
     assert_rows_match,
     deviation,
@@ -501,12 +500,12 @@ FAMILY_CASES = [
 
 
 def path_engines(family, pi0, kind):
-    """Each member's engine against pi0 (None: the trivial member), and the diagonal's."""
-    model = default_model(family)
+    """Each member's column against pi0 (None: the trivial member), and the
+    diagonal's, under the model of the members and pi0 together."""
     pi0 = pi0 or trivial_representation(family.field)
+    model = default_model(family.members + (pi0,))
     dual = contragredient(pi0)
-    engines = [_LocalEngine(m, dual, kind, pair_model(m, pi0, model)) for m in family.members]
-    return engines, _LocalEngine(pi0, pi0, "lambda", pair_model(pi0, pi0, model))
+    return [Column(m, dual, kind, model) for m in family.members], Column(pi0, pi0, "lambda", model)
 
 
 def series_path(family, pi0, bound, kind):
