@@ -168,6 +168,15 @@ class Outcome:
     failure: str | None = None  # raised as InvariantError once the report is written
 
 
+def _check_floats(args) -> None:
+    """The one rule for float flags: a value that is not a finite float (nan,
+    inf, or a decimal past the float range, which parses as inf) is refused
+    before any work starts."""
+    for name, value in sorted(vars(args).items()):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"--{name.replace('_', '-')} must be a finite number, not {value}")
+
+
 def _finish(args, outcome: Outcome) -> int:
     config = dict(sorted(vars(args).items()))
     config.update(outcome.config)
@@ -260,12 +269,14 @@ def cmd_large_sieve(args) -> Outcome:
 
 
 def cmd_psd(args) -> Outcome:
-    from . import covers, ideals, localdata
+    from . import covers, idealtable, ideals, localdata
 
     if not args.tol >= 0:
         raise UsageError(f"--tol must be >= 0, not {args.tol}")
     family = _load_family(args.family, lambda: localdata.dirichlet_character_family(20))
     table = covers.PairCoefficientTable(family, "lambda")
+    centered = ("lambda",) if args.kind == "lambda_centered" else ()
+    table.fill(idealtable.IdealTable.prime_powers(family.field, args.nmax), centered)
     records = []
     worst = math.inf
     failure = None
@@ -289,10 +300,11 @@ def cmd_psd(args) -> Outcome:
 
 
 def cmd_covers(args) -> Outcome:
-    from . import covers, ideals, localdata
+    from . import covers, idealtable, ideals, localdata
 
     family = _load_family(args.family, lambda: localdata.dirichlet_character_family(20))
     table = covers.PairCoefficientTable(family, "lambda")
+    table.fill(idealtable.IdealTable.prime_powers(family.field, args.nmax), (args.kind,))
     records = []
     worst = math.inf
     for ideal in ideals.enumerate_ideals(family.field, args.nmax):
@@ -474,6 +486,7 @@ def main(argv=None) -> int:
             return _run_selftest(COMMANDS[request.command][1])
         if args.threads < 1:
             parser.error("--threads must be >= 1")
+        _check_floats(args)
         return _finish(args, COMMANDS[args.command][0](args))
     except InvariantError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)

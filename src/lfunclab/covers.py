@@ -32,13 +32,8 @@ from .coeffs import (
     power_sum,
 )
 from .errors import DataIntegrityError, UsageError
-from .ideals import (
-    IdealIndex,
-    ideal_mul,
-    prime_ideal,
-    prime_powers_up_to,
-    unit_ideal,
-)
+from .ideals import IdealIndex, ideal_mul, prime_ideal, unit_ideal
+from .idealtable import IdealTable
 from .localdata import Family, Representation
 
 MATRIX_KINDS = ("lambda", "mu", "biglambda", "logl", "lambda_centered")
@@ -61,9 +56,10 @@ class PairCoefficientTable:
     the pi0 column (each member against pi0 itself, plus pi0 x dual pi0).
 
     Each prime power's values over the upper-triangle pairs (np.triu_indices
-    order) form one array, computed once; build one table per run and pass
-    it to every ideal.  A family whose pair table would pass the table
-    ceiling is refused before the table is built.
+    order) form one array, computed once; build one table per run, fill it
+    once for the run's ideals and pass it to every ideal.  A family whose
+    pair table would pass the table ceiling is refused before the table is
+    built.
     """
 
     def __init__(self, family: Family, kind: str):
@@ -74,6 +70,23 @@ class PairCoefficientTable:
         self.model = default_model(family.members)
         self._pairs = _PrimePowerArrays(family.members, np.triu_indices(size), kind, self.model)
         self._pi0_arrays: dict[tuple, tuple[_PrimePowerArrays, _PrimePowerArrays]] = {}
+
+    def fill(self, ideals: IdealTable, kinds) -> None:
+        """Fill the pair rows, and the arrays of the trivial pi0 for each of the
+        kinds, at every prime power the ideals' table indexes, before the first
+        matrix: under the product model each prime's exponents in one piece,
+        so its members' power sums are taken once."""
+        self._pairs.fill(ideals)
+        for kind in kinds:
+            for arrays in self._pi0(None, kind):
+                arrays.fill(ideals)
+
+    def _pi0(self, pi0: Representation | None, kind: str) -> tuple[_PrimePowerArrays, _PrimePowerArrays]:
+        """The pi0 column and diagonal arrays, built once per (pi0 object, kind)."""
+        key = (pi0, kind)
+        if key not in self._pi0_arrays:
+            self._pi0_arrays[key] = family_arrays(self.family, kind, pi0)
+        return self._pi0_arrays[key]
 
     def engine(self, i: int, j: int) -> tuple[Representation, Representation]:
         """The members of entry (i, j): member i against the dual of member j."""
@@ -102,12 +115,9 @@ class PairCoefficientTable:
         """(lambda^kind_{i x pi0}(n) for every member i, lambda_{pi0 x dual pi0}(n)).
 
         pi0 = None stands for the trivial member of the family's field, as in
-        family_arrays.  Its tables are built once per (pi0 object, kind).
+        family_arrays.
         """
-        key = (pi0, kind)
-        if key not in self._pi0_arrays:
-            self._pi0_arrays[key] = family_arrays(self.family, kind, pi0)
-        column, diagonal = self._pi0_arrays[key]
+        column, diagonal = self._pi0(pi0, kind)
         return column.at(ideal), complex(diagonal.at(ideal)[0])
 
 
@@ -434,7 +444,7 @@ def log_decomposition(family: Family, bound: int) -> CoverDecomposition:
     product: one term, u_i = p_f(alpha_i(p)) / sqrt(f), a power sum.
     """
     members, field = family.members, family.field
-    ideals = prime_powers_up_to(field, bound)
+    ideals = IdealTable.prime_powers(field, bound).ideals()
     factors = [factor for ideal in ideals for factor in ideal.factors]
     blocks = {}
     if default_model(members) == "gl1_exact":

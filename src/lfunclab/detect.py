@@ -41,6 +41,7 @@ if TYPE_CHECKING:
 CONSTRAINT_LEVEL = 1.0 - 1e-8
 CHEBYSHEV_PSI_SLOPE = 1.03883  # psi(x) < 1.03883 x for all x > 0
 WINDOW_POINTS_PER_OCTAVE = 64  # window-integral grid; checked against twice as many
+SERIES_SLICE = 1024  # terms a series sum reads as Python numbers at a time
 
 
 @dataclass(frozen=True)
@@ -372,8 +373,7 @@ def high_derivative(
     trunc = series.bound
     flags: list[str] = []
     terms = []
-    for ideal, val in series.values.items():
-        m = ideal.norm
+    for m, val in _terms(series):
         if m > trunc:
             continue
         w = jk(eta * math.log(m), k)
@@ -385,6 +385,14 @@ def high_derivative(
     tail, tail_flags = _hd_tail_bound(eta, k, trunc)
     flags.extend(tail_flags)
     return HighDerivResult(value, tail, flags)
+
+
+def _terms(series: CoefficientSeries):
+    """(norm, value) of each stored term as Python numbers, in table order,
+    SERIES_SLICE at a time, so that no list of every term is held."""
+    for start in range(0, len(series.values), SERIES_SLICE):
+        stop = start + SERIES_SLICE
+        yield from zip(series.norms[start:stop].tolist(), series.values[start:stop].tolist())
 
 
 def _hd_tail_bound(eta: float, k: int, trunc: int) -> tuple[float, list[str]]:
@@ -591,7 +599,8 @@ def detection_bounds(
 
 def _window_integral(series: CoefficientSeries, config: DetectionConfig, per_octave: int) -> float:
     """eta^2 int |sum_{N_eta < N(n) <= u} Lambda(n) N(n)^(-1-i tau)| du/u
-    over the reachable part of the window, on a geometric u-grid."""
+    over the reachable part of the window, on a geometric u-grid; the
+    running sum takes the terms in the series' table order, by norm."""
     eta, tau = config.eta, config.tau
     log_lo = config.log_n_eta
     log_hi = min(config.log_n_eta_star, math.log(series.bound))
@@ -599,11 +608,7 @@ def _window_integral(series: CoefficientSeries, config: DetectionConfig, per_oct
         return 0.0
     n_steps = max(2, int(math.ceil((log_hi - log_lo) / math.log(2.0) * per_octave)))
     grid = np.linspace(log_lo, log_hi, n_steps + 1)
-    items = [
-        (i.norm, v)
-        for i, v in series.items_sorted()
-        if math.log(i.norm) > log_lo and math.log(i.norm) <= log_hi
-    ]
+    items = [(m, v) for m, v in _terms(series) if math.log(m) > log_lo and math.log(m) <= log_hi]
     partial = np.zeros(len(grid), dtype=np.complex128)
     acc = 0j
     pos = 0
@@ -746,16 +751,16 @@ def family_count_bound(
         raise UsageError(f"the conductor bound Q must be positive, not {q_bound:g}")
     if n < 1:
         raise UsageError(f"the degree n must be at least 1, not {n}")
-    shape = abs(field.discriminant) ** (-(n**2)) * q_bound ** (2 * n + epsilon)
+    try:
+        shape = abs(field.discriminant) ** (-(n**2)) * q_bound ** (2 * n + epsilon)
+    except OverflowError:
+        raise UsageError(f"the shape Q^(2n+eps) at Q = {q_bound:g}, n = {n} passes the float range") from None
     flags = []
     if n == 1 and field.is_rationals:
         from .localdata import dirichlet_character_family
 
-        try:
-            fam = dirichlet_character_family(q_bound)
-            count = len(fam.members)
-        except UsageError:
-            count = 0
+        # no character has analytic conductor below 3
+        count = len(dirichlet_character_family(q_bound).members) if q_bound >= 3 else 0
         return FamilyCountResult(count, shape, count / shape, False, flags)
     flags.append("enumeration supported only for degree 1 over Q; shape only")
     return FamilyCountResult(None, shape, None, True, flags)

@@ -12,6 +12,13 @@ Slots of a split prime are fixed labels: _splitting names the two primes
 above p as slots 0 and 1, attached to no particular root of x^2 = D (mod p).
 Nothing numerical depends on which prime is slot 0; the fixed labels only
 make runs reproducible.
+
+IdealIndex is one ideal as an object, for arithmetic and for loops that take
+one ideal at a time.  Every enumeration of the ideals up to a norm bound is
+an idealtable.IdealTable of int64 arrays; enumerate_ideals turns one into
+IdealIndex objects.  check_ideal_bytes refuses a bound whose ideals could
+take more than IDEAL_BYTES_CEILING as IdealIndex objects, which also bounds
+every table.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .errors import InvariantError, ResourceLimitError, UsageError
 
 PRIME_SIEVE_CEILING = 10_000_000  # bytes of the boolean sieve: one per integer up to the bound
 IDEAL_BYTES_CEILING = 1 << 30  # what an enumeration may hold, at BYTES_PER_IDEAL each
-BYTES_PER_IDEAL = 412  # measured: enumerate_ideals(Q, 300000) raised peak RSS by 118 MB
+BYTES_PER_IDEAL = 412  # measured: 300,000 IdealIndex objects over Q raised peak RSS by 118 MB
 
 PrimeId = tuple[int, int]  # (rational prime, slot)
 
@@ -231,19 +238,8 @@ def gcd_lcm(a: IdealIndex, b: IdealIndex) -> tuple[IdealIndex, IdealIndex]:
     return ideal_from_factors(a.field, gcd_f), ideal_from_factors(a.field, lcm_f)
 
 
-def divides(d: IdealIndex, n: IdealIndex) -> bool:
-    en = dict(n.factors)
-    return all(en.get(pid, 0) >= e for pid, e in d.factors)
-
-
 def is_squarefree_ideal(a: IdealIndex) -> bool:
     return all(e == 1 for _, e in a.factors)
-
-
-def min_prime_norm(a: IdealIndex) -> int | None:
-    """Smallest prime-ideal norm dividing a, or None for the unit ideal."""
-    norms = [prime_norm(a.field, pid) for pid, _ in a.factors]
-    return min(norms) if norms else None
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -259,38 +255,33 @@ def primes_up_to(n: int) -> np.ndarray:
     return np.nonzero(sieve)[0].astype(np.int64)
 
 
+def prime_ideal_arrays(field: NumberFieldSpec, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, slot, norm) of every prime ideal of norm <= bound, as int64 arrays
+    sorted by (norm, p, slot)."""
+    p = primes_up_to(bound)
+    if field.is_rationals:
+        return p, np.zeros_like(p), p
+    listed = sorted(
+        (norm, q, slot)
+        for q in p.tolist()  # sieved, so no primality test
+        for (_, slot), norm in _splitting(field, q).primes
+        if norm <= bound
+    )
+    norm, prime, slot = np.array(listed, dtype=np.int64).reshape(-1, 3).T
+    return prime, slot, norm
+
+
 def prime_ideals_up_to(field: NumberFieldSpec, bound: int) -> list[tuple[PrimeId, int]]:
     """All prime ideals of norm <= bound, sorted by (norm, p, slot)."""
-    out = []
-    for p in primes_up_to(bound).tolist():  # sieved, so no primality test
-        for pid, norm in _splitting(field, p).primes:
-            if norm <= bound:
-                out.append((pid, norm))
-    out.sort(key=lambda t: (t[1], t[0]))
-    return out
+    prime, slot, norm = (x.tolist() for x in prime_ideal_arrays(field, bound))
+    return list(zip(zip(prime, slot), norm))
 
 
-def prime_powers_up_to(field: NumberFieldSpec, bound: int) -> list[IdealIndex]:
-    """The prime-power ideals of norm <= bound, prime by prime as prime_ideals_up_to."""
-    out = []
-    for pid, pn in prime_ideals_up_to(field, bound):
-        norm, e = pn, 1
-        while norm <= bound:
-            out.append(IdealIndex(field, ((pid, e),), norm))
-            norm, e = norm * pn, e + 1
-    return out
-
-
-def enumerate_ideals(field: NumberFieldSpec, bound: int) -> list[IdealIndex]:
-    """All integral ideals of norm <= bound, sorted by (norm, factorization).
-
-    Complete and duplicate-free by construction: each ideal is produced
-    exactly once from its factorization over the ordered prime list.  A
-    bound whose ideals could take more than IDEAL_BYTES_CEILING is refused
-    before anything is sieved or built.
-    """
+def check_ideal_bytes(field: NumberFieldSpec, bound: int) -> None:
+    """Refuse a bound whose ideals could take more than IDEAL_BYTES_CEILING as
+    IdealIndex objects, before anything is sieved or built."""
     if bound < 1:
-        raise UsageError("enumerate_ideals requires bound >= 1")
+        raise UsageError("an ideal table needs bound >= 1")
     # B ideals over Q; a quadratic field has at most d(n) of norm n, so at
     # most sum_{d <= B} floor(B/d) <= B (1 + ln B)
     count = bound if field.is_rationals else bound * (1.0 + math.log(bound))
@@ -300,25 +291,15 @@ def enumerate_ideals(field: NumberFieldSpec, bound: int) -> list[IdealIndex]:
             f"ideals of norm <= {bound} over {field.describe()} could take {held} bytes, "
             f"which exceeds the ceiling of {IDEAL_BYTES_CEILING} bytes"
         )
-    prime_list = prime_ideals_up_to(field, bound)
-    out: list[IdealIndex] = []
 
-    def extend(start: int, norm: int, factors: tuple):
-        out.append(IdealIndex(field, tuple(sorted(factors)), norm))
-        for i in range(start, len(prime_list)):
-            pid, pn = prime_list[i]
-            if norm * pn > bound:
-                # prime_list is norm-sorted: no later prime fits either
-                break
-            acc_norm, e = norm, 0
-            while acc_norm * pn <= bound:
-                acc_norm *= pn
-                e += 1
-                extend(i + 1, acc_norm, factors + (((pid), e),))
 
-    extend(0, 1, ())
-    out.sort(key=IdealIndex.sort_key)
-    return out
+def enumerate_ideals(field: NumberFieldSpec, bound: int) -> list[IdealIndex]:
+    """All integral ideals of norm <= bound, sorted by (norm, factorization),
+    as IdealIndex objects: the entries of idealtable.IdealTable, for loops
+    that take one ideal at a time."""
+    from .idealtable import IdealTable
+
+    return IdealTable(field, bound).ideals()
 
 
 def validate_ideal(a: IdealIndex) -> None:

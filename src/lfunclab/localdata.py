@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import characters as chars
-from .errors import DataIntegrityError, SpecParseError, UsageError
+from .errors import DataIntegrityError, ResourceLimitError, SpecParseError, UsageError
 from .ideals import (
+    IDEAL_BYTES_CEILING,
     PRIME_SIEVE_CEILING,
     IdealIndex,
     NumberFieldSpec,
@@ -33,6 +34,7 @@ from .ideals import (
 )
 
 MAGNITUDE_TOL = 1e-12
+CHARACTER_BYTES_CEILING = IDEAL_BYTES_CEILING  # what a family's character tables may hold
 
 
 def theta_bound(n: int) -> float:
@@ -203,12 +205,21 @@ def dirichlet_character_family(q_max: float) -> Family:
     """All primitive Dirichlet characters with analytic conductor <= q_max.
 
     The analytic conductor of a primitive character mod q is q*(3+parity),
-    so moduli beyond q_max/3 cannot contribute.
+    so moduli beyond q_max/3 cannot contribute.  A bound whose character
+    tables could pass CHARACTER_BYTES_CEILING is refused before any is built.
     """
     if q_max < 3:
         raise UsageError("no character has analytic conductor below 3")
+    moduli = int(q_max // 3)
+    # character_group(q) keeps q int64 angles for each of its phi(q) < q characters
+    held = 8 * moduli * (moduli + 1) * (2 * moduli + 1) // 6
+    if held > CHARACTER_BYTES_CEILING:
+        raise ResourceLimitError(
+            f"the characters of modulus <= {moduli} could take {held} bytes, "
+            f"which exceeds the ceiling of {CHARACTER_BYTES_CEILING} bytes"
+        )
     members = []
-    for q in range(1, int(q_max // 3) + 1):
+    for q in range(1, moduli + 1):
         for chi in chars.primitive_characters(q):
             rep = character_representation(chi)
             if analytic_conductor(rep) <= q_max + 1e-9:

@@ -37,10 +37,8 @@ from .coeffs import (
 from .errors import ResourceLimitError, UsageError
 from .ideals import (
     IdealIndex,
-    divides,
     ideal_mul,
     is_squarefree_ideal,
-    min_prime_norm,
     prime_ideal,
     prime_ideals_up_to,
     unit_ideal,
@@ -174,12 +172,11 @@ def bound_table(
     ideals = ideal_list(family.field, max(n_list))
     column, diagonal = family_arrays(family, kind, pi0)
     check_table_bytes(s, len(ideals), "coefficient rows")
-    norms = [i.norm for i in ideals]
     gram = np.zeros((s, s), dtype=np.complex128)
     measured = {}
     done = 0
     for n_bound in sorted(set(n_list)):
-        cols = bisect.bisect_right(norms, n_bound)
+        cols = bisect.bisect_right(ideals.norm, n_bound)
         for start in range(done, cols, GRAM_CHUNK):
             chunk = ideals[start : min(start + GRAM_CHUNK, cols)]
             weights = diagonal.rows(chunk)[0].real
@@ -433,7 +430,8 @@ def smooth_sum_residue(
     """Bump-weighted coefficient sum over multiples of d, minus its main term.
 
     lhs = sum over d | n of phi(T log(N(n)/x)) lambda_{a x dual b}(n),
-    exactly rounded by fsum_complex;
+    exactly rounded by fsum_complex, with d | n read off the exponents of
+    the series' ideal table;
     main = g_a(d) x phihat(1/T) / T * residue.  The product model is used
     for the coefficients so the GL1 residue formula matches exactly.
     """
@@ -445,10 +443,10 @@ def smooth_sum_residue(
     hi = int(math.floor(x * math.exp(2.0 / t_sharp)))
     series = expand_global(a, b, hi, "lambda", "product")
     lo = x * math.exp(-2.0 / t_sharp)
+    window = (series.norms > lo) & series.ideals.divisible_by(d)
     total = fsum_complex(
-        val * bump_phi(t_sharp * math.log(ideal.norm / x))
-        for ideal, val in series.values.items()
-        if ideal.norm > lo and divides(d, ideal)
+        val * bump_phi(t_sharp * math.log(norm / x))
+        for norm, val in zip(series.norms[window].tolist(), series.values[window].tolist())
     )
     if abs(total.imag) > 1e-9 * max(1.0, abs(total.real)):
         flags.append("pair sum has a nontrivial imaginary part; reporting the real part")
@@ -519,7 +517,8 @@ def sifted_sum_check(
 ) -> SiftedSumResult:
     """Sifted-window mean square against the sieve-weighted bound shape.
 
-    Window: N(n) in (x, e^(1/T) x], every prime factor of norm > z.  The
+    Window: N(n) in (x, e^(1/T) x], every prime factor of norm > z, read
+    off the ideal table's smallest prime norms.  The
     right side keeps the structural factors (1/log z)(x/T + Q^n z^(2n^2+2)
     T^(n^2 [F:Q]/2) |S| D_F^(-n^2/2)) with implied constants omitted.  Each
     member's weighted sum, the members' |.|^2, the weighted norm and the
@@ -531,15 +530,14 @@ def sifted_sum_check(
     pi0 = pi0 or trivial_representation(family.field)
     fld = family.field
     hi = int(math.floor(x * math.exp(1.0 / t_sharp)))
-    window = [
-        i
-        for i in ideal_list(fld, max(hi, 1))
-        if i.norm > x and ((mp := min_prime_norm(i)) is None or mp > z) and not i.is_unit
-    ]
+    table = ideal_list(fld, max(hi, 1))
+    window = table[(table.norm > x) & (table.depth > 0) & (table.min_prime_norm() > z)]
     column, diagonal = family_arrays(family, kind, pi0)
     diag0 = diagonal.rows(window)[0].real.tolist()
-    wvals = weights.values if weights is not None else {i: 1 + 0j for i in window}
-    ws = [wvals.get(i, 0j) for i in window]
+    if weights is None:
+        ws = [1 + 0j] * len(window)
+    else:
+        ws = [weights.values.get(i, 0j) for i in window.ideals()]
     lhs = math.fsum(
         abs(fsum_complex(wv * val for wv, val in zip(ws, row) if wv)) ** 2
         for row in column.rows(window).tolist()
@@ -631,8 +629,9 @@ def mvt_mu(
     if (points - 1) / (2 * t_range) < 4.0 * math.log(max(hi, 3)):
         flags.append("quadrature may undersample the integrand oscillation")
     vs = np.linspace(-t_range, t_range, points)
-    ideals = [i for i in ideal_list(family.field, hi) if i.norm >= lo]
-    all_norms = np.array([i.norm for i in ideals], dtype=np.float64)
+    table = ideal_list(family.field, hi)
+    ideals = table[table.norm >= lo]
+    all_norms = ideals.norm.astype(np.float64)
     column, _ = family_arrays(family, "mu", pi0)
     total = 0.0
     for row in column.rows(ideals):

@@ -32,7 +32,15 @@ oracle for `sieve.bound_table`'s chunked Gram.
 `KahanAccumulator` keeps the compensated summation the series pipelines
 used before `coeffs.fsum_complex`: the oracle's own accumulator for the
 Selberg pair loop, and the old aggregation that the sifted sums are
-compared with."""
+compared with.
+
+`walk_ideals` keeps the recursive enumeration of ideals that
+`ideals.IdealTable` replaced: one IdealIndex per factorization over the
+norm-sorted prime list, then a sort by (norm, factors); `divides` and
+`min_prime_norm` read one ideal's factorization, the oracles of the
+table's divisibility and smallest-prime-norm masks.  `table_of` selects
+given IdealIndex objects from an IdealTable, so that `rows` can read
+them."""
 
 import math
 from typing import NamedTuple
@@ -41,7 +49,8 @@ import numpy as np
 
 from lfunclab.characters import conjugate, multiply, primitive_part
 from lfunclab.coeffs import family_arrays, ideal_list, partitions_of, power_sum
-from lfunclab.ideals import prime_ideal
+from lfunclab.idealtable import IdealTable
+from lfunclab.ideals import IdealIndex, prime_ideal, prime_ideals_up_to, prime_norm
 from lfunclab.ziggurat import _FI, _INV_R, _KI, _R, _WI
 
 
@@ -65,6 +74,49 @@ class KahanAccumulator:
 
     def value(self) -> complex:
         return complex(self.re, self.im)
+
+
+def walk_ideals(field, bound: int) -> list:
+    """All ideals of norm <= bound, sorted by (norm, factors), from the
+    recursive walk over the norm-sorted prime ideals."""
+    prime_list = prime_ideals_up_to(field, bound)
+    out = []
+
+    def extend(start: int, norm: int, factors: tuple):
+        out.append(IdealIndex(field, tuple(sorted(factors)), norm))
+        for i in range(start, len(prime_list)):
+            pid, pn = prime_list[i]
+            if norm * pn > bound:
+                # prime_list is norm-sorted: no later prime fits either
+                break
+            acc_norm, e = norm, 0
+            while acc_norm * pn <= bound:
+                acc_norm *= pn
+                e += 1
+                extend(i + 1, acc_norm, factors + ((pid, e),))
+
+    extend(0, 1, ())
+    out.sort(key=IdealIndex.sort_key)
+    return out
+
+
+def table_of(field, ideals):
+    """The entries of the IdealTable up to the largest norm at the given
+    ideals, in the given order."""
+    table = IdealTable(field, max((ideal.norm for ideal in ideals), default=1))
+    position = {ideal: at for at, ideal in enumerate(table.ideals())}
+    return table[np.array([position[ideal] for ideal in ideals], dtype=np.intp)]
+
+
+def divides(d, n) -> bool:
+    en = dict(n.factors)
+    return all(en.get(pid, 0) >= e for pid, e in d.factors)
+
+
+def min_prime_norm(a) -> int | None:
+    """Smallest prime-ideal norm dividing a, or None for the unit ideal."""
+    norms = [prime_norm(a.field, pid) for pid, _ in a.factors]
+    return min(norms) if norms else None
 
 
 class Column(NamedTuple):

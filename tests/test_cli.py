@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from lfunclab import characters, cli, coeffs, covers, detect, ideals, localdata, sieve
-from lfunclab.cli import main
+from lfunclab.cli import COMMANDS, main
 from lfunclab.errors import UsageError
 from lfunclab.ideals import enumerate_ideals
 from lfunclab.localdata import parse_family_spec
@@ -260,6 +260,8 @@ class TestExitCodes:
             ["covers", "--nmax", "4", "--trials", "10000000000"],
             # 16,671 members: a 16,671 x 16,671 Gram of 4.4 GB, refused before it is allocated
             ["large-sieve", "--gl1", "--qmax", "300", "--n", "2"],
+            # the characters of modulus <= 333,333: about 10^17 bytes of angle tables
+            ["count", "--q", "1e6"],
         ],
     )
     def test_past_a_ceiling_exits_two_before_allocating(
@@ -317,6 +319,30 @@ class TestExitCodes:
         out = tmp_path / "r.csv"
         assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sieve-weights", "--z", "nan"], "--z"),
+            (["residue", "--x", "1200", "--t", "nan"], "--t"),
+            (["detect", "--eta", "0.05", "--log-scale", "inf"], "--log-scale"),
+            (["count", "--q", "inf"], "--q"),
+            (["sifted", "--x", "3000", "--z", "nan"], "--z"),
+            (["mvt", "--x", "1e999"], "--x"),  # past the float range, so inf
+        ],
+    )
+    def test_float_flag_that_is_not_finite_exits_two(self, argv, flag, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(COMMANDS, argv[0], (lambda args: pytest.fail("the handler ran"), ()))
+        out = tmp_path / "r.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be a finite number")
+        assert not out.exists()
+
+    def test_shape_past_the_float_range_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["count", "--q", "1e200", "--n", "2", "--out", str(out)]) == 2
+        assert "float range" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -512,15 +538,16 @@ class TestKernelBuildCounts:
 
         fam = parse_family_spec(str(spec))
         size = len(fam.members)
-        exponents = [q.factors[0][1] for q in enumerate_ideals(fam.field, self.NMAX) if len(q.factors) == 1]
+        prime_powers = [q for q in enumerate_ideals(fam.field, self.NMAX) if len(q.factors) == 1]
         assert len(tables) == 1
-        # a table filling p^e takes each of its members' power sums p_1..p_e
-        # at p, at most: the members in the pair table, again with the dual
+        # the tables are filled before the loop, each prime's exponents in one
+        # piece, so each member's power sums p_1..p_e at p are taken once per
+        # prime power: the members in the pair table, again with the dual
         # trivial member in the pi0 column, and pi0 in its diagonal; a
         # per-pair kernel would take two per pair
-        assert len(sums) <= (2 * size + 2) * sum(exponents) < size * (size + 1) * len(exponents)
+        assert len(sums) <= (2 * size + 2) * len(prime_powers) < size * (size + 1) * len(prime_powers)
         if family == "quadratic":
-            assert sums
+            assert len(sums) == (2 * size + 2) * len(prime_powers) == 132
         # each table (the pairs, a pi0 column or the pi0 diagonal) fills each
         # prime power once, for all its columns at a time
         assert len({(id(arrays), factor) for arrays, factor in filled}) == len(filled)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -30,13 +31,12 @@ from lfunclab.covers import (
 from lfunclab import coeffs
 from lfunclab.cli import main
 from lfunclab.errors import ResourceLimitError, UsageError
+from lfunclab.idealtable import IdealTable
 from lfunclab.ideals import (
     NumberFieldSpec,
-    divides,
     enumerate_ideals,
     ideal_from_int,
     prime_ideal,
-    prime_powers_up_to,
     unit_ideal,
 )
 from lfunclab.localdata import (
@@ -60,14 +60,23 @@ from scalar_oracle import (
     assert_rows_match,
     columns,
     deviation,
+    divides,
     local_lambda,
     product_character,
     scalar_coefficient,
+    min_prime_norm,
     scalar_row,
+    table_of,
+    walk_ideals,
 )
 
 Q = NumberFieldSpec.rationals()
 P2 = prime_ideal(Q, (2, 0))
+
+
+def prime_powers(field, bound: int) -> list:
+    """The prime-power ideals of norm <= bound, in (norm, factors) order."""
+    return IdealTable.prime_powers(field, bound).ideals()
 
 
 def all_pairs(n: int) -> np.ndarray:
@@ -184,7 +193,7 @@ class TestExpandGlobal:
     def test_logl_is_biglambda_over_log(self, trivial_rep):
         big = expand_global(trivial_rep, trivial_rep, 100, "biglambda")
         logl = expand_global(trivial_rep, trivial_rep, 100, "logl")
-        for ideal, val in logl.values.items():
+        for ideal, val in logl.items():
             assert val == pytest.approx(big.value(ideal) / math.log(ideal.norm), abs=1e-13)
 
     def test_multiplicativity_of_lambda(self, gl2_family):
@@ -257,8 +266,9 @@ class TestPrimePowerArraysRows:
         mix = [ideals[k] for k in np.random.default_rng(11).permutation(len(ideals))]
         mix += mix[:5]  # repeats read the same table rows
         # two calls: the second reads prime powers the first put in the table
+        halves = table_of(fam.field, mix[:40]), table_of(fam.field, mix[40:])
         got = np.concatenate(
-            [np.concatenate([arrays.rows(mix[:40]), arrays.rows(mix[40:])], axis=1) for arrays in tables]
+            [np.concatenate([arrays.rows(half) for half in halves], axis=1) for arrays in tables]
         )
         cols = [col for arrays in tables for col in columns(arrays)]
         want = np.array([scalar_row(col, mix) for col in cols], dtype=np.complex128)
@@ -287,7 +297,7 @@ class TestPrimePowerArraysRows:
         )
         mix = [ideal_from_int(Q, n) for n in (21, 2, 105, 3, 15, 1, 35, 210, 9, 7)]
         for kind, partner in (("lambda", trivial_representation()), ("mu", member)):
-            got = _PrimePowerArrays([member, partner], [[0], [1]], kind, "product").rows(mix)[0]
+            got = _PrimePowerArrays([member, partner], [[0], [1]], kind, "product").rows(table_of(Q, mix))[0]
             col = Column(member, partner, kind, "product")
             want = np.array([scalar_coefficient(col, i) for i in mix])
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), kind
@@ -298,8 +308,8 @@ class TestPrimePowerArraysRows:
         size = len(fam.members)
         members = fam.members + (trivial_representation(),)
         arrays = _PrimePowerArrays(members, [np.arange(size), np.full(size, size)], "lambda", "product")
-        assert arrays.rows([]).shape == (size, 0)
-        assert np.array_equal(arrays.rows([unit_ideal(Q)] * 2), np.ones((size, 2)))
+        assert arrays.rows(table_of(Q, [])).shape == (size, 0)
+        assert np.array_equal(arrays.rows(table_of(Q, [unit_ideal(Q)] * 2)), np.ones((size, 2)))
 
 
 class TestTableCeilings:
@@ -316,7 +326,7 @@ class TestTableCeilings:
 
     def test_rows_before_any_row_is_filled(self, monkeypatch):
         arrays = _PrimePowerArrays([trivial_representation()], [[0], [0]], "lambda", "product")
-        ideals = enumerate_ideals(Q, 100)
+        ideals = ideal_list(Q, 100)
         monkeypatch.setattr(coeffs, "TABLE_BYTES_CEILING", 16 * len(ideals) - 1)
         monkeypatch.setattr(arrays, "_fill", None)
         with pytest.raises(ResourceLimitError, match="rows"):
@@ -325,7 +335,7 @@ class TestTableCeilings:
     def test_table_growth_before_allocating(self, monkeypatch):
         arrays = _PrimePowerArrays([trivial_representation()], [[0], [0]], "lambda", "product")
         # 100 prime powers need 102 rows: the table of 64 doubles to 128
-        ideals = prime_powers_up_to(Q, 1000)[:100]
+        ideals = table_of(Q, prime_powers(Q, 1000)[:100])
         monkeypatch.setattr(coeffs, "TABLE_BYTES_CEILING", 16 * 127)
         zeros = np.zeros
 
@@ -337,6 +347,107 @@ class TestTableCeilings:
         with pytest.raises(ResourceLimitError, match="128 x 1"):
             arrays.rows(ideals)
         assert len(arrays._table) == 64
+
+
+TABLE_FIELDS = {"Q": Q, "quadratic(-1)": NumberFieldSpec.quadratic(-1), "quadratic(5)": NumberFieldSpec.quadratic(5)}
+# (field, members, ramified model): characters exist over Q only
+TABLE_ROW_CASES = {
+    "gl1_exact-Q": ("Q", lambda: dirichlet_family_by_modulus(8).members, "gl1_exact"),
+    "product-Q": ("Q", lambda: synthetic_family(3, 2, seed=5).members, "product"),
+    "product-quadratic(-1)": (
+        "quadratic(-1)", lambda: synthetic_family(2, 2, seed=3, field=TABLE_FIELDS["quadratic(-1)"]).members, "product",
+    ),
+    "product-quadratic(5)": (
+        "quadratic(5)", lambda: synthetic_family(2, 2, seed=4, field=TABLE_FIELDS["quadratic(5)"]).members, "product",
+    ),
+}
+
+
+class TestIdealTableAgainstTheWalk:
+    """IdealTable against the recursive walk it replaced (scalar_oracle.walk_ideals):
+    the same ideals in the same order, and rows over a table equal, word for
+    word, rows over the matching IdealIndex list."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(field=st.sampled_from(sorted(TABLE_FIELDS)), bound=st.integers(1, 900), pick=st.randoms())
+    @example(field="quadratic(-1)", bound=625, pick=Random(0))  # 5^4: five ideals of one norm
+    def test_same_ideals_in_the_same_order(self, field, bound, pick):
+        fld = TABLE_FIELDS[field]
+        table = IdealTable(fld, bound)
+        want = walk_ideals(fld, bound)
+        assert table.ideals() == want
+        assert table.norm.tolist() == [ideal.norm for ideal in want]
+        assert table.depth.tolist() == [len(ideal.factors) for ideal in want]
+        assert IdealTable.prime_powers(fld, bound).ideals() == [i for i in want if len(i.factors) == 1]
+        # the masks against one ideal's factorization, and selections of the table
+        assert table.min_prime_norm().tolist() == [min_prime_norm(ideal) or 0 for ideal in want]
+        d = pick.choice(want)
+        assert table.divisible_by(d).tolist() == [divides(d, ideal) for ideal in want]
+        chosen = [pick.randrange(len(want)) for _ in range(20)]
+        assert table[np.array(chosen)].ideals() == [want[k] for k in chosen]
+
+    @pytest.mark.parametrize("case", sorted(TABLE_ROW_CASES))
+    @pytest.mark.parametrize("kind", SERIES_KINDS)
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(bound=st.integers(1, 400), cut=st.integers(0, 400))
+    def test_rows_over_a_table_are_rows_over_its_ideals(self, case, kind, bound, cut):
+        field, make, model = TABLE_ROW_CASES[case]
+        fld = TABLE_FIELDS[field]
+        members = list(make()) + [trivial_representation(fld)]
+        sides = all_pairs(len(members))
+        table = IdealTable(fld, bound)
+        listed = walk_ideals(fld, bound)
+        got = _PrimePowerArrays(members, sides, kind, model).rows(table)
+        # each IdealIndex read on its own, its factor rows taken off its factorization
+        arrays = _PrimePowerArrays(members, sides, kind, model)
+        want = np.stack([arrays.at(ideal) for ideal in listed], axis=1)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # two slices of the table, filled by the first
+        arrays = _PrimePowerArrays(members, sides, kind, model)
+        halves = np.concatenate([arrays.rows(table[:cut]), arrays.rows(table[cut:])], axis=1)
+        assert np.array_equal(halves.view(np.uint64), got.view(np.uint64))
+        if kind in ("biglambda", "logl"):
+            prime_powers = IdealTable.prime_powers(fld, bound)
+            at = [k for k, ideal in enumerate(listed) if len(ideal.factors) == 1]
+            alone = _PrimePowerArrays(members, sides, kind, model).rows(prime_powers)
+            assert np.array_equal(alone.view(np.uint64), np.ascontiguousarray(got[:, at]).view(np.uint64))
+
+
+def traced_peak(fn) -> int:
+    """The peak bytes tracemalloc sees while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSeriesMemory:
+    """Tables, series and fills hold arrays, not per-ideal objects, and a fill
+    works in bounded pieces: each peak is checked per ideal or per budget.
+    IdealIndex objects take about 400 bytes each, and one unbounded fill
+    block of 10,000 prime powers about 2.9 MB."""
+
+    def test_biglambda_series_to_100000(self):
+        trivial = trivial_representation()
+        series = []
+        peak = traced_peak(lambda: series.append(expand_global(trivial, trivial, 100_000, "biglambda", "gl1_exact")))
+        assert len(series[0].values) == 9_700  # the prime powers up to 100,000
+        assert peak <= 250 * len(series[0].values)
+
+    def test_ideal_list_to_20000(self):
+        coeffs._cached_ideal_list.cache_clear()
+        peak = traced_peak(lambda: ideal_list(Q, 20_000))
+        assert peak <= 140 * 20_000
+
+    def test_one_fill_of_10000_prime_powers(self, monkeypatch):
+        monkeypatch.setattr(coeffs, "FILL_VALUES", 256)
+        arrays = _PrimePowerArrays([trivial_representation()], [[0], [0]], "lambda", "gl1_exact")
+        codes = IdealTable.prime_powers(Q, 200_000).powers.codes()[:10_000]
+        peak = traced_peak(lambda: arrays._fill(codes))
+        # the table's rows, 40 bytes of bookkeeping per prime power, and one piece
+        assert peak <= arrays._table.nbytes + 40 * len(codes) + 250 * 256
 
 
 # moduli <= 64 with primitive characters; 8, 16 and 32 have 2-parts with two
@@ -352,7 +463,7 @@ class TestGl1AngleRows:
     """gl1_exact rows from character angles against the product character that
     multiply and primitive_part build, evaluated prime by prime: bit for bit."""
 
-    IDEALS = prime_powers_up_to(Q, 300) + [ideal_from_int(Q, n) for n in (1, 6, 24, 45, 200, 225)]
+    IDEALS = prime_powers(Q, 300) + [ideal_from_int(Q, n) for n in (1, 6, 24, 45, 200, 225)]
 
     @pytest.mark.parametrize("kind", SERIES_KINDS)
     @settings(derandomize=True, max_examples=15, deadline=None)
@@ -369,7 +480,8 @@ class TestGl1AngleRows:
         ideals = list(self.IDEALS)
         order.shuffle(ideals)
         # two calls: the second fills the prime powers the first left out
-        got = np.concatenate([arrays.rows(ideals[:split]), arrays.rows(ideals[split:])], axis=1)
+        halves = table_of(Q, ideals[:split]), table_of(Q, ideals[split:])
+        got = np.concatenate([arrays.rows(half) for half in halves], axis=1)
         want = np.array([scalar_row(col, ideals) for col in columns(arrays)], dtype=np.complex128)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -431,7 +543,8 @@ class TestProductRows:
         tables += family_arrays(family, kind, members[0]) + family_arrays(family, kind, None)
         for arrays in tables:
             # two calls: the second fills the prime powers the first left out
-            got = np.concatenate([arrays.rows(ideals[:split]), arrays.rows(ideals[split:])], axis=1)
+            halves = table_of(fld, ideals[:split]), table_of(fld, ideals[split:])
+            got = np.concatenate([arrays.rows(half) for half in halves], axis=1)
             want = np.array([scalar_row(col, ideals) for col in columns(arrays)], dtype=np.complex128)
             assert_rows_match(got, want, columns(arrays))
 
@@ -468,7 +581,7 @@ class TestPowerSumKernel:
         gl3 = synthetic_family(3, 1, seed=2).members[0]
         arrays = _PrimePowerArrays([delta, gl3], [[0, 1, 0], [1, 0, 0]], "mu", "product")
         ideals = list(enumerate_ideals(Q, 700))
-        got = arrays.rows(ideals)
+        got = arrays.rows(ideal_list(Q, 700))
         want = np.array([scalar_row(col, ideals) for col in columns(arrays)])
         assert np.array_equal(got == 0, want == 0)
         # past n_a * n_b, within the degree product: 5^4 for both pairs, and
@@ -488,10 +601,11 @@ class TestPowerSumKernel:
             model = ("planted", p, theta_bound(n)) if n >= 2 else "grc"
             rep = synthetic_family(n, 1, seed=seed, model=model, field=fld).members[0]
             members.append(contragredient(rep) if dual else rep)
-        ideals = prime_powers_up_to(fld, 4096)
+        table = IdealTable.prime_powers(fld, 4096)
+        ideals = table.ideals()
         for kind in ("lambda", "mu"):
             arrays = _PrimePowerArrays(members, all_pairs(len(members)), kind, "product")
-            got = arrays.rows(ideals)
+            got = arrays.rows(table)
             want = np.array([scalar_row(col, ideals) for col in columns(arrays)])
             assert_rows_match(got, want, columns(arrays))
 
@@ -533,7 +647,7 @@ class TestConvolution:
             lam = expand_global(rep, trivial_rep, 300, "lambda")
             mu = expand_global(rep, trivial_rep, 300, "mu")
             conv = dirichlet_convolve(lam, mu, 300)
-            for ideal, val in conv.values.items():
+            for ideal, val in conv.items():
                 want = 1.0 if ideal.is_unit else 0.0
                 assert abs(val - want) < 1e-11
 
@@ -559,9 +673,9 @@ class TestConvolution:
         # the terms at (6) arrive as 1e16, 1, -1e16, 1; compensated summation
         # loses one of the ones, the exactly rounded sum keeps both
         def series(values):
-            return CoefficientSeries(
-                Q, "planted", 6, {ideal_from_int(Q, n): complex(v) for n, v in values.items()}
-            )
+            ideals = table_of(Q, [ideal_from_int(Q, n) for n in sorted(values)])
+            terms = np.array([complex(values[n]) for n in sorted(values)])
+            return CoefficientSeries(Q, "planted", 6, ideals, terms)
 
         a = series({1: 1, 2: 1, 3: 1, 6: 1})
         b = series({1: 1, 2: -1e16, 3: 1, 6: 1e16})
@@ -571,7 +685,7 @@ class TestConvolution:
     def test_field_mismatch_rejected(self, trivial_rep):
         lam = expand_global(trivial_rep, trivial_rep, 20, "lambda")
         gauss = NumberFieldSpec.quadratic(-1)
-        other = CoefficientSeries(gauss, "unit", 20, {unit_ideal(gauss): 1 + 0j})
+        other = CoefficientSeries(gauss, "unit", 20, table_of(gauss, [unit_ideal(gauss)]), np.ones(1, dtype=complex))
         with pytest.raises(UsageError):
             dirichlet_convolve(lam, other, 20)
 
@@ -600,9 +714,8 @@ class TestMertens:
     def test_diagonal_nonnegativity_sweep(self, gl2_family, small_char_family):
         for rep in list(gl2_family.members[:2]) + list(small_char_family.members[:3]):
             series = expand_global(rep, rep, 500, "lambda")
-            low = min(v.real for v in series.values.values())
-            assert low > -1e-12
-            assert max(abs(v.imag) for v in series.values.values()) < 1e-10
+            assert series.values.real.min() > -1e-12
+            assert np.abs(series.values.imag).max() < 1e-10
 
 
 class TestRamifiedModel:
@@ -655,9 +768,10 @@ class TestRamifiedModel:
     def test_gl2_pi0_column_uses_product(self, small_char_family, gl2_family, kind):
         fam, pi0 = small_char_family, gl2_family.members[0]
         bound, trials, seed = 40, 30, 5
-        ideals = ideal_list(fam.field, bound)
+        table = ideal_list(fam.field, bound)
+        ideals = table.ideals()
         column, diagonal = family_arrays(fam, kind, pi0)
-        rows, weights = column.rows(ideals), diagonal.rows(ideals)[0].real
+        rows, weights = column.rows(table), diagonal.rows(table)[0].real
         diag = Column(pi0, pi0, "lambda", "product")
         dual = contragredient(pi0)
         cols = [Column(m, dual, kind, "product") for m in fam.members]

@@ -25,6 +25,7 @@ from lfunclab.detect import (
     _window_integral,
 )
 from lfunclab.errors import DataIntegrityError, InvariantError, SpecParseError, UsageError
+from lfunclab.idealtable import IdealTable
 from lfunclab.ideals import NumberFieldSpec, prime_ideal
 from lfunclab.localdata import synthetic_family, trivial_representation
 
@@ -192,7 +193,7 @@ class TestJkTailBounds:
 
 class TestHighDerivative:
     def test_zero_series_gives_zero(self):
-        empty = CoefficientSeries(Q, "biglambda", 100, {})
+        empty = CoefficientSeries(Q, "biglambda", 100, IdealTable.prime_powers(Q, 1), np.zeros(0, dtype=complex))
         r = high_derivative(empty, 3, 0.1, 0.0)
         assert r.value == 0j
 
@@ -211,9 +212,9 @@ class TestHighDerivative:
     def test_value_does_not_depend_on_the_order_of_the_values(self, trivial_rep):
         series = expand_global(trivial_rep, trivial_rep, 2_000, "biglambda", "gl1_exact")
         reversed_series = CoefficientSeries(
-            series.field, series.kind, series.bound, dict(reversed(series.values.items()))
+            series.field, series.kind, series.bound, series.ideals[::-1], series.values[::-1]
         )
-        assert list(reversed_series.values) != list(series.values)
+        assert list(reversed_series.norms) != list(series.norms)
         forward, backward = (high_derivative(s, 5, 0.1, 1.3) for s in (series, reversed_series))
         assert forward.value == backward.value
 
@@ -294,7 +295,7 @@ class TestZerosFile:
 class TestDetectionBounds:
     def test_zero_series_all_legs_zero(self):
         cfg = build_detection_config(eta=0.05, log_scale=40.0)
-        empty = CoefficientSeries(Q, "biglambda", 1000, {})
+        empty = CoefficientSeries(Q, "biglambda", 1000, IdealTable.prime_powers(Q, 1), np.zeros(0, dtype=complex))
         rep = detection_bounds(empty, cfg)
         assert rep.hd_value == 0.0 and rep.integral == 0.0
 
@@ -347,11 +348,7 @@ class TestDetectionBounds:
         )
         series = expand_global(trivial_rep, trivial_rep, 2000, "biglambda", "gl1_exact")
         got = _window_integral(series, small, 256)
-        items = [
-            (i.norm, v.real)
-            for i, v in series.items_sorted()
-            if 50.0 < i.norm <= 1500.0
-        ]
+        items = [(i.norm, v.real) for i, v in series.items() if 50.0 < i.norm <= 1500.0]
 
         def partial(u):
             return sum(v / n for n, v in items if n <= u)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfunclab import ideals
+from lfunclab import idealtable, ideals
 from lfunclab.errors import InvariantError, ResourceLimitError, UsageError
 from lfunclab.ideals import (
     IdealIndex,
@@ -97,7 +97,7 @@ class TestEnumeration:
         def sieve(*args):
             raise Sieved
 
-        monkeypatch.setattr(ideals, "prime_ideals_up_to", sieve)
+        monkeypatch.setattr(idealtable, "prime_ideal_arrays", sieve)
         # the largest bounds 1 GiB admits: B ideals over Q, B (1 + ln B) over Q(i)
         for field, largest in ((Q, 2_606_169), (GAUSS, 197_532)):
             with pytest.raises(Sieved):

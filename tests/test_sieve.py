@@ -22,7 +22,6 @@ from lfunclab.ideals import (
     enumerate_ideals,
     gcd_lcm,
     ideal_from_int,
-    min_prime_norm,
     prime_ideal,
     unit_ideal,
 )
@@ -55,6 +54,7 @@ from scalar_oracle import (
     assert_rows_match,
     deviation,
     gram_constant,
+    min_prime_norm,
     own_row,
     scalar_row,
 )
@@ -429,7 +429,7 @@ class TestMvt:
         fam = make_family([trivial_rep])
         r = mvt_mu(fam, None, 50.0, 1.0)
         mu = expand_global(trivial_rep, trivial_rep, 50, "mu")
-        items = [(i.norm, v) for i, v in mu.items_sorted()]
+        items = list(zip(mu.norms.tolist(), mu.values.tolist()))
 
         def integrand(v):
             s = sum(c * n ** (-0.5) * complex(math.cos(v * math.log(n)), -math.sin(v * math.log(n)))
@@ -512,7 +512,7 @@ def series_path(family, pi0, bound, kind):
     """The scalar oracle per member against pi0 (None: the trivial member),
     {ideal: value} up to the bound, and the diagonal."""
     engines, diag = path_engines(family, pi0, kind)
-    ideals = ideal_list(family.field, bound)
+    ideals = enumerate_ideals(family.field, bound)
 
     def values(engine):
         return dict(zip(ideals, scalar_row(engine, ideals)))
@@ -550,9 +550,10 @@ class TestFamilyArraysAgainstSeriesPath:
     )
     def test_rows(self, case, kind, bound):
         family, pi0 = family_case(case[0]), pi0_case(case[1])
-        ideals = ideal_list(family.field, bound)
+        table = ideal_list(family.field, bound)
+        ideals = table.ideals()
         column, diagonal = family_arrays(family, kind, pi0)
-        a, weights = column.rows(ideals), diagonal.rows(ideals)[0].real
+        a, weights = column.rows(table), diagonal.rows(table)[0].real
         series, diag = series_path(family, pi0, bound, kind)
         want = np.array([[s[i] for i in ideals] for s in series], dtype=np.complex128)
         engines, diag_engine = path_engines(family, pi0, kind)
@@ -571,8 +572,9 @@ class TestFamilyArraysAgainstSeriesPath:
         # member's parameters alone give it, up to rounding
         family = family_case(case[0])
         column, _ = family_arrays(family, kind, None)
-        ideals = ideal_list(family.field, bound)
-        for row, member in zip(column.rows(ideals).tolist(), family.members):
+        table = ideal_list(family.field, bound)
+        ideals = table.ideals()
+        for row, member in zip(column.rows(table).tolist(), family.members):
             assert row == pytest.approx(own_row(member, kind, ideals), rel=1e-13)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
@@ -590,12 +592,12 @@ class TestFamilyArraysAgainstSeriesPath:
         weights = None
         if weighted:
             weights = WeightVector({
-                i: complex(1.0 / i.norm, (-1) ** i.norm * 0.5) for i in ideal_list(family.field, hi)
+                i: complex(1.0 / i.norm, (-1) ** i.norm * 0.5) for i in enumerate_ideals(family.field, hi)
             })
         res = sifted_sum_check(family, pi0, float(x), t_sharp, z, weights=weights, kind=kind)
 
         window = [
-            i for i in ideal_list(family.field, hi)
+            i for i in enumerate_ideals(family.field, hi)
             if i.norm > x and ((mp := min_prime_norm(i)) is None or mp > z) and not i.is_unit
         ]
         series, diag = series_path(family, pi0, hi, kind)
