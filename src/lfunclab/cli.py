@@ -213,6 +213,12 @@ def _load_family(path: str | None, default=_trivial_family) -> Family:
     return default()
 
 
+def _check_nmax(args) -> None:
+    """psd and covers sweep the ideals of norm 2..--nmax; norm 1 holds only the unit ideal."""
+    if args.nmax < 2:
+        raise UsageError(f"--nmax must be >= 2, not {args.nmax}: norm 1 holds only the unit ideal")
+
+
 def _member(family: Family, index: int, flag: str) -> Representation:
     size = len(family.members)
     if not 0 <= index < size:
@@ -273,6 +279,7 @@ def cmd_psd(args) -> Outcome:
 
     if not args.tol >= 0:
         raise UsageError(f"--tol must be >= 0, not {args.tol}")
+    _check_nmax(args)
     family = _load_family(args.family, lambda: localdata.dirichlet_character_family(20))
     table = covers.PairCoefficientTable(family, "lambda")
     centered = ("lambda",) if args.kind == "lambda_centered" else ()
@@ -302,6 +309,7 @@ def cmd_psd(args) -> Outcome:
 def cmd_covers(args) -> Outcome:
     from . import covers, idealtable, ideals, localdata
 
+    _check_nmax(args)
     family = _load_family(args.family, lambda: localdata.dirichlet_character_family(20))
     table = covers.PairCoefficientTable(family, "lambda")
     table.fill(idealtable.IdealTable.prime_powers(family.field, args.nmax), (args.kind,))
@@ -390,6 +398,9 @@ def cmd_detect(args) -> Outcome:
         eta=args.eta, tau=args.tau, t_range=args.big_t, log_scale=args.log_scale,
         c_linnik=args.c_linnik, c_dirichlet_upper=args.c_upper,
     )
+    k = config_obj.k_min if args.k is None else args.k
+    if k > detect.K_CEILING:
+        raise UsageError(f"k = {k} exceeds 2^53, past which a float no longer holds k exactly")
     triv = localdata.trivial_representation()
     series = coeffs.expand_global(triv, triv, args.truncation, "biglambda", "gl1_exact")
     zeros = detect.parse_zeros_file(args.zeros) if args.zeros else None

@@ -66,15 +66,15 @@ import numpy as np
 
 from . import characters as chars
 from .errors import ResourceLimitError, UsageError
-from .ideals import IDEAL_BYTES_CEILING, IdealIndex, NumberFieldSpec, ideal_mul, prime_ideal
-from .idealtable import IdealTable, PrimePowers, power_codes, power_keys
+from .ideals import IDEAL_BYTES_CEILING, IdealIndex, NumberFieldSpec, ideal_mul, prime_ideal, prime_norm
+from .idealtable import IdealTable, PrimePowers
 from .localdata import Family, LocalParameters, Representation, contragredient, trivial_representation
 
 SERIES_KINDS = ("lambda", "mu", "biglambda", "logl")
 PARTITION_SIZE_CAP = 64
 ROWS_CHUNK = 1 << 14  # values per step of _PrimePowerArrays.rows, which bounds its working arrays
 FILL_VALUES = 1 << 10  # values per piece of a _fill block, which bounds the kernels' working arrays
-TABLE_ROWS = 64  # prime-power rows of a new _PrimePowerArrays table
+TABLE_ROWS = 64  # prime-power rows a new _PrimePowerArrays table is checked for; its fills size it
 TABLE_BYTES_CEILING = IDEAL_BYTES_CEILING  # a table or a rows output may hold what an enumeration may
 _IDEAL_CACHE_MAX_BOUND = 200_000
 
@@ -233,15 +233,16 @@ class _Gl1Pairs:
         self._base = (np.cumsum(orders) - orders)[position]
         self._memo: dict[tuple[int, int, int], complex] = {}  # (angle, M, exponent) -> value
 
-    def block(self, factors) -> np.ndarray:
-        """The (prime powers, columns) values, with one memo lookup per distinct
+    def block(self, prime: np.ndarray, slot: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+        """The (prime powers, columns) values at the prime powers P^e given by
+        their (p, slot, e) arrays, with one memo lookup per distinct
         (angle, M, exponent)."""
-        primes, column = np.unique([pid[0] for pid, _ in factors], return_inverse=True)
+        primes, column = np.unique(prime, return_inverse=True)
         angles, parts = self._angles.at(primes)
         a, b = self._sides
         psi = (angles[:, a] * self._scale[0] - angles[:, b] * self._scale[1]) % self._order
         live = (parts[:, a] == parts[:, b])[column]
-        exponents = np.array([e for _, e in factors])[:, None]
+        exponents = exponent[:, None]
         angle, order, base, e = (
             np.broadcast_to(x, live.shape)[live]
             for x in (psi[column], self._order, self._base, exponents)
@@ -300,9 +301,11 @@ class _ProductEngines:
         self._members = members
         self._sides = sides
 
-    def block(self, factors) -> np.ndarray:
-        """The (prime powers, columns) values, one array step per distinct K."""
+    def block(self, prime: np.ndarray, slot: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+        """The (prime powers, columns) values at the prime powers P^e given by
+        their (p, slot, e) arrays, one array step per distinct K."""
         field = self._members[0].field
+        factors = list(zip(zip(prime.tolist(), slot.tolist()), exponent.tolist()))
         primes = {pid: prime_ideal(field, pid) for pid, _ in factors}
         local = {pid: [rep.local_at(prime) for rep in self._members] for pid, prime in primes.items()}
         depth = {}
@@ -345,15 +348,19 @@ class _PrimePowerArrays:
     sides is a (2, columns) index array into members: column k is the pair
     members[sides[0, k]] x conj(members[sides[1, k]]), and a member may stand
     on both sides.  The kind and the model are checked once, for every column.
-    Row r >= 2 of a growing table, zero-filled so that unused rows cost no memory,
-    holds one prime power's values over the columns; row 0 is 1+0j and row 1 is 0j.
-    rows reads an IdealTable: it first fills the rows of the table's prime powers
-    new to it (_fill), through _Gl1Pairs under gl1_exact and _ProductEngines under
-    product, in pieces of about FILL_VALUES values.  rows multiplies each ideal's factor rows with the explicit
+    Row 2 + k of the table holds the values over the columns at the field's k-th
+    prime power, in the order of idealtable.PrimePowers, which every bound
+    extends; row 0 is 0j and row 1 is 1+0j.  The first fill sizes the table to
+    its rows and later ones at least double it: a table allocated ahead of its
+    rows past 4 MiB takes numpy's huge pages, whose RSS moves in 2 MiB steps
+    with the table's alignment.  rows reads an IdealTable: it first fills the
+    rows of the table's prime powers past those it holds (fill), through
+    _Gl1Pairs under gl1_exact and _ProductEngines under product, in pieces of
+    about FILL_VALUES values.  rows multiplies each ideal's factor rows with the explicit
     real/imaginary formula of Python's complex product (numpy's can differ in the last
     bit), so each value is the Python product of the local values in factor order.
-    Factor lists are front-padded with row 0, as (1+0j)(1+0j) is exact; biglambda and
-    logl read row 1 off prime powers; exact zeros come out as 0j.  The table and rows'
+    Factor lists are front-padded with row 1, as (1+0j)(1+0j) is exact; biglambda and
+    logl read row 0 off prime powers; exact zeros come out as 0j.  The table and rows'
     output are checked against TABLE_BYTES_CEILING before they are allocated.
     """
 
@@ -372,88 +379,64 @@ class _PrimePowerArrays:
         self.sides = np.asarray(sides, dtype=np.intp)
         columns = self.sides.shape[1]
         check_table_bytes(TABLE_ROWS, columns, "a coefficient table")
-        self._table = np.zeros((TABLE_ROWS, columns), dtype=np.complex128)
-        self._table[0] = 1
-        self._codes = np.zeros(0, dtype=np.int64)  # power_codes of the filled rows 2, 3, ...
-        self._row: dict[int, int] | None = None  # code -> row, built when a lookup needs it
-        self._rows_of: tuple[PrimePowers, np.ndarray] | None = None
+        self._table = np.zeros((2, columns), dtype=np.complex128)
+        self._table[1] = 1
+        self._powers: PrimePowers | None = None  # those of rows 2, 3, ...
+        self._bound = 0  # every prime power of norm <= _bound has its row
         self._last: tuple[IdealIndex, np.ndarray] | None = None
         self._source = source  # built once per _fill, so that a fill's memo goes with it
 
-    def fill(self, ideals: IdealTable) -> np.ndarray:
-        """The table row of each prime power the ideals' table indexes, after
-        filling the rows new to this table; one more entry, last, is the
-        identity row 0, which the padding's index -1 reads."""
-        powers = ideals.powers
-        if self._rows_of is None or self._rows_of[0] is not powers:
-            codes = powers.codes()
-            row_of = np.zeros(len(codes) + 1, dtype=np.intp)
-            if len(self._codes):
-                row_of[:-1] = self._rows_at(codes.tolist())
-            else:  # every row is new: the rows follow the powers
-                self._fill(codes)
-                row_of[:-1] = np.arange(2, 2 + len(codes))
-            self._rows_of = (powers, row_of)
-        return self._rows_of[1]
+    def fill(self, ideals: IdealTable) -> None:
+        """Fill the rows of the prime powers the ideals' table indexes past
+        those this table holds."""
+        if ideals.bound > self._bound:
+            self._fill(ideals.powers, len(self._powers.norm) if self._powers else 0)
+            self._powers, self._bound = ideals.powers, ideals.bound
 
-    def _rows_at(self, codes: list[int]) -> list[int]:
-        """The table rows of prime powers given by their power_codes, filling
-        the ones new to the table first."""
-        if self._row is None:
-            self._row = dict(zip(self._codes.tolist(), range(2, 2 + len(self._codes))))
-        new = [code for code in dict.fromkeys(codes) if code not in self._row]
-        if new:
-            self._fill(np.array(new, dtype=np.int64))
-            return self._rows_at(codes)
-        return [self._row[code] for code in codes]
-
-    def _fill(self, codes: np.ndarray) -> None:
-        """Rows for prime powers new to the table, given by their power_codes,
-        in that order, over every column at once: in pieces of about
-        FILL_VALUES values (one row at least), where under the product model
-        a prime's exponents share a piece, so that its members' power sums are
-        taken once."""
+    def _fill(self, powers: PrimePowers, start: int) -> None:
+        """Rows 2 + k for the prime powers k >= start of powers, over every
+        column at once: in pieces of about FILL_VALUES values (one row at
+        least), where under the product model a prime's exponents share a
+        piece, so that its members' power sums are taken once."""
         columns = self.sides.shape[1]
-        first = len(self._codes) + 2
-        end = first + len(codes)
+        end = 2 + len(powers.norm)
         if end > len(self._table):
             size = max(2 * len(self._table), end)
             check_table_bytes(size, columns, "a coefficient table")
             grown = np.zeros((size, columns), dtype=np.complex128)
-            grown[:first] = self._table[:first]
+            grown[: 2 + start] = self._table[: 2 + start]
             self._table = grown
-        order = np.arange(len(codes))
+        order = np.arange(start, len(powers.norm))
         if self.model == "product":  # each prime's exponents together, in order
-            listed = codes.tolist()
-            order = np.array(sorted(order.tolist(), key=lambda at: listed[at] >> 6), dtype=np.intp)
-            prime = [listed[at] >> 6 for at in order.tolist()]
+            prime = (2 * powers.prime + powers.slot).tolist()  # one number per prime ideal
+            order = np.array(sorted(order.tolist(), key=prime.__getitem__), dtype=np.intp)
+            prime = [prime[k] for k in order.tolist()]
         piece = max(1, FILL_VALUES // max(1, columns))
         source = self._source(self.members, self.sides, self.kind)
-        start = 0
-        while start < len(order):
-            stop = min(start + piece, len(order))
+        begin = 0
+        while begin < len(order):
+            stop = min(begin + piece, len(order))
             while self.model == "product" and stop < len(order) and prime[stop] == prime[stop - 1]:
                 stop += 1
-            taken = order[start:stop]
-            self._table[first + taken] = source.block(power_keys(codes[taken]))
-            start = stop
-        self._codes = np.concatenate([self._codes, codes])
-        self._row = None
+            taken = order[begin:stop]
+            block = source.block(powers.prime[taken], powers.slot[taken], powers.exponent[taken])
+            self._table[2 + taken] = block
+            begin = stop
 
     def rows(self, ideals: IdealTable) -> np.ndarray:
         """The (columns, ideals) array of values, column j at entry j of the table."""
         size = self.sides.shape[1]
         check_table_bytes(size, len(ideals), "coefficient rows")
-        row_of = self.fill(ideals)
+        self.fill(ideals)
         out = np.empty((size, len(ideals)), dtype=np.complex128)
         step = max(1, ROWS_CHUNK // max(1, size))
         for start in range(0, len(ideals), step):
             chunk = ideals[start : start + step]
-            index = row_of[chunk.factors()]
+            index = np.add(chunk.factors(), 2, dtype=np.intp)
             if self.kind in ("biglambda", "logl"):
                 off = chunk.depth != 1
-                index[off] = 0
-                index[off, -1] = 1
+                index[off] = 1
+                index[off, -1] = 0
             out.real[:, start : start + step], out.imag[:, start : start + step] = self._product(index)
         out[out == 0] = 0
         return out
@@ -469,14 +452,24 @@ class _PrimePowerArrays:
         return re.T, im.T
 
     def at(self, ideal: IdealIndex) -> np.ndarray:
-        """rows at one ideal, its factor rows read off its factorization; the
-        last ideal's values are kept, so that reading them entry by entry costs
-        one product."""
+        """rows at one ideal, each factor's row found among the filled prime
+        powers by its (norm, p, slot, e), after filling to at least twice the
+        bound when the ideal lies past it; the last ideal's values are kept,
+        so that reading them entry by entry costs one product."""
         if self._last is None or self._last[0] != ideal:
             if self.kind in ("biglambda", "logl") and len(ideal.factors) != 1:
-                index = [1]
+                index = [0]
             else:
-                index = self._rows_at([power_codes(p, slot, e) for (p, slot), e in ideal.factors]) or [0]
+                if ideal.norm > self._bound:
+                    self.fill(IdealTable.prime_powers(ideal.field, max(ideal.norm, 2 * self._bound)))
+                # the held powers in their (norm, p, slot, e) order, read as Python ints
+                held = self._powers
+                columns = (held.norm, held.prime, held.slot, held.exponent)
+                norm, prime, slot, exponent = (x.item for x in columns)
+                # a tuple display: tuple() over a generator leaves up to 2,000 resized tuples on a free list
+                place = lambda k: (norm(k), prime(k), slot(k), exponent(k))
+                keys = [(prime_norm(ideal.field, pid) ** e, *pid, e) for pid, e in ideal.factors]
+                index = [2 + bisect.bisect_left(range(len(held.norm)), key, key=place) for key in keys] or [1]
             values = _complex(*self._product(np.array([index])))[:, 0]
             values[values == 0] = 0
             values.flags.writeable = False  # kept for the next call, so shared
@@ -581,16 +574,18 @@ def mertens_sum(rep: Representation, x: int) -> float:
 
 def selftest() -> list[tuple[str, bool, str]]:
     from .localdata import synthetic_family
+    from .ziggurat import standard_normal
 
     results = []
-    rng = np.random.default_rng(1234)
 
-    # the power-sum recurrence against direct series inversion
+    # the power-sum recurrence against direct series inversion, on standard
+    # complex Gaussian parameters over a fixed cycle of degrees 1..3
+    degrees = [(1 + t % 3, 1 + t // 3 % 3) for t in range(20)]
+    normals = iter(standard_normal(1234, 2 * sum(n + n2 for n, n2 in degrees)).tolist())
     worst = 0.0
-    for _ in range(20):
-        n, n2 = rng.integers(1, 4, size=2)
-        al = rng.normal(size=n) + 1j * rng.normal(size=n)
-        be = rng.normal(size=n2) + 1j * rng.normal(size=n2)
+    for n, n2 in degrees:
+        al = [complex(next(normals), next(normals)) for _ in range(n)]
+        be = [complex(next(normals), next(normals)) for _ in range(n2)]
         prime = prime_ideal(NumberFieldSpec.rationals(), (2, 0))
         pa = LocalParameters(prime, tuple(map(complex, al)))
         pb = LocalParameters(prime, tuple(map(complex, be)))

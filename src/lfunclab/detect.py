@@ -42,6 +42,7 @@ CONSTRAINT_LEVEL = 1.0 - 1e-8
 CHEBYSHEV_PSI_SLOPE = 1.03883  # psi(x) < 1.03883 x for all x > 0
 WINDOW_POINTS_PER_OCTAVE = 64  # window-integral grid; checked against twice as many
 SERIES_SLICE = 1024  # terms a series sum reads as Python numbers at a time
+K_CEILING = 2**53  # log_jk weighs k as a float, which holds every integer up to 2^53 and not all past it
 
 
 @dataclass(frozen=True)

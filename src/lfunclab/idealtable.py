@@ -3,9 +3,12 @@
 IdealTable lists the integral ideals of norm <= bound, or the prime powers
 alone, in (norm, factors) order, each as its first prime-power factor times
 an earlier ideal, so that a factorization is a walk along the table.
-PrimePowers holds the prime powers those first factors index, and
-power_codes numbers prime powers by one integer each.  IdealIndex objects
-are made only on request (IdealTable.ideals, ideals.enumerate_ideals).
+PrimePowers holds the prime powers those first factors index, in the
+field's one prime-power order: by norm, then (p, slot, e).  The order does
+not depend on the bound, so the prime powers of a bound B are a prefix of
+those of any B' >= B, and a prime power's position names it at every bound.
+IdealIndex objects are made only on request (IdealTable.ideals,
+ideals.enumerate_ideals).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ideals import IdealIndex, NumberFieldSpec, PrimeId, check_ideal_bytes, prime_ideal_arrays
+from .ideals import IdealIndex, NumberFieldSpec, check_ideal_bytes, prime_ideal_arrays
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,26 +33,12 @@ class PrimePowers:
     prime_norm: np.ndarray
     norm: np.ndarray  # of P^e
 
-    def codes(self) -> np.ndarray:
-        return power_codes(self.prime, self.slot, self.exponent)
-
-
-def power_codes(prime, slot, exponent):
-    """One integer per prime power P^e, in (p, slot, e) order: (2 p + slot)
-    64 + e, for exponents below 64, as every norm below 2^63 has; code >> 6
-    names the prime ideal."""
-    return (2 * prime + slot) * 64 + exponent
-
-
-def power_keys(codes: np.ndarray) -> list[tuple[PrimeId, int]]:
-    """((p, slot), e) of each power_codes entry, as IdealIndex.factors holds it."""
-    return [((code >> 7, code >> 6 & 1), code & 63) for code in codes.tolist()]
-
 
 def _prime_powers(field: NumberFieldSpec, bound: int) -> PrimePowers:
     """The prime powers of norm <= bound in (norm, factors) order: the prime
     ideals, with the higher powers of those of norm <= sqrt(bound) merged in.
-    No higher power shares its norm with a prime ideal."""
+    No higher power shares its norm with a prime ideal, so the order is by
+    norm, then (p, slot, e), and the powers of a smaller bound are a prefix."""
     prime, slot, prime_norm = prime_ideal_arrays(field, bound)
     higher = []  # (norm, p, slot, e, N(P)) for e >= 2
     small = prime_norm * prime_norm <= bound
@@ -244,7 +233,8 @@ class IdealTable:
 
     def ideals(self) -> list[IdealIndex]:
         """The entries as IdealIndex objects."""
-        keys = power_keys(self.powers.codes())
+        powers = self.powers
+        keys = list(zip(zip(powers.prime.tolist(), powers.slot.tolist()), powers.exponent.tolist()))
         return [
             IdealIndex(self.field, tuple(keys[j] for j in row if j >= 0), norm)
             for row, norm in zip(self.factors().tolist(), self.norm.tolist())

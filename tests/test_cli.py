@@ -148,24 +148,22 @@ class TestStartup:
         command = ["covers", "--nmax", "12", "--trials", "5", "--family", "{spec}"]
         assert self.loaded_after(command, tmp_path, "numpy.random") == []
 
-    def test_numpy_random_only_in_the_selftests(self):
-        """Outside the selftests, src/ draws nothing from numpy.random."""
+    def test_no_numpy_random_in_src(self):
+        """No file in src/, its selftests included, draws from numpy.random."""
         users = []
         for dirpath, _, names in os.walk(SRC_DIR):
             for name in sorted(n for n in names if n.endswith(".py")):
                 with open(os.path.join(dirpath, name), encoding="utf-8") as fh:
                     tree = ast.parse(fh.read())
-                allowed = set()
-                for node in ast.walk(tree):
-                    if isinstance(node, ast.FunctionDef) and node.name == "selftest":
-                        allowed |= {id(n) for n in ast.walk(node)}
                 for node in ast.walk(tree):
                     is_random = (isinstance(node, ast.Attribute) and node.attr == "random"
                                  and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
                     is_import = (isinstance(node, (ast.Import, ast.ImportFrom)) and any(
                         "numpy.random" in (alias.name if isinstance(node, ast.Import) else node.module or "")
-                        for alias in node.names))
-                    if (is_random or is_import) and id(node) not in allowed:
+                        for alias in node.names)) or (
+                        isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                        and any(alias.name == "random" for alias in node.names))
+                    if is_random or is_import:
                         users.append(f"{name}:{node.lineno}")
         assert users == []
 
@@ -337,6 +335,30 @@ class TestExitCodes:
         out = tmp_path / "r.csv"
         assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {flag} must be a finite number")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect", "--eta", "0.05", "--log-scale", "1e300"],  # the automatic k = ceil(M_eta)
+            ["detect", "--eta", "0.05", "--log-scale", "40", "--k", "100000000000000000000"],
+        ],
+    )
+    def test_k_past_2_53_exits_two_before_the_series(self, argv, tmp_path, capsys, monkeypatch):
+        """Past 2^53 a float no longer holds k, so log_jk would weigh another k."""
+        monkeypatch.setattr(coeffs, "expand_global", lambda *a, **k: pytest.fail("a series was built"))
+        out = tmp_path / "r.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "exceeds 2^53" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["psd"], ["covers", "--trials", "5"]])
+    def test_nmax_1_exits_two_before_the_pair_table(self, command, tmp_path, capsys, monkeypatch):
+        """Norm 1 holds only the unit ideal, so the sweep would check nothing."""
+        monkeypatch.setattr(covers, "PairCoefficientTable", lambda *a: pytest.fail("the pair table was built"))
+        out = tmp_path / "r.jsonl"
+        assert main(command + ["--nmax", "1", "--out", str(out)]) == 2
+        assert "--nmax must be >= 2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_shape_past_the_float_range_exits_two(self, tmp_path, capsys):
@@ -577,9 +599,10 @@ class TestKernelBuildCounts:
         filled = []
         real_fill = coeffs._PrimePowerArrays._fill
 
-        def fill(arrays, factors):
-            filled.extend((arrays, factor) for factor in factors)
-            return real_fill(arrays, factors)
+        def fill(arrays, powers, start):
+            keys = zip(zip(powers.prime.tolist(), powers.slot.tolist()), powers.exponent.tolist())
+            filled.extend((arrays, factor) for factor in list(keys)[start:])
+            return real_fill(arrays, powers, start)
 
         monkeypatch.setattr(coeffs._PrimePowerArrays, "_fill", fill)
         return filled

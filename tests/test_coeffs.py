@@ -31,12 +31,13 @@ from lfunclab.covers import (
 from lfunclab import coeffs
 from lfunclab.cli import main
 from lfunclab.errors import ResourceLimitError, UsageError
-from lfunclab.idealtable import IdealTable
+from lfunclab.idealtable import IdealTable, _prime_powers
 from lfunclab.ideals import (
     NumberFieldSpec,
     enumerate_ideals,
     ideal_from_int,
     prime_ideal,
+    split_prime,
     unit_ideal,
 )
 from lfunclab.localdata import (
@@ -334,19 +335,21 @@ class TestTableCeilings:
 
     def test_table_growth_before_allocating(self, monkeypatch):
         arrays = _PrimePowerArrays([trivial_representation()], [[0], [0]], "lambda", "product")
-        # 100 prime powers need 102 rows: the table of 64 doubles to 128
+        # 50 prime powers size the table to 52 rows; 100 need 102: the table doubles to 104
+        arrays.rows(table_of(Q, prime_powers(Q, 1000)[:50]))
+        assert len(arrays._table) == 52
         ideals = table_of(Q, prime_powers(Q, 1000)[:100])
-        monkeypatch.setattr(coeffs, "TABLE_BYTES_CEILING", 16 * 127)
+        monkeypatch.setattr(coeffs, "TABLE_BYTES_CEILING", 16 * 103)
         zeros = np.zeros
 
         def small_zeros(shape, *args, **kwargs):
-            assert math.prod(np.atleast_1d(shape)) <= 127, "allocated past the ceiling"
+            assert math.prod(np.atleast_1d(shape)) <= 103, "allocated past the ceiling"
             return zeros(shape, *args, **kwargs)
 
         monkeypatch.setattr(np, "zeros", small_zeros)
-        with pytest.raises(ResourceLimitError, match="128 x 1"):
+        with pytest.raises(ResourceLimitError, match="104 x 1"):
             arrays.rows(ideals)
-        assert len(arrays._table) == 64
+        assert len(arrays._table) == 52
 
 
 TABLE_FIELDS = {"Q": Q, "quadratic(-1)": NumberFieldSpec.quadratic(-1), "quadratic(5)": NumberFieldSpec.quadratic(5)}
@@ -413,6 +416,60 @@ class TestIdealTableAgainstTheWalk:
             assert np.array_equal(alone.view(np.uint64), np.ascontiguousarray(got[:, at]).view(np.uint64))
 
 
+# Q, and quadratic fields whose primes below 30 split, stay inert and ramify
+ORDER_FIELDS = {"Q": Q} | {f"quadratic({d})": NumberFieldSpec.quadratic(d) for d in (-1, 5, -5, -2, 3)}
+
+
+class TestPrimePowerOrder:
+    """The field's prime powers have one order: those of a bound are a prefix
+    of those of every larger bound, so that row 2 + k of a _PrimePowerArrays
+    table is the field's k-th prime power whatever bound filled it."""
+
+    def test_the_fields_hold_every_splitting(self):
+        for name, fld in ORDER_FIELDS.items():
+            kinds = {split_prime(fld, p).kind for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)}
+            assert kinds == ({"rational"} if name == "Q" else {"split", "inert", "ramified"}), name
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(field=st.sampled_from(sorted(ORDER_FIELDS)), bounds=st.lists(st.integers(1, 5000), min_size=2, max_size=2))
+    @example(field="quadratic(-1)", bounds=[624, 625])  # 5^4: the fourth powers of both primes above 5
+    def test_powers_of_a_bound_are_a_prefix_of_a_larger_bound(self, field, bounds):
+        small, large = sorted(bounds)
+        fld = ORDER_FIELDS[field]
+        below, above = _prime_powers(fld, small), _prime_powers(fld, large)
+        size = len(below.norm)
+        for name in ("prime", "slot", "exponent", "prime_norm", "norm"):
+            assert getattr(above, name)[:size].tolist() == getattr(below, name).tolist(), name
+        assert (above.norm[size:] > small).all()
+
+    @pytest.mark.parametrize("case", sorted(TABLE_ROW_CASES))
+    @pytest.mark.parametrize("kind", SERIES_KINDS)
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(bounds=st.lists(st.integers(1, 300), min_size=2, max_size=2))
+    @example(bounds=[20, 300])  # 2^1..2^4 in the first fill, 2^5..2^8 in the second
+    def test_a_table_filled_through_a_smaller_bound(self, case, kind, bounds):
+        """Filled through B and read at B' >= B, through rows and through at, a
+        table matches a fresh table read at B', bit for bit."""
+        small, large = sorted(bounds)
+        field, make, model = TABLE_ROW_CASES[case]
+        fld = TABLE_FIELDS[field]
+        members = list(make()) + [trivial_representation(fld)]
+        sides = all_pairs(len(members))
+        table = IdealTable(fld, large)
+        fresh = _PrimePowerArrays(members, sides, kind, model).rows(table)
+        grown, read, back = (_PrimePowerArrays(members, sides, kind, model) for _ in range(3))
+        for arrays in (grown, read, back):
+            arrays.fill(IdealTable(fld, small))
+        assert np.array_equal(grown.rows(table).view(np.uint64), fresh.view(np.uint64))
+        # in norm order, each ideal past the bound fills a little further; in
+        # reverse, the first fills past all the others at once
+        listed = table.ideals()
+        at = np.stack([read.at(ideal) for ideal in listed], axis=1)
+        assert np.array_equal(at.view(np.uint64), fresh.view(np.uint64))
+        at = np.stack([back.at(ideal) for ideal in reversed(listed)][::-1], axis=1)
+        assert np.array_equal(at.view(np.uint64), fresh.view(np.uint64))
+
+
 def traced_peak(fn) -> int:
     """The peak bytes tracemalloc sees while fn runs."""
     tracemalloc.start()
@@ -444,10 +501,12 @@ class TestSeriesMemory:
     def test_one_fill_of_10000_prime_powers(self, monkeypatch):
         monkeypatch.setattr(coeffs, "FILL_VALUES", 256)
         arrays = _PrimePowerArrays([trivial_representation()], [[0], [0]], "lambda", "gl1_exact")
-        codes = IdealTable.prime_powers(Q, 200_000).powers.codes()[:10_000]
-        peak = traced_peak(lambda: arrays._fill(codes))
+        last = IdealTable.prime_powers(Q, 200_000).norm[9_999]
+        powers = IdealTable.prime_powers(Q, int(last)).powers  # the first 10,000
+        assert len(powers.norm) == 10_000
+        peak = traced_peak(lambda: arrays._fill(powers, 0))
         # the table's rows, 40 bytes of bookkeeping per prime power, and one piece
-        assert peak <= arrays._table.nbytes + 40 * len(codes) + 250 * 256
+        assert peak <= arrays._table.nbytes + 40 * len(powers.norm) + 250 * 256
 
 
 # moduli <= 64 with primitive characters; 8, 16 and 32 have 2-parts with two

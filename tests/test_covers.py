@@ -274,16 +274,16 @@ class TestPairTableMemory:
     def test_table_holds_its_values_and_little_else(self):
         """A pair table is its members, two index arrays and its rows: building
         the 5,886-pair table of the characters mod <= 24 and its first matrix
-        peaks within 1.5 MB of the table's own TABLE_ROWS rows."""
+        peaks within 1.5 MB of the table's own rows."""
         fam = dirichlet_family_by_modulus(24)
-        size = len(fam.members)
         tracemalloc.start()
         try:
-            PairCoefficientTable(fam, "lambda").matrix(ideal_from_int(Q, 2))
+            table = PairCoefficientTable(fam, "lambda")
+            table.matrix(ideal_from_int(Q, 2))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - 16 * coeffs.TABLE_ROWS * size * (size + 1) // 2 <= 1.5e6
+        assert peak - table._pairs._table.nbytes <= 1.5e6
 
 
 class TestSharedTable:
