@@ -508,6 +508,9 @@ def main(argv=None) -> int:
     except LfuncLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:  # a flag value that takes a float past its range is a usage error
+        print(f"error: a flag value takes a quantity past the float range ({exc})", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

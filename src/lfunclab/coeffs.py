@@ -42,9 +42,11 @@ spread, small.
 A table of pair series is a member list and two index arrays into it, one
 pair per column, under one model (_PrimePowerArrays).  It keeps one row per
 prime power, filled once for all its columns, in pieces of bounded size:
-under gl1_exact by the angle rule, with one memo lookup per distinct
-(angle, M, exponent), under product from each member's power sums at the
-prime, combined over the columns by array operations.  rows alone
+under gl1_exact by the angle rule, as uint32 codes into one array of
+distinct values that lasts as long as the table, each value computed once
+per (angle, M, exponent); under product as complex values from each
+member's power sums at the prime, combined over the columns by array
+operations.  rows alone
 multiplies the rows out over the factors that an idealtable.IdealTable
 gives each ideal, for one series (expand_global) and for a family
 (family_arrays and the pair tables of covers).
@@ -72,7 +74,7 @@ from .localdata import Family, LocalParameters, Representation, contragredient, 
 
 SERIES_KINDS = ("lambda", "mu", "biglambda", "logl")
 PARTITION_SIZE_CAP = 64
-ROWS_CHUNK = 1 << 14  # values per step of _PrimePowerArrays.rows, which bounds its working arrays
+ROWS_CHUNK = 1 << 12  # values per step of _PrimePowerArrays.rows, which bounds its working arrays
 FILL_VALUES = 1 << 10  # values per piece of a _fill block, which bounds the kernels' working arrays
 TABLE_ROWS = 64  # prime-power rows a new _PrimePowerArrays table is checked for; its fills size it
 TABLE_BYTES_CEILING = IDEAL_BYTES_CEILING  # a table or a rows output may hold what an enumeration may
@@ -212,11 +214,16 @@ def _gl1_local(angle: int, m: int, e: int, kind: str) -> complex:
 
 
 class _Gl1Pairs:
-    """Local values of gl1_exact columns from their members' character angles.
+    """Local values of gl1_exact columns from their members' character angles,
+    as codes into one value array that grows with the source.
 
     psi, the primitive character inducing chi_a * conj(chi_b), is never built:
     psi(p) = e(angle/M) with angle = A_a M/M_a - A_b M/M_b mod M, M = lcm(M_a, M_b),
     and psi(p) = 0 where the p-parts of chi_a and chi_b differ (characters.PrimeAngles).
+    values[0] is 0j, values[1] is 1+0j and values[2 + k] is _gl1_local at the k-th
+    of _keys, int64 numbers of (angle, M, exponent); biglambda's values are psi(p)^e,
+    which its table multiplies by log p as it reads them.  The source lasts as
+    long as its table, so that the codes stay valid across fills.
     """
 
     def __init__(self, members: tuple[Representation, ...], sides: np.ndarray, kind: str):
@@ -231,35 +238,34 @@ class _Gl1Pairs:
         # (M, angle) -> base + angle numbers the pairs 0 <= angle < M of every M apart
         orders, position = np.unique(self._order, return_inverse=True)
         self._base = (np.cumsum(orders) - orders)[position]
-        self._memo: dict[tuple[int, int, int], complex] = {}  # (angle, M, exponent) -> value
+        self.values = np.array([0j, 1 + 0j])
+        self._keys = np.empty(0, dtype=np.int64)
 
     def block(self, prime: np.ndarray, slot: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-        """The (prime powers, columns) values at the prime powers P^e given by
-        their (p, slot, e) arrays, with one memo lookup per distinct
-        (angle, M, exponent)."""
+        """The (prime powers, columns) codes at the prime powers P^e given by
+        their (p, slot, e) arrays, with one _gl1_local call per key new to the
+        source."""
         primes, column = np.unique(prime, return_inverse=True)
         angles, parts = self._angles.at(primes)
         a, b = self._sides
         psi = (angles[:, a] * self._scale[0] - angles[:, b] * self._scale[1]) % self._order
         live = (parts[:, a] == parts[:, b])[column]
-        exponents = exponent[:, None]
         angle, order, base, e = (
-            np.broadcast_to(x, live.shape)[live]
-            for x in (psi[column], self._order, self._base, exponents)
+            np.broadcast_to(x, live.shape)[live] for x in (psi[column], self._order, self._base, exponent[:, None])
         )
-        _, first, inverse = np.unique(
-            (base + angle) * (exponents.max() + 1) + e, return_index=True, return_inverse=True
-        )
-        distinct = list(zip(*(x[first].tolist() for x in (angle, order, e))))
-        for key in distinct:
-            if key not in self._memo:
-                self._memo[key] = _gl1_local(*key, self.kind)
-        memo = np.array([self._memo[key] for key in distinct], dtype=np.complex128)
-        values = np.zeros(live.shape, dtype=np.complex128)
-        values[live] = memo[inverse]
-        if self.kind == "biglambda":
-            values = _times_log(values, np.array([math.log(p) for p in primes.tolist()])[column, None])
-        return values
+        key = (base + angle) * 64 + e  # a prime power of norm below 2^63 has e < 64
+        known = len(self._keys)
+        distinct, first, inverse = np.unique(np.concatenate([self._keys, key]), return_index=True, return_inverse=True)
+        added = np.flatnonzero(first >= known)
+        code = first + 2
+        code[added] = np.arange(known + 2, known + 2 + len(added))
+        at = first[added] - known  # the first entry of each new key
+        fresh = [_gl1_local(*key, self.kind) for key in zip(*(x[at].tolist() for x in (angle, order, e)))]
+        self._keys = np.concatenate([self._keys, distinct[added]])
+        self.values = np.concatenate([self.values, np.array(fresh, dtype=np.complex128)])
+        codes = np.zeros(live.shape, dtype=np.intp)
+        codes[live] = code[inverse[known:]]
+        return codes
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -350,7 +356,14 @@ class _PrimePowerArrays:
     on both sides.  The kind and the model are checked once, for every column.
     Row 2 + k of the table holds the values over the columns at the field's k-th
     prime power, in the order of idealtable.PrimePowers, which every bound
-    extends; row 0 is 0j and row 1 is 1+0j.  The first fill sizes the table to
+    extends; row 0 is 0j and row 1 is 1+0j.  Under product the rows are complex
+    values.  Under gl1_exact they are codes into the value array of the table's
+    _Gl1Pairs source, built at the first fill and kept as long as the table, so
+    that a code stays valid across fills: uint32 over several columns, 4 bytes
+    an entry, and intp over one column, whose codes then index without a cast.
+    Codes 0 and 1 are 0j and 1+0j; biglambda's values are psi(p)^e, multiplied
+    by the log p of their row as the rows are read (_local), as _times_log
+    multiplied them before.  The first fill sizes the table to
     its rows and later ones at least double it: a table allocated ahead of its
     rows past 4 MiB takes numpy's huge pages, whose RSS moves in 2 MiB steps
     with the table's alignment.  rows reads an IdealTable: it first fills the
@@ -361,7 +374,8 @@ class _PrimePowerArrays:
     bit), so each value is the Python product of the local values in factor order.
     Factor lists are front-padded with row 1, as (1+0j)(1+0j) is exact; biglambda and
     logl read row 0 off prime powers; exact zeros come out as 0j.  The table and rows'
-    output are checked against TABLE_BYTES_CEILING before they are allocated.
+    output are checked against TABLE_BYTES_CEILING before they are allocated, at
+    16 bytes an entry whatever the table holds.
     """
 
     def __init__(self, members, sides, kind: str, model: str):
@@ -370,21 +384,28 @@ class _PrimePowerArrays:
         if model == "gl1_exact":
             if default_model(members) != "gl1_exact":
                 raise UsageError("gl1_exact requires two degree-1 members with character data")
-            source = _Gl1Pairs
-        elif model == "product":
-            source = _ProductEngines
-        else:
+        elif model != "product":
             raise UsageError(f"unknown ramified model {model!r}")
         self.members, self.kind, self.model = tuple(members), kind, model
         self.sides = np.asarray(sides, dtype=np.intp)
         columns = self.sides.shape[1]
         check_table_bytes(TABLE_ROWS, columns, "a coefficient table")
-        self._table = np.zeros((2, columns), dtype=np.complex128)
+        coded = model == "gl1_exact"
+        # uint32 codes; one column keeps intp codes, which index without a cast
+        self._table = np.zeros((2, columns), dtype=(np.uint32 if columns > 1 else np.intp) if coded else np.complex128)
         self._table[1] = 1
+        # coded biglambda rows are psi(p)^e, read times the log p of their row; rows 0 and 1 take 1.0
+        self._log_p = np.ones(2) if coded and kind == "biglambda" else None
         self._powers: PrimePowers | None = None  # those of rows 2, 3, ...
         self._bound = 0  # every prime power of norm <= _bound has its row
         self._last: tuple[IdealIndex, np.ndarray] | None = None
-        self._source = source  # built once per _fill, so that a fill's memo goes with it
+
+    @functools.cached_property
+    def _source(self) -> _Gl1Pairs | _ProductEngines:
+        """The source of the local values, built when first read and kept as long
+        as the table, whose codes index its values."""
+        source = _Gl1Pairs if self.model == "gl1_exact" else _ProductEngines
+        return source(self.members, self.sides, self.kind)
 
     def fill(self, ideals: IdealTable) -> None:
         """Fill the rows of the prime powers the ideals' table indexes past
@@ -403,23 +424,25 @@ class _PrimePowerArrays:
         if end > len(self._table):
             size = max(2 * len(self._table), end)
             check_table_bytes(size, columns, "a coefficient table")
-            grown = np.zeros((size, columns), dtype=np.complex128)
+            grown = np.zeros((size, columns), dtype=self._table.dtype)
             grown[: 2 + start] = self._table[: 2 + start]
             self._table = grown
+        if self._log_p is not None:
+            logs = [math.log(p) for p in powers.prime[start:].tolist()]
+            self._log_p = np.concatenate([self._log_p[: 2 + start], logs])
         order = np.arange(start, len(powers.norm))
         if self.model == "product":  # each prime's exponents together, in order
             prime = (2 * powers.prime + powers.slot).tolist()  # one number per prime ideal
             order = np.array(sorted(order.tolist(), key=prime.__getitem__), dtype=np.intp)
             prime = [prime[k] for k in order.tolist()]
         piece = max(1, FILL_VALUES // max(1, columns))
-        source = self._source(self.members, self.sides, self.kind)
         begin = 0
         while begin < len(order):
             stop = min(begin + piece, len(order))
             while self.model == "product" and stop < len(order) and prime[stop] == prime[stop - 1]:
                 stop += 1
             taken = order[begin:stop]
-            block = source.block(powers.prime[taken], powers.slot[taken], powers.exponent[taken])
+            block = self._source.block(powers.prime[taken], powers.slot[taken], powers.exponent[taken])
             self._table[2 + taken] = block
             begin = stop
 
@@ -447,9 +470,24 @@ class _PrimePowerArrays:
         size = self.sides.shape[1]
         re, im = np.ones((len(index), size)), np.zeros((len(index), size))
         for r in index.T:
-            loc = self._table[r]
+            loc = self._local(r)
             re, im = re * loc.real - im * loc.imag, re * loc.imag + im * loc.real
         return re.T, im.T
+
+    def _local(self, r: np.ndarray) -> np.ndarray:
+        """The (len(r), columns) complex values of table rows r: under gl1_exact
+        their codes' values, biglambda's times log p."""
+        if self.model == "product":
+            return self._table[r]
+        loc = self._source.values[self._table[r]]
+        if self._log_p is not None:  # _times_log in place: (re log p - im 0, re 0 + im log p)
+            log_p = self._log_p[r][:, None]
+            re_zero = loc.real * 0.0
+            loc.real *= log_p
+            loc.real -= loc.imag * 0.0
+            loc.imag *= log_p
+            loc.imag += re_zero
+        return loc
 
     def at(self, ideal: IdealIndex) -> np.ndarray:
         """rows at one ideal, each factor's row found among the filled prime

@@ -211,13 +211,7 @@ def dirichlet_character_family(q_max: float) -> Family:
     if q_max < 3:
         raise UsageError("no character has analytic conductor below 3")
     moduli = int(q_max // 3)
-    # character_group(q) keeps q int64 angles for each of its phi(q) < q characters
-    held = 8 * moduli * (moduli + 1) * (2 * moduli + 1) // 6
-    if held > CHARACTER_BYTES_CEILING:
-        raise ResourceLimitError(
-            f"the characters of modulus <= {moduli} could take {held} bytes, "
-            f"which exceeds the ceiling of {CHARACTER_BYTES_CEILING} bytes"
-        )
+    _check_character_tables(moduli)
     members = []
     for q in range(1, moduli + 1):
         for chi in chars.primitive_characters(q):
@@ -227,8 +221,22 @@ def dirichlet_character_family(q_max: float) -> Family:
     return make_family(members, label=f"dirichlet(C<={q_max:g})")
 
 
+def _check_character_tables(moduli: int) -> None:
+    """Refuse the characters of modulus <= moduli when their tables could pass
+    CHARACTER_BYTES_CEILING, before any is built."""
+    # character_group(q) keeps q int64 angles for each of its phi(q) < q characters
+    held = 8 * moduli * (moduli + 1) * (2 * moduli + 1) // 6
+    if held > CHARACTER_BYTES_CEILING:
+        raise ResourceLimitError(
+            f"the characters of modulus <= {moduli} could take {held} bytes, "
+            f"which exceeds the ceiling of {CHARACTER_BYTES_CEILING} bytes"
+        )
+
+
 def dirichlet_family_by_modulus(q_bound: int) -> Family:
-    """All primitive Dirichlet characters of modulus q <= q_bound."""
+    """All primitive Dirichlet characters of modulus q <= q_bound, refused
+    before any is built when their tables could pass CHARACTER_BYTES_CEILING."""
+    _check_character_tables(q_bound)
     members = [
         character_representation(chi)
         for chi in chars.primitive_characters_up_to_modulus(q_bound)

@@ -34,6 +34,10 @@ used before `coeffs.fsum_complex`: the oracle's own accumulator for the
 Selberg pair loop, and the old aggregation that the sifted sums are
 compared with.
 
+`gl1_complex_rows` keeps the complex table of a gl1_exact table, one
+complex value per prime power and column, that its codes into one value
+array replaced: the oracle for the stored rows, signed zeros included.
+
 `walk_ideals` keeps the recursive enumeration of ideals that
 `ideals.IdealTable` replaced: one IdealIndex per factorization over the
 norm-sorted prime list, then a sort by (norm, factors); `divides` and
@@ -47,8 +51,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from lfunclab.characters import conjugate, multiply, primitive_part
-from lfunclab.coeffs import family_arrays, ideal_list, partitions_of, power_sum
+from lfunclab.characters import PrimeAngles, conjugate, multiply, primitive_part
+from lfunclab.coeffs import _gl1_local, _times_log, family_arrays, ideal_list, partitions_of, power_sum
 from lfunclab.idealtable import IdealTable
 from lfunclab.ideals import IdealIndex, prime_ideal, prime_ideals_up_to, prime_norm
 from lfunclab.ziggurat import _FI, _INV_R, _KI, _R, _WI
@@ -291,6 +295,30 @@ def gl1_local(psi, kind: str, pid, e: int) -> complex:
     if kind == "biglambda":
         return v**e * math.log(p)
     return v**e / e  # logl
+
+
+def gl1_complex_rows(arrays, powers) -> np.ndarray:
+    """The complex table that a gl1_exact table's codes replace: row 0 is 0j,
+    row 1 is 1+0j and row 2 + k holds the values over the table's columns at
+    the k-th of the prime powers, by the angle rule with one _gl1_local call
+    per distinct (angle, M, exponent), biglambda's times log p by _times_log,
+    and 0j where the p-parts of the pair differ."""
+    a, b = arrays.sides
+    denoms = np.array([m.character.order_denom for m in arrays.members], dtype=np.int64)
+    order = np.lcm(denoms[a], denoms[b])
+    angles, parts = PrimeAngles([m.character for m in arrays.members]).at(powers.prime)
+    psi = (angles[:, a] * (order // denoms[a]) - angles[:, b] * (order // denoms[b])) % order
+    out = np.zeros((2 + len(powers.prime), a.size), dtype=np.complex128)
+    out[1] = 1
+    memo = {}
+    for k, c in zip(*np.nonzero(parts[:, a] == parts[:, b])):
+        key = (int(psi[k, c]), int(order[c]), int(powers.exponent[k]))
+        if key not in memo:
+            memo[key] = _gl1_local(*key, arrays.kind)
+        out[2 + k, c] = memo[key]
+    if arrays.kind == "biglambda":
+        out[2:] = _times_log(out[2:], np.array([math.log(p) for p in powers.prime.tolist()])[:, None])
+    return out
 
 
 def scalar_coefficient(col, ideal) -> complex:

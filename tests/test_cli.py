@@ -246,6 +246,21 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["sifted", "--x", "200", "--z", "1e300"],
+            ["density", "--p", "2", "--epsilon", "1e300"],
+            ["ingest", "--hecke", os.path.join(os.path.dirname(MODULUS_100_SPEC), "delta_ap_10000.csv"),
+             "--weight", "10000000000"],
+        ],
+    )
+    def test_past_the_float_range_exits_two(self, argv, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "float range" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["psd", "--nmax", "10000000000"],
             ["detect", "--eta", "0.05", "--log-scale", "40", "--truncation", "10000000000"],
             ["sieve-weights", "--z", "1e12"],
@@ -260,6 +275,8 @@ class TestExitCodes:
             ["large-sieve", "--gl1", "--qmax", "300", "--n", "2"],
             # the characters of modulus <= 333,333: about 10^17 bytes of angle tables
             ["count", "--q", "1e6"],
+            # the characters of modulus <= 10^30, refused before any is built
+            ["large-sieve", "--gl1", "--qmax", "1" + "0" * 30],
         ],
     )
     def test_past_a_ceiling_exits_two_before_allocating(

@@ -62,6 +62,7 @@ from scalar_oracle import (
     columns,
     deviation,
     divides,
+    gl1_complex_rows,
     local_lambda,
     product_character,
     scalar_coefficient,
@@ -505,8 +506,9 @@ class TestSeriesMemory:
         powers = IdealTable.prime_powers(Q, int(last)).powers  # the first 10,000
         assert len(powers.norm) == 10_000
         peak = traced_peak(lambda: arrays._fill(powers, 0))
-        # the table's rows, 40 bytes of bookkeeping per prime power, and one piece
-        assert peak <= arrays._table.nbytes + 40 * len(powers.norm) + 250 * 256
+        # the table's codes and values, 40 bytes of bookkeeping per prime power, and one piece
+        held = arrays._table.nbytes + arrays._source.values.nbytes
+        assert peak <= held + 40 * len(powers.norm) + 250 * 256
 
 
 # moduli <= 64 with primitive characters; 8, 16 and 32 have 2-parts with two
@@ -543,6 +545,46 @@ class TestGl1AngleRows:
         got = np.concatenate([arrays.rows(half) for half in halves], axis=1)
         want = np.array([scalar_row(col, ideals) for col in columns(arrays)], dtype=np.complex128)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestGl1Codes:
+    """A gl1_exact table keeps uint32 codes into one value array: decoded, its
+    rows equal the complex table they replace (scalar_oracle.gl1_complex_rows)
+    bit for bit, signed zeros included, after each fill through growing
+    bounds; _gl1_local is called once per value the array holds past 0j and
+    1+0j; and rows and at read the product character's values."""
+
+    @pytest.mark.parametrize("kind", SERIES_KINDS)
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(draws=st.lists(gl1_member, max_size=3), bounds=st.lists(st.integers(1, 400), min_size=1, max_size=4))
+    @example(draws=[(q, 1, q % 2 == 1) for q in (8, 9, 12)], bounds=[20, 60, 300])  # 2^1..2^4, then 2^5
+    def test_codes_are_the_complex_table(self, kind, draws, bounds):
+        with pytest.MonkeyPatch.context() as patch:
+            calls = []
+            real = coeffs._gl1_local
+            patch.setattr(coeffs, "_gl1_local", lambda *key: calls.append(key) or real(*key))
+            self.check(kind, draws, bounds, calls)
+
+    def check(self, kind, draws, bounds, calls):
+        members = [trivial_representation()]
+        for q, j, dual in draws:
+            group = primitive_characters(q)
+            rep = character_representation(group[j % len(group)])
+            members.append(contragredient(rep) if dual else rep)
+        arrays = _PrimePowerArrays(members, all_pairs(len(members)), kind, "gl1_exact")
+        for bound in sorted(bounds):
+            powers = IdealTable.prime_powers(Q, bound).powers
+            arrays.fill(IdealTable(Q, bound))
+            rows = np.arange(2 + len(powers.norm))
+            assert arrays._table[rows].dtype == (np.uint32 if len(members) > 1 else np.intp)
+            got = arrays._local(rows)
+            assert np.array_equal(got.view(np.uint64), gl1_complex_rows(arrays, powers).view(np.uint64))
+            assert len(calls) == len(arrays._source.values) - 2
+        table = IdealTable(Q, max(bounds))
+        want = np.array([scalar_row(col, table.ideals()) for col in columns(arrays)], dtype=np.complex128)
+        assert np.array_equal(arrays.rows(table).view(np.uint64), want.view(np.uint64))
+        at = np.stack([arrays.at(ideal) for ideal in table.ideals()], axis=1)
+        assert np.array_equal(at.view(np.uint64), want.view(np.uint64))
 
 
 # a product-model member: (source, size, index, dual).  synthetic: degree size

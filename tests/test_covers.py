@@ -25,6 +25,7 @@ from lfunclab.covers import (
     weight_battery,
 )
 from lfunclab.errors import DataIntegrityError, ResourceLimitError, UsageError
+from lfunclab.idealtable import IdealTable
 from lfunclab.ideals import (
     NumberFieldSpec,
     enumerate_ideals,
@@ -274,7 +275,7 @@ class TestPairTableMemory:
     def test_table_holds_its_values_and_little_else(self):
         """A pair table is its members, two index arrays and its rows: building
         the 5,886-pair table of the characters mod <= 24 and its first matrix
-        peaks within 1.5 MB of the table's own rows."""
+        peaks within 1.5 MB of the table's own codes and values."""
         fam = dirichlet_family_by_modulus(24)
         tracemalloc.start()
         try:
@@ -283,7 +284,22 @@ class TestPairTableMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - table._pairs._table.nbytes <= 1.5e6
+        assert peak - table._pairs._table.nbytes - table._pairs._source.values.nbytes <= 1.5e6
+
+    def test_codes_and_distinct_values(self, monkeypatch):
+        """Filled to norm 60, the 5,886-pair lambda table of the characters mod
+        <= 24 holds at most 4 bytes per entry, its uint32 codes, plus 16 per
+        distinct value: 0j, 1+0j and one per _gl1_local call, each call at a
+        distinct (angle, M, exponent)."""
+        calls = []
+        real = coeffs._gl1_local
+        monkeypatch.setattr(coeffs, "_gl1_local", lambda *key: calls.append(key) or real(*key))
+        table = PairCoefficientTable(dirichlet_family_by_modulus(24), "lambda")
+        table.fill(IdealTable(Q, 60), ())
+        pairs = table._pairs
+        assert pairs._table.shape == (2 + len(IdealTable.prime_powers(Q, 60)), 5_886)
+        assert len(set(calls)) == len(calls)
+        assert pairs._table.nbytes + pairs._source.values.nbytes <= 4 * pairs._table.size + 16 * (2 + len(calls))
 
 
 class TestSharedTable:
