@@ -3,12 +3,13 @@
 Hypothesis draws batches of command lines: a subcommand with its flags set
 to edge values (nan, +-inf, a decimal past the float range, 0, negatives,
 huge integers, empty strings, missing or empty files) next to small valid
-ones.  A batch holds one command line of each subcommand, and one child process runs it through cli.main, under an
-address-space limit that the child sets on itself and a time budget for
-each command line.  Each command line must exit 0, 2, 3 or 4 with no
-traceback, and a command line that exits 0 is run again, whose report must
-be byte-identical.  No drawn value asks for threads or processes:
---threads and --selftest are never drawn.
+ones.  A batch holds one command line of each subcommand, and one child
+process runs it through cli.main, under an address-space limit that the
+child sets on itself and a time budget for each command line.  Each
+command line must exit 0, 2, 3 or 4 with no traceback, and a command line
+that exits 0 is run again, whose report must be byte-identical.  No drawn
+value asks for threads or processes: --threads and --selftest are never
+drawn.
 """
 
 import json
@@ -144,7 +145,7 @@ def command_line(draw, name: str) -> list[str]:
 
 # the child: reads [argv, report path] pairs as JSON on stdin, writes one result per pair as JSON
 CHILD = """
-import contextlib, io, json, os, resource, signal, sys, traceback
+import contextlib, io, json, resource, signal, sys, traceback
 resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
 from lfunclab.cli import main
 
